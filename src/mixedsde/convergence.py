@@ -231,9 +231,8 @@ def _chunk_noise(
 
 def _stop_batch(values: np.ndarray, tau_idx: np.ndarray) -> np.ndarray:
     """Freeze each row after its own node index."""
-    n1 = values.shape[1]
-    idx = np.minimum(np.arange(n1)[None, :], tau_idx[:, None])
-    return np.take_along_axis(values, idx, axis=1)
+    frozen = values[np.arange(values.shape[0]), tau_idx][:, None]
+    return np.where(np.arange(values.shape[1]) > tau_idx[:, None], frozen, values)
 
 
 def mc_strong_error(
@@ -279,6 +278,8 @@ def mc_strong_error(
         raise ValueError(f"eval_n={eval_n} must be a dyadic divisor of fine n={fine_n}")
     if paths < 1:
         raise ValueError("need at least one path")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     fine = TimeGrid(float(t_horizon), fine_n)
     eval_stride = fine_n // eval_n

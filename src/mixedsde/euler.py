@@ -183,17 +183,22 @@ def _interpolate_on_fine(
     Works on (paths, n+1) arrays; at fine nodes that are coarse nodes the
     recursion is reproduced exactly.
     """
-    nf = fine_t.size - 1
-    base = np.arange(nf + 1) // stride  # coarse floor index of each fine node
-    tk = coarse_t[base]
-    xk = coarse_x[:, base]
-    wk = fine_w[:, base * stride]
-    bk = fine_bh[:, base * stride]
+    nf1 = fine_t.size
+
+    def held(v):
+        """Coarse-node values held over the stride fine nodes that follow."""
+        return np.repeat(v, stride, axis=-1)[..., :nf1]
+
+    def frozen(fn):
+        # constant coefficients return scalars or 1-d arrays
+        return held(np.broadcast_to(fn(coarse_t, coarse_x), coarse_x.shape))
+
+    tk = held(coarse_t)
     return (
-        xk
-        + coeffs.a(tk, xk) * (fine_t - tk)
-        + coeffs.b(tk, xk) * (fine_w - wk)
-        + coeffs.c(tk, xk) * (fine_bh - bk)
+        held(coarse_x)
+        + frozen(coeffs.a) * (fine_t - tk)
+        + frozen(coeffs.b) * (fine_w - held(fine_w[:, ::stride]))
+        + frozen(coeffs.c) * (fine_bh - held(fine_bh[:, ::stride]))
     )
 
 

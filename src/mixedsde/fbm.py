@@ -401,34 +401,26 @@ def holder_cumulative(values: np.ndarray, delta: float, eta: float, q: float) ->
     Node-pair rectangle rule with weight delta^2 on every off-diagonal pair;
     diagonal (zero-width) cells are skipped. Monotone in k by construction.
     """
-    values = np.asarray(values, dtype=float)
-    n = values.size - 1
-    power = 2.0 / eta
-    inv_sep = (np.arange(1, n + 1, dtype=float) * delta) ** (-q)
-    total = np.zeros(n + 1)
-    acc = 0.0
-    for k in range(1, n + 1):
-        row = _abs_power(values[k] - values[:k], power) * inv_sep[k - 1 :: -1]
-        acc += 2.0 * float(row.sum())
-        total[k] = acc
-    return (total * delta * delta) ** (eta / 2.0)
+    return _holder_cumulative_batch(np.asarray(values, dtype=float)[None, :], delta, eta, q)[0]
 
 
 def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
-    """Batched holder_cumulative: values (paths, n+1) -> K (paths, n+1)."""
-    v = np.ascontiguousarray(values, dtype=float)
-    paths, n1 = v.shape
-    n = n1 - 1
+    """Batched holder_cumulative: values (paths, n+1) -> K (paths, n+1).
+
+    Row sums over earlier nodes accumulate one offset m at a time on the
+    node-major (n+1, paths) layout, then a cumulative sum over nodes.
+    """
+    vt = np.array(np.asarray(values, dtype=float).T, order="C")
+    n = vt.shape[0] - 1
     inv_sep = (np.arange(1, n + 1, dtype=float) * delta) ** (-q)
     power = 2.0 / eta
-    total = np.zeros_like(v)
-    acc = np.zeros(paths)
-    for k in range(1, n + 1):
-        row = _abs_power(v[:, k, None] - v[:, :k], power)
-        row *= inv_sep[k - 1 :: -1]
-        acc += 2.0 * row.sum(axis=1)
-        total[:, k] = acc
-    return (total * delta * delta) ** (eta / 2.0)
+    rows = np.zeros_like(vt)
+    for m in range(1, n + 1):
+        term = _abs_power(vt[m:] - vt[:-m], power)
+        term *= inv_sep[m - 1]
+        rows[m:] += term
+    total = 2.0 * np.cumsum(rows, axis=0)
+    return ((total * delta * delta) ** (eta / 2.0)).T
 
 
 def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> HolderFunctional:

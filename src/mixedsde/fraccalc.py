@@ -266,51 +266,32 @@ def young_integral(
 # weighted norms
 
 
-def _bracket_row_weights(a_w: np.ndarray, b_w: np.ndarray, i: int) -> np.ndarray:
-    """Weights on |f_i - f_j|, j = 0..i-1, for the singular increment integral."""
-    row = b_w[1 : i + 1][::-1].copy()
-    if i >= 2:
-        row[1:] += a_w[2 : i + 1][::-1]
-    return row
-
-
 def increment_bracket(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:
     """int_a^s |f(s)-f(z)| (s-z)^(-1-alpha) dz at every node s."""
-    f = np.asarray(values, dtype=float)
-    n = f.size - 1
+    return _increment_bracket_batch(np.asarray(values, dtype=float)[None, :], delta, alpha)[0]
+
+
+def _increment_bracket_batch(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:
+    """Batched increment_bracket: (paths, n+1) -> (paths, n+1).
+
+    The weight on |f_i - f_{i-m}| is b_w[m] + a_w[m+1] [i-m >= 1], Toeplitz
+    in the offset m except for the column z = a, so one pass per offset over
+    the node-major (n+1, paths) layout needs O(paths n) memory.
+    """
+    vt = np.array(np.asarray(values, dtype=float).T, order="C")
+    n = vt.shape[0] - 1
     a_w, b_w = _cell_weights(n, float(delta), float(alpha))
-    out = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        out[i] = float(np.sum(_bracket_row_weights(a_w, b_w, i) * np.abs(f[i] - f[:i])))
-    return out
-
-
-@lru_cache(maxsize=16)
-def _bracket_weight_matrix(n: int, delta: float, alpha: float) -> np.ndarray:
-    """Dense (n+1, n+1) lower-triangular weight matrix; for modest n only."""
-    if n > 2048:
-        raise ValueError("dense bracket weights are limited to n <= 2048")
-    a_w, b_w = _cell_weights(n, delta, alpha)
-    w = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        w[i, :i] = _bracket_row_weights(a_w, b_w, i)
-    w.setflags(write=False)
-    return w
-
-
-def _increment_bracket_batch(
-    values: np.ndarray, delta: float, alpha: float, block: int = 64
-) -> np.ndarray:
-    """Batched increment_bracket: (paths, n+1) -> (paths, n+1)."""
-    v = np.asarray(values, dtype=float)
-    w = _bracket_weight_matrix(v.shape[1] - 1, float(delta), float(alpha))
-    out = np.empty_like(v)
-    for lo in range(0, v.shape[0], block):
-        part = v[lo : lo + block]
-        out[lo : lo + block] = np.einsum(
-            "ij,pij->pi", w, np.abs(part[:, :, None] - part[:, None, :])
-        )
-    return out
+    fused = b_w[1:] + np.append(a_w[2:], 0.0)  # weight at offset m for z > a
+    out = np.zeros_like(vt)
+    buf = np.empty((n, vt.shape[1]))
+    for m in range(1, n + 1):
+        d = buf[: n + 1 - m]
+        np.subtract(vt[m:], vt[:-m], out=d)
+        np.abs(d, out=d)
+        out[m] += b_w[m] * d[0]
+        d[1:] *= fused[m - 1]
+        out[m + 1 :] += d[1:]
+    return out.T
 
 
 def norm_inf_alpha(f: SampledFunction, alpha: float) -> float:

@@ -174,6 +174,17 @@ def test_converge_numerical_failure_exit_code(outdir, capsys):
     assert "could not fit" in capsys.readouterr().out
 
 
+def test_converge_rejects_zero_workers(outdir, capsys):
+    rc = main(
+        [
+            "converge", "--preset", "linear", "--paths", "4", "--levels", "8,16,32",
+            "--m-fine", "2", "--outdir", str(outdir / "w"), "--workers", "0",
+        ]
+    )
+    assert rc == 1
+    assert "workers" in capsys.readouterr().err
+
+
 def test_help_documents_flags():
     parser = build_parser()
     for cmd, flags in {

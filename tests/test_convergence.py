@@ -19,6 +19,7 @@ from mixedsde import (
     stop,
 )
 from mixedsde.coefficients import coefficients_from_expressions
+from mixedsde.convergence import _stop_batch
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +257,30 @@ def test_level_validation():
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 12], 2, 4, workers=1)
     with pytest.raises(ValueError, match="distinct"):
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 8], 2, 4, workers=1)
+
+
+def test_stop_batch_freezes_each_row_after_its_index():
+    values = np.random.default_rng(2).normal(size=(4, 9))
+    tau = np.array([0, 3, 8, 5])
+    want = values.copy()
+    for row, k in zip(want, tau):
+        row[k + 1 :] = row[k]
+    assert np.array_equal(_stop_batch(values, tau), want)
+
+
+def test_eval_n_above_2048_runs():
+    rep = mc_strong_error(
+        preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], 6, 4, eval_n=4096, workers=1
+    )
+    assert rep.eval_n == 4096
+    assert all(l.retained + l.discarded + l.aborted == 4 for l in rep.levels)
+    assert all(math.isfinite(l.err2_norm2) for l in rep.levels if l.retained)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_must_be_positive(workers):
+    with pytest.raises(ValueError, match="workers"):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, 4, workers=workers)
 
 
 def test_volterra_dependence_supported():

@@ -199,6 +199,30 @@ def test_increment_bound_monitor():
     assert max(level_max.values()) < 2.0 * min(level_max.values())
 
 
+@pytest.mark.parametrize("name", ["linear", "bounded-smooth", "additive"])
+def test_interpolate_on_fine_matches_per_node_formula(name):
+    coeffs = preset(name)
+    rng = np.random.default_rng(3)
+    stride, n = 4, 8
+    fine_t = np.arange(n * stride + 1) / (n * stride)
+    w = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
+    bh = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
+    coarse_t = fine_t[::stride]
+    x, _ = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride], bh[:, ::stride], 1.0)
+    want = np.empty_like(w)
+    for j in range(fine_t.size):
+        k = j // stride
+        tk, xk = coarse_t[k], x[:, k]
+        want[:, j] = (
+            xk
+            + coeffs.a(tk, xk) * (fine_t[j] - tk)
+            + coeffs.b(tk, xk) * (w[:, j] - w[:, k * stride])
+            + coeffs.c(tk, xk) * (bh[:, j] - bh[:, k * stride])
+        )
+    got = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w, bh, stride)
+    assert np.array_equal(got, want)
+
+
 def test_solution_csv(pair):
     sol = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 16))
     buf = io.StringIO()

@@ -17,6 +17,7 @@ from mixedsde import (
 from mixedsde.fbm import (
     _fbm_node_covariance,
     _fbm_values_batch,
+    _holder_cumulative_batch,
     holder_cumulative,
     volterra_marginal_covariance,
     write_pair_csv,
@@ -252,6 +253,46 @@ def test_holder_monotone_in_horizon():
     k1 = holder_functional(path, 0.1, 0.5).value
     k2 = holder_functional(path, 0.1, 1.0).value
     assert k1 <= k2
+
+
+def _holder_double_loop(v: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
+    # node-pair rectangle rule, one pair at a time
+    n = v.size - 1
+    inv_sep = (np.arange(1, n + 1) * delta) ** (-q)
+    total = np.zeros(n + 1)
+    acc = 0.0
+    for i in range(1, n + 1):
+        for j in range(i):
+            acc += 2.0 * abs(v[i] - v[j]) ** (2.0 / eta) * inv_sep[i - j - 1]
+        total[i] = acc
+    return (total * delta * delta) ** (eta / 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
+@pytest.mark.parametrize("eta,q", [(0.1, 1 / 0.1), (0.15, 2 * 0.7 / 0.15)])
+def test_holder_cumulative_batch_matches_double_loop(n, eta, q):
+    rng = np.random.default_rng(n)
+    values = np.cumsum(rng.normal(size=(3, n + 1)), axis=1) / math.sqrt(n)
+    got = _holder_cumulative_batch(values, 1.0 / n, eta, q)
+    assert got.shape == values.shape
+    for row, out in zip(values, got):
+        np.testing.assert_allclose(out, _holder_double_loop(row, 1.0 / n, eta, q), rtol=1e-12, atol=0.0)
+
+
+def test_holder_cumulative_is_the_batch_on_one_row():
+    path = generate_fbm(TimeGrid(1.0, 64), 0.7, 4)
+    q = 2 * 0.7 / 0.1
+    single = holder_cumulative(path.values, 1 / 64, 0.1, q)
+    assert np.array_equal(single, _holder_cumulative_batch(path.values[None], 1 / 64, 0.1, q)[0])
+
+
+def test_holder_cumulative_batch_confines_nan_to_its_row():
+    values = np.cumsum(np.random.default_rng(8).normal(size=(3, 33)), axis=1) / 6
+    clean = _holder_cumulative_batch(values, 1 / 32, 0.1, 10.0)
+    values[1, 5] = np.nan
+    got = _holder_cumulative_batch(values, 1 / 32, 0.1, 10.0)
+    assert np.array_equal(got[[0, 2]], clean[[0, 2]])
+    assert np.all(np.isfinite(got[1, :5])) and np.all(np.isnan(got[1, 5:]))
 
 
 def test_holder_validation():

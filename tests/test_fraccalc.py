@@ -16,7 +16,13 @@ from mixedsde import (
     right_derivative,
     young_integral,
 )
-from mixedsde.fraccalc import _left_deriv_nodes, _right_deriv_nodes, increment_bracket
+from mixedsde.fraccalc import (
+    _cell_weights,
+    _increment_bracket_batch,
+    _left_deriv_nodes,
+    _right_deriv_nodes,
+    increment_bracket,
+)
 from mixedsde.rng import stream
 
 G = math.gamma
@@ -276,6 +282,42 @@ def test_norm_comparison_constant():
 
 def test_increment_bracket_zero_for_constant():
     assert np.all(increment_bracket(np.full(65, 2.0), 1 / 64, 0.3) == 0.0)
+
+
+def _bracket_double_loop(f: np.ndarray, delta: float, alpha: float) -> np.ndarray:
+    # the weight on |f_i - f_j| straight from the cell weights, one pair at a time
+    n = f.size - 1
+    a_w, b_w = _cell_weights(n, delta, alpha)
+    out = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        for j in range(i):
+            w = b_w[i - j] + (a_w[i - j + 1] if j >= 1 else 0.0)
+            out[i] += w * abs(f[i] - f[j])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
+def test_increment_bracket_batch_matches_double_loop(n):
+    rng = np.random.default_rng(n)
+    values = np.cumsum(rng.normal(size=(3, n + 1)), axis=1)
+    got = _increment_bracket_batch(values, 1.0 / n, 0.35)
+    assert got.shape == values.shape
+    for row, out in zip(values, got):
+        np.testing.assert_allclose(out, _bracket_double_loop(row, 1.0 / n, 0.35), rtol=1e-12, atol=0.0)
+
+
+def test_increment_bracket_is_the_batch_on_one_row():
+    row = np.cumsum(np.random.default_rng(5).normal(size=65))
+    assert np.array_equal(increment_bracket(row, 1 / 64, 0.3), _increment_bracket_batch(row[None], 1 / 64, 0.3)[0])
+
+
+def test_increment_bracket_batch_confines_nan_to_its_row():
+    values = np.cumsum(np.random.default_rng(6).normal(size=(3, 33)), axis=1)
+    clean = _increment_bracket_batch(values, 1 / 32, 0.3)
+    values[1, 5] = np.nan
+    got = _increment_bracket_batch(values, 1 / 32, 0.3)
+    assert np.array_equal(got[[0, 2]], clean[[0, 2]])
+    assert np.all(np.isfinite(got[1, :5])) and np.all(np.isnan(got[1, 5:]))
 
 
 # ---------------------------------------------------------------------------
