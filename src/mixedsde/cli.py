@@ -307,6 +307,16 @@ def cmd_converge(args) -> int:
 # parser
 
 
+def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--preset", choices=preset_names(), help="named coefficient preset")
+    p.add_argument("--a", help="drift expression a(t, x)")
+    p.add_argument("--b", help="Wiener coefficient expression b(t, x)")
+    p.add_argument("--c", help="fBm coefficient expression c(t, x)")
+    p.add_argument("--dc", help="expression for dc/dx(t, x)")
+    p.add_argument("--k", type=float, help="claimed hypothesis constant K")
+    p.add_argument("--beta", type=float, help="claimed time-Holder exponent, in (1-H, 1)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mixedsde", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -341,13 +351,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("solve", help="run the Euler scheme and write the path CSV")
-    p.add_argument("--preset", choices=preset_names(), help="named coefficient preset")
-    p.add_argument("--a", help="drift expression a(t, x)")
-    p.add_argument("--b", help="Wiener coefficient expression b(t, x)")
-    p.add_argument("--c", help="fBm coefficient expression c(t, x)")
-    p.add_argument("--dc", help="expression for dc/dx(t, x)")
-    p.add_argument("--k", type=float, help="claimed hypothesis constant K")
-    p.add_argument("--beta", type=float, help="claimed time-Holder exponent, in (1-H, 1)")
+    _add_coefficient_flags(p)
     p.add_argument("--h", type=float, required=True, help="Hurst index, in (1/2, 1)")
     p.add_argument("--n", type=int, required=True, help="number of grid steps")
     p.add_argument("--t", type=float, default=1.0, help="horizon T > 0 (default 1)")
@@ -367,13 +371,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="sample-check the coefficient hypotheses (A)-(E)")
-    p.add_argument("--preset", choices=preset_names())
-    p.add_argument("--a", help="drift expression a(t, x)")
-    p.add_argument("--b", help="Wiener coefficient expression b(t, x)")
-    p.add_argument("--c", help="fBm coefficient expression c(t, x)")
-    p.add_argument("--dc", help="expression for dc/dx(t, x)")
-    p.add_argument("--k", type=float, help="claimed hypothesis constant K")
-    p.add_argument("--beta", type=float, help="claimed time-Holder exponent")
+    _add_coefficient_flags(p)
     p.add_argument("--t-min", type=float, default=0.0, help="time range lower end (default 0)")
     p.add_argument("--t-max", type=float, default=1.0, help="time range upper end (default 1)")
     p.add_argument("--x-min", type=float, default=-10.0, help="state range lower end (default -10)")
@@ -386,13 +384,7 @@ def build_parser() -> _Parser:
         "converge", help="Monte Carlo strong-error study across dyadic levels with rate fit"
     )
     p.add_argument("--manifest", help="JSON manifest; flags override its entries")
-    p.add_argument("--preset", choices=preset_names())
-    p.add_argument("--a", help="drift expression a(t, x)")
-    p.add_argument("--b", help="Wiener coefficient expression b(t, x)")
-    p.add_argument("--c", help="fBm coefficient expression c(t, x)")
-    p.add_argument("--dc", help="expression for dc/dx(t, x)")
-    p.add_argument("--k", type=float, help="claimed hypothesis constant K")
-    p.add_argument("--beta", type=float, help="claimed time-Holder exponent")
+    _add_coefficient_flags(p)
     p.add_argument("--h", type=float, help="Hurst index, in (1/2, 1) (default 0.7)")
     p.add_argument("--t", type=float, help="horizon T > 0 (default 1)")
     p.add_argument("--x0", type=float, help="initial value (default 1)")

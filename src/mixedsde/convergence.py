@@ -23,6 +23,7 @@ from . import __version__ as _version
 from .coefficients import CoefficientSet
 from .euler import SolverConfig, StoppedSolution, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
+    JointGaussian,
     VolterraFromWiener,
     _fbm_values_batch,
     _holder_cumulative_batch,
@@ -32,12 +33,7 @@ from .fbm import (
     _wiener_values_batch,
     validate_hurst,
 )
-from .fraccalc import (
-    _increment_bracket_batch,
-    _norm2_weight_cells,
-    increment_bracket,
-    norms_comparison_constant,
-)
+from .fraccalc import _increment_bracket_batch, _norm2_weight_cells, norms_comparison_constant
 from .grid import TimeGrid
 from .rng import stream
 
@@ -185,29 +181,45 @@ def pathwise_error(
     stride = csol.grid.refinement_stride(fsol.grid)
     fine_grid = fsol.grid
     noise_stride = fine_grid.refinement_stride(csol.noise.grid)
-    w = csol.noise.w.values[::noise_stride][None, :]
-    bh = csol.noise.bh.values[::noise_stride][None, :]
+    w = csol.noise.w.values[None, ::noise_stride]
+    bh = csol.noise.bh.values[None, ::noise_stride]
     interp = _interpolate_on_fine(
         csol.coeffs, csol.grid.nodes, csol.values[None, :], fine_grid.nodes, w, bh, stride
-    )[0]
-    j_tau = fine_grid.node_index(coarse.tau)
-    idx = np.minimum(np.arange(fine_grid.n + 1), j_tau)
-    coarse_stopped = interp[idx]
-    fine_stopped = fsol.values.copy()
-    fine_stopped[j_tau + 1 :] = fsol.values[j_tau]
+    )
+    norm_n = fine_grid.n if norm_grid_n is None else norm_grid_n
+    if fine_grid.n % norm_n:
+        raise ValueError("norm_grid_n must divide the fine grid size")
+    delta_n = fine_grid.horizon / norm_n
+    cells = _norm2_weight_cells(norm_n, delta_n, float(alpha), fine_grid.horizon)
+    tau_idx = np.array([fine_grid.node_index(coarse.tau)])
+    coarse_stopped = _stop_batch(interp, tau_idx)
+    fine_stopped = _stop_batch(fsol.values[None, :], tau_idx)
+    sup2, norm2sq, _ = _level_errors(
+        coarse_stopped, fine_stopped, fine_grid.n // norm_n, delta_n, alpha, cells
+    )
+    return math.sqrt(sup2[0]), math.sqrt(norm2sq[0])
+
+
+def _level_errors(
+    coarse_stopped: np.ndarray,
+    fine_stopped: np.ndarray,
+    eval_stride: int,
+    delta_eval: float,
+    alpha: float,
+    cells: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of (paths, n+1) solutions on the fine grid: the squared sup
+    error over every node, and ||.||^2_{2,alpha} and ||.||^2_{inf,alpha} of
+    the error on every eval_stride-th node (cells: the 2-norm cell weights).
+    Rows holding nan (aborted paths) give nan."""
     diff = coarse_stopped - fine_stopped
-    sup_error = float(np.max(np.abs(diff)))
-    if norm_grid_n is not None:
-        if fine_grid.n % norm_grid_n:
-            raise ValueError("norm_grid_n must divide the fine grid size")
-        diff_n = diff[:: fine_grid.n // norm_grid_n]
-    else:
-        diff_n = diff
-    delta_n = fine_grid.horizon / (diff_n.size - 1)
-    bracket = np.abs(diff_n) + increment_bracket(diff_n, delta_n, alpha)
-    cells = _norm2_weight_cells(diff_n.size - 1, delta_n, float(alpha), fine_grid.horizon)
-    norm2 = math.sqrt(float(np.sum(0.5 * (bracket[:-1] ** 2 + bracket[1:] ** 2) * cells)))
-    return sup_error, norm2
+    with np.errstate(invalid="ignore"):
+        sup2 = np.max(diff * diff, axis=1)
+        de = diff[:, ::eval_stride]
+        br = np.abs(de) + _increment_bracket_batch(de, delta_eval, alpha)
+        norm2sq = np.sum(0.5 * (br[:, :-1] ** 2 + br[:, 1:] ** 2) * cells, axis=1)
+        ninf_sq = np.max(br, axis=1) ** 2
+    return sup2, norm2sq, ninf_sq
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +297,8 @@ def mc_strong_error(
     eval_stride = fine_n // eval_n
     delta_eval = fine.horizon / eval_n
     dep = _resolve_dependence(dependence)
+    if isinstance(dep, JointGaussian):
+        raise ValueError("mc_strong_error has no joint-gaussian sampler; use independent or volterra")
     alpha = config.alpha
     q_w = _holder_exponents("wiener", config.eta, None)
     q_b = _holder_exponents("fbm", config.eta, h)
@@ -326,14 +340,11 @@ def mc_strong_error(
             coarse_stopped = _stop_batch(interp, tau_fine)
             bad = (ab_fine >= 0) | (ab_coarse >= 0)
             aborted[li, lo:hi] = bad
-            diff = coarse_stopped - fine_stopped
+            sup2[li, lo:hi], n2, ninf_d_sq = _level_errors(
+                coarse_stopped, fine_stopped, eval_stride, delta_eval, alpha, eval_cells
+            )
+            norm2sq[li, lo:hi] = n2
             with np.errstate(invalid="ignore"):
-                sup2[li, lo:hi] = np.max(diff * diff, axis=1)
-                de = diff[:, ::eval_stride]
-                br = np.abs(de) + _increment_bracket_batch(de, delta_eval, alpha)
-                n2 = np.sum(0.5 * (br[:, :-1] ** 2 + br[:, 1:] ** 2) * eval_cells, axis=1)
-                norm2sq[li, lo:hi] = n2
-                ninf_d_sq = np.max(br, axis=1) ** 2
                 violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
                 if np.any(violated):
                     raise AssertionError("norm comparison ||f||_2 <= C ||f||_inf violated")
@@ -380,9 +391,14 @@ def mc_strong_error(
                 restricted_fraction=retained / max(retained + discarded, 1),
             )
         )
-    # order levels by decreasing delta (increasing n) as reported
+    fits = {}
+    for functional in ("norm2", "sup"):
+        try:
+            fits[functional] = _fit_from_levels(level_stats, functional)
+        except ValueError:
+            fits[functional] = None
     kap = coeffs.kappa
-    report = ErrorReport(
+    return ErrorReport(
         coefficients=coeffs.name,
         h=h,
         t_horizon=fine.horizon,
@@ -402,20 +418,8 @@ def mc_strong_error(
         localization_fraction=float(np.mean(tau_lt_t)),
         dependence=dep.name,
         method=method,
-        fit_norm2=None,
-        fit_sup=None,
+        fit_norm2=fits["norm2"],
+        fit_sup=fits["sup"],
         degenerate=all(l.err2_norm2 == 0.0 and l.err2_sup == 0.0 for l in level_stats),
         version=_version,
     )
-    fits = {}
-    for functional in ("norm2", "sup"):
-        try:
-            fits[functional] = _fit_from_levels(level_stats, functional)
-        except ValueError:
-            fits[functional] = None
-    return ErrorReport(**{**_asdict_shallow(report), "fit_norm2": fits["norm2"], "fit_sup": fits["sup"]})
-
-
-def _asdict_shallow(report: ErrorReport) -> dict:
-    d = {f: getattr(report, f) for f in report.__dataclass_fields__}
-    return d

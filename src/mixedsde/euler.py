@@ -114,21 +114,9 @@ def euler_solve(
     """
     grid = noise.grid if grid is None else grid
     w, bh = _noise_on_grid(noise, grid)
-    t = grid.nodes
-    delta = grid.delta
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    x = np.empty(grid.n + 1)
-    x[0] = float(x0)
-    for k in range(grid.n):
-        xk = x[k]
-        x[k + 1] = (
-            xk
-            + a(t[k], xk) * delta
-            + b(t[k], xk) * (w[k + 1] - w[k])
-            + c(t[k], xk) * (bh[k + 1] - bh[k])
-        )
-        if not np.isfinite(x[k + 1]) or abs(x[k + 1]) > STATE_CAP:
-            raise EulerBlowupError(k + 1)
+    x, aborted = _euler_solve_batch(coeffs, grid.nodes, w, bh, x0)
+    if aborted >= 0:
+        raise EulerBlowupError(int(aborted))
     return EulerSolution(grid=grid, values=x, noise=noise, coeffs=coeffs, x0=float(x0))
 
 
@@ -139,34 +127,30 @@ def _euler_solve_batch(
     bh: np.ndarray,
     x0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized solve across paths: w, bh are (paths, n+1).
+    """The Euler recursion for one path or many: w, bh are (..., n+1).
 
-    Returns (values, aborted_step) where aborted_step[p] is the first step
-    at which path p blew up, or -1; blown paths hold nan from there on.
+    Returns (values, aborted_step) with values shaped like w; aborted_step
+    is the first step at which a path blew up (non-finite or above
+    STATE_CAP), or -1, and a blown path holds nan from that step on.
+    Rows are independent, so a path's values do not depend on its batch.
     """
-    paths, n1 = w.shape
-    n = n1 - 1
+    n = w.shape[-1] - 1
     delta = t[1] - t[0]
+    dw = np.ascontiguousarray(np.moveaxis(np.diff(w, axis=-1), -1, 0))
+    dbh = np.ascontiguousarray(np.moveaxis(np.diff(bh, axis=-1), -1, 0))
     a, b, c = coeffs.a, coeffs.b, coeffs.c
-    x = np.empty((paths, n1))
-    x[:, 0] = x0
-    aborted = np.full(paths, -1, dtype=np.int64)
-    alive = np.ones(paths, dtype=bool)
-    for k in range(n):
-        xk = x[:, k]
-        xn = (
-            xk
-            + a(t[k], xk) * delta
-            + b(t[k], xk) * (w[:, k + 1] - w[:, k])
-            + c(t[k], xk) * (bh[:, k + 1] - bh[:, k])
-        )
-        bad = alive & (~np.isfinite(xn) | (np.abs(xn) > STATE_CAP))
-        if np.any(bad):
-            aborted[bad] = k + 1
-            alive &= ~bad
-            xn = np.where(bad, np.nan, xn)
-        x[:, k + 1] = np.where(alive | (aborted == k + 1), xn, np.nan)
-    return x, aborted
+    x = np.empty((n + 1,) + w.shape[:-1])
+    x[0] = x0
+    # node-major state; a blow-up only poisons its own path, found below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            xk = x[k]
+            x[k + 1] = xk + a(t[k], xk) * delta + b(t[k], xk) * dw[k] + c(t[k], xk) * dbh[k]
+        bad = ~(np.abs(x[1:]) <= STATE_CAP)
+    aborted = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, -1)
+    if np.any(aborted >= 0):
+        x[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)), aborted
 
 
 def _interpolate_on_fine(

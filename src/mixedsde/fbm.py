@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fraccalc import _power_moments
 from .grid import TimeGrid
 from .rng import stream
 
@@ -268,15 +269,11 @@ def _volterra_weights(n: int, horizon: float, h: float) -> np.ndarray:
     )
     kmat = np.zeros((n, n))
     # inner integral phi(nu_j, nu_i) = int_{nu_i}^{nu_j} (u-nu_i)^{p-1} u^p du,
-    # product-integrated cell by cell (PL in u^p, analytic in (u-nu_i)^{p-1})
+    # product-integrated cell by cell (PL in u^p, analytic in (u-nu_i)^{p-1});
+    # the moments depend only on the cell offset k-i
+    m0, m1 = _power_moments(np.arange(n - 1, dtype=float), delta, p)
     for i in range(1, n):
-        d = np.arange(n - i, dtype=float)  # cell offsets k-i for k = i..n-1
-        pow_p = (d + 1.0) ** p - d**p
-        m0 = delta**p * pow_p / p
-        m1 = delta ** (p + 1.0) * (((d + 1.0) ** (p + 1.0) - d ** (p + 1.0)) / (p + 1.0)) - (
-            d * delta
-        ) * m0
-        cells = g[i:n] * m0 + (dg[i:n] / delta) * m1
+        cells = g[i:n] * m0[: n - i] + (dg[i:n] / delta) * m1[: n - i]
         kmat[i:, i] = c_h * nodes[i] ** (-p) * np.cumsum(cells)
     # first cell: cell-averaged singular factor times the exact inner integral
     j = np.arange(1, n + 1, dtype=float)

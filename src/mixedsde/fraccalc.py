@@ -128,6 +128,14 @@ def _cell_weights(n: int, delta: float, sigma: float) -> tuple[np.ndarray, np.nd
     return a_w, b_w
 
 
+def _power_moments(k: np.ndarray, delta: float, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of u^(p-1) over the cells [k delta, (k+1) delta]:
+    m0 = int u^(p-1) du and m1 = int (u - k delta) u^(p-1) du."""
+    m0 = delta**p * ((k + 1.0) ** p - k**p) / p
+    m1 = delta ** (p + 1.0) * ((k + 1.0) ** (p + 1.0) - k ** (p + 1.0)) / (p + 1.0) - k * delta * m0
+    return m0, m1
+
+
 def _conv_full(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Full linear convolution via real FFT."""
     n = x.size + w.size - 1
@@ -251,12 +259,7 @@ def young_integral(
     phi_reg = np.empty(n + 1)
     phi_reg[0] = 0.0
     phi_reg[1:] = phi[1:] - f.y[0] * (i * delta) ** -alpha / gamma1
-    k = np.arange(n, dtype=float)
-    m0 = delta ** (1.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)) / (1.0 - alpha)
-    m1 = (
-        delta ** (2.0 - alpha) * ((k + 1.0) ** (2.0 - alpha) - k ** (2.0 - alpha)) / (2.0 - alpha)
-        - k * delta * m0
-    )
+    m0, m1 = _power_moments(np.arange(n, dtype=float), delta, 1.0 - alpha)
     i_sing = f.y[0] / gamma1 * float(np.sum(psi[:-1] * m0 + np.diff(psi) / delta * m1))
     i_reg = float(np.trapezoid(phi_reg * psi, dx=delta))
     return -(i_sing + i_reg)
@@ -304,7 +307,7 @@ def norm_inf_alpha(f: SampledFunction, alpha: float) -> float:
 def _norm2_weight_cells(n: int, delta: float, alpha: float, length: float) -> np.ndarray:
     """Analytic cell integrals of (s-a)^(-alpha) + (b-s)^(-alpha-1/2)."""
     k = np.arange(n, dtype=float)
-    left = delta ** (1.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)) / (1.0 - alpha)
+    left, _ = _power_moments(k, delta, 1.0 - alpha)
     r = length - k * delta  # distance from b to cell's left node
     r_next = np.maximum(length - (k + 1.0) * delta, 0.0)
     p = 0.5 - alpha
@@ -347,12 +350,7 @@ def integral_bound(f: SampledFunction, alpha: float, k_b: float) -> float:
     n = f.t.size - 1
     delta = f.delta
     absf = np.abs(f.y)
-    k = np.arange(n, dtype=float)
-    m0 = delta ** (1.0 - alpha) * ((k + 1.0) ** (1.0 - alpha) - k ** (1.0 - alpha)) / (1.0 - alpha)
-    m1 = (
-        delta ** (2.0 - alpha) * ((k + 1.0) ** (2.0 - alpha) - k ** (2.0 - alpha)) / (2.0 - alpha)
-        - k * delta * m0
-    )
+    m0, m1 = _power_moments(np.arange(n, dtype=float), delta, 1.0 - alpha)
     outer_sing = float(np.sum(absf[:-1] * m0 + np.diff(absf) / delta * m1))
     bracket = increment_bracket(f.y, delta, alpha)
     return float(k_b) * (outer_sing + float(np.trapezoid(bracket, dx=delta)))

@@ -6,7 +6,10 @@ import pytest
 
 from mixedsde import (
     ErrorReport,
+    JointGaussian,
     LevelStats,
+    NoisePair,
+    NoisePath,
     SolverConfig,
     TimeGrid,
     euler_solve,
@@ -19,7 +22,8 @@ from mixedsde import (
     stop,
 )
 from mixedsde.coefficients import coefficients_from_expressions
-from mixedsde.convergence import _stop_batch
+from mixedsde.convergence import _chunk_noise, _stop_batch
+from mixedsde.fbm import Independent
 
 
 @pytest.fixture(scope="module")
@@ -297,3 +301,30 @@ def test_volterra_dependence_supported():
     )
     assert rep.dependence == "volterra-from-same-wiener"
     assert all(l.err2_norm2 > 0 for l in rep.levels)
+
+
+def test_joint_gaussian_dependence_refused():
+    dep = JointGaussian(lambda s, t: 0.0 * s * t)
+    with pytest.raises(ValueError, match="joint-gaussian"):
+        mc_strong_error(
+            preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, 4, dependence=dep, workers=1
+        )
+
+
+def test_harness_agrees_with_pathwise_error():
+    # threshold and R so large that tau = T and the one path is retained
+    coeffs, h, seed, levels = preset("linear"), 0.7, 9, [16, 32, 64]
+    config = SolverConfig(alpha=0.35, threshold=1e12)
+    rep = mc_strong_error(coeffs, h, config, levels, 2, 1, 1e12, seed=seed, eval_n=64, workers=1)
+    fine_grid = TimeGrid(1.0, 256)
+    w, bh = _chunk_noise(Independent(), fine_grid, h, seed, 0, 1, "circulant-embedding")
+    pair = NoisePair(
+        NoisePath(fine_grid, w[0], "wiener"), NoisePath(fine_grid, bh[0], "fbm", h), "independent", seed
+    )
+    fine = stop(euler_solve(coeffs, pair, 1.0), 1.0)
+    for level, n in zip(rep.levels, levels):
+        assert level.retained == 1
+        coarse = stop(euler_solve(coeffs, pair, 1.0, TimeGrid(1.0, n)), 1.0)
+        sup, n2 = pathwise_error(coarse, fine, config.alpha, norm_grid_n=64)
+        assert level.err2_sup == sup**2
+        assert level.err2_norm2 == pytest.approx(n2**2, rel=1e-14)

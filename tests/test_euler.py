@@ -1,10 +1,13 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
 from mixedsde import (
     EulerBlowupError,
+    NoisePair,
+    NoisePath,
     SolverConfig,
     TimeGrid,
     euler_solve,
@@ -159,6 +162,51 @@ def test_batch_solver_flags_blowup(pair):
     vals, aborted = _euler_solve_batch(cubic, grid.nodes, w, bh, 8.0)
     assert np.all(aborted >= 1)
     assert np.all(np.isnan(vals[:, -1]))
+
+
+def _noise_rows(rows, n, seed):
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(2, rows, n)) * np.sqrt(1.0 / n)
+    w, bh = np.zeros((2, rows, n + 1))
+    np.cumsum(steps[0], axis=1, out=w[:, 1:])
+    np.cumsum(steps[1], axis=1, out=bh[:, 1:])
+    return np.linspace(0.0, 1.0, n + 1), w, bh
+
+
+@pytest.mark.parametrize("name", ["linear", "bounded-smooth", "additive"])
+def test_kernel_row_equals_batch_row(name):
+    coeffs = preset(name)
+    t, w, bh = _noise_rows(5, 64, 7)
+    vals, aborted = _euler_solve_batch(coeffs, t, w, bh, 1.0)
+    assert vals.shape == w.shape and vals.flags.c_contiguous
+    for p in range(5):
+        row, ab = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
+        assert row.shape == (65,)
+        assert np.array_equal(row, vals[p])
+        assert ab == aborted[p] == -1
+
+
+def test_kernel_blowup_confined_to_its_row():
+    coeffs = preset("unbounded-b")
+    t, w, bh = _noise_rows(4, 64, 8)
+    w[2] *= 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, aborted = _euler_solve_batch(coeffs, t, w, bh, 1.0)
+        step = int(aborted[2])
+        assert step >= 1
+        assert np.all(np.isnan(vals[2, step:])) and np.all(np.isfinite(vals[2, :step]))
+        for p in (0, 1, 3):
+            row, ab = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
+            assert ab == aborted[p] == -1
+            assert np.array_equal(vals[p], row)
+        grid = TimeGrid(1.0, 64)
+        pair = NoisePair(
+            NoisePath(grid, w[2], "wiener"), NoisePath(grid, bh[2], "fbm", 0.7), "independent", 0
+        )
+        with pytest.raises(EulerBlowupError) as err:
+            euler_solve(coeffs, pair, 1.0)
+    assert err.value.step == step
 
 
 def test_increment_bound_monitor():
