@@ -133,16 +133,11 @@ def compile_expression(src: str, variables: tuple[str, ...] = ("t", "x")):
             raise ValueError(f"syntax not allowed in expression: {type(node).__name__}")
 
     check(tree)
-    code = compile(tree, "<coefficient>", "eval")
-    namespace = dict(_FUNCTIONS)
-    namespace.update(_CONSTANTS)
-
-    def fn(t, x=None):
-        local = dict(namespace)
-        local["t"] = t
-        local["x"] = x
-        return eval(code, {"__builtins__": {}}, local)
-
+    # compiled once as `lambda t, x=None: <expression>`; functions and
+    # constants are its globals, so a call runs only the expression
+    lam = ast.parse("lambda t, x=None: 0", mode="eval")
+    lam.body.body = tree.body
+    fn = eval(compile(lam, "<coefficient>", "eval"), {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS})
     fn.source = src
     return fn
 

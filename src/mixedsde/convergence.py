@@ -29,6 +29,7 @@ from .fbm import (
     _holder_cumulative_batch,
     _holder_exponents,
     _resolve_dependence,
+    _volterra_fbm,
     _volterra_weights,
     _wiener_values_batch,
     validate_hurst,
@@ -232,9 +233,8 @@ def _chunk_noise(
     """(W, B^H) values for one chunk of paths, (size, n+1) each."""
     if isinstance(dep, VolterraFromWiener):
         w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
-        kmat = _volterra_weights(grid.n, grid.horizon, h)
         b = np.zeros_like(w)
-        b[:, 1:] = np.diff(w, axis=1) @ kmat.T
+        b[:, 1:] = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.diff(w, axis=1))
         return w, b
     w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
     b = _fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method)

@@ -27,6 +27,8 @@ __all__ = [
 
 # abort a path once |X| passes this; user coefficients may violate hypotheses
 STATE_CAP = 1e12
+# steps between checks that stop the recursion when every path has blown up
+_BLOWUP_CHECK_EVERY = 256
 
 
 class EulerBlowupError(RuntimeError):
@@ -131,7 +133,8 @@ def _euler_solve_batch(
 
     Returns (values, aborted_step) with values shaped like w; aborted_step
     is the first step at which a path blew up (non-finite or above
-    STATE_CAP), or -1, and a blown path holds nan from that step on.
+    STATE_CAP), or -1, and a blown path holds nan from that step on. The
+    recursion stops early once every path is past the cap.
     Rows are independent, so a path's values do not depend on its batch.
     """
     n = w.shape[-1] - 1
@@ -146,6 +149,10 @@ def _euler_solve_batch(
         for k in range(n):
             xk = x[k]
             x[k + 1] = xk + a(t[k], xk) * delta + b(t[k], xk) * dw[k] + c(t[k], xk) * dbh[k]
+            # once every path is past the cap, each abort step is known
+            if (k + 1) % _BLOWUP_CHECK_EVERY == 0 and not np.any(np.abs(x[k + 1]) <= STATE_CAP):
+                x[k + 2 :] = np.nan
+                break
         bad = ~(np.abs(x[1:]) <= STATE_CAP)
     aborted = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, -1)
     if np.any(aborted >= 0):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,44 +249,73 @@ def generate_wiener(grid: TimeGrid, seed: int) -> NoisePath:
     return NoisePath(grid, _wiener_values_batch(grid, stream(seed, 0), 1)[0], "wiener")
 
 
-@lru_cache(maxsize=8)
-def _volterra_weights(n: int, horizon: float, h: float) -> np.ndarray:
-    """(n, n) lower-triangular map from Wiener increments to fBm node values.
+class _VolterraWeights(NamedTuple):
+    """O(n) pieces of the discretized Molchan-Golosov map (see _volterra_weights)."""
 
-    Row j-1 gives B_{nu_j} = sum_i K[j-1, i] dW_i. Cells i >= 1 evaluate the
-    Molchan-Golosov kernel at the cell's left point; the first cell replaces
-    the singular s^{1/2-H} factor by its analytic cell average and uses the
-    exact s = 0 inner integral. H = 1/2 degenerates to the identity map.
+    scale: np.ndarray  # c_H nu_i^{-p}, 0 at i = 0
+    g: np.ndarray  # nu_k^p, k = 0..n-1
+    dg: np.ndarray  # (nu_{k+1}^p - nu_k^p) / delta
+    k0: np.ndarray  # weight of the first increment dW_0 at nodes 1..n
+    m0_hat: np.ndarray  # rfft of the cell moments m0 at nfft points
+    m1_hat: np.ndarray
+    nfft: int
+
+
+@lru_cache(maxsize=8)
+def _volterra_weights(n: int, horizon: float, h: float) -> _VolterraWeights | None:
+    """The map from Wiener increments to fBm node values, in Toeplitz form.
+
+    B_{nu_j} = sum_i K[j-1, i] dW_i with, for cells i >= 1,
+    K[r, i] = c_H nu_i^{-p} sum_{k=i..r} (g_k m0_{k-i} + dg_k m1_{k-i}):
+    the Molchan-Golosov kernel at the cell's left point, its inner integral
+    int_{nu_i}^{nu_j} (u-nu_i)^{p-1} u^p du product-integrated cell by cell
+    (PL in u^p, analytic in (u-nu_i)^{p-1}). The moments depend only on the
+    offset k-i, so _volterra_fbm applies K as a convolution. The first cell
+    uses the cell average of the singular s^{1/2-H} factor and the exact
+    s = 0 inner integral. H = 1/2 gives None: the map is the running sum.
     """
     if h == 0.5:
-        return np.tril(np.ones((n, n)))
+        return None
     p = h - 0.5
     delta = horizon / n
     nodes = np.arange(n + 1, dtype=float) * horizon / n
     g = nodes**p  # u^{H-1/2} at the nodes
-    dg = np.diff(g)
     c_h = math.sqrt(
         h * (2.0 * h - 1.0) * math.gamma(1.5 - h) / (math.gamma(2.0 - 2.0 * h) * math.gamma(p))
     )
-    kmat = np.zeros((n, n))
-    # inner integral phi(nu_j, nu_i) = int_{nu_i}^{nu_j} (u-nu_i)^{p-1} u^p du,
-    # product-integrated cell by cell (PL in u^p, analytic in (u-nu_i)^{p-1});
-    # the moments depend only on the cell offset k-i
+    scale = np.zeros(n)
+    scale[1:] = c_h * nodes[1:n] ** (-p)
     m0, m1 = _power_moments(np.arange(n - 1, dtype=float), delta, p)
-    for i in range(1, n):
-        cells = g[i:n] * m0[: n - i] + (dg[i:n] / delta) * m1[: n - i]
-        kmat[i:, i] = c_h * nodes[i] ** (-p) * np.cumsum(cells)
-    # first cell: cell-averaged singular factor times the exact inner integral
+    nfft = 1 << (2 * n - 2).bit_length()  # >= 2n-1: no wrap-around at indices < n
     j = np.arange(1, n + 1, dtype=float)
-    phi0 = (j * delta) ** (2.0 * p) / (2.0 * p)
-    kmat[:, 0] = c_h * (delta ** (-p) / (1.0 - p)) * phi0
-    return kmat
+    k0 = c_h * (delta ** (-p) / (1.0 - p)) * (j * delta) ** (2.0 * p) / (2.0 * p)
+    return _VolterraWeights(
+        scale, g[:n], np.diff(g) / delta, k0, np.fft.rfft(m0, nfft), np.fft.rfft(m1, nfft), nfft
+    )
+
+
+def _volterra_fbm(weights: _VolterraWeights | None, dw: np.ndarray) -> np.ndarray:
+    """fBm values at nodes 1..n from Wiener increments dw of shape (..., n).
+
+    One real FFT of u_i = c_H nu_i^{-p} dW_i and two inverse ones give the
+    moment convolutions; B at node r+1 is K0_r dW_0 + sum_{k<=r} (g_k
+    (u*m0)_k + dg_k (u*m1)_k). O(n log n) per path.
+    """
+    if weights is None:
+        return np.cumsum(dw, axis=-1)
+    n = dw.shape[-1]
+    u_hat = np.fft.rfft(dw * weights.scale, weights.nfft)
+    conv0 = np.fft.irfft(u_hat * weights.m0_hat, weights.nfft)[..., :n]
+    conv1 = np.fft.irfft(u_hat * weights.m1_hat, weights.nfft)[..., :n]
+    cells = conv0 * weights.g + conv1 * weights.dg
+    return weights.k0 * dw[..., :1] + np.cumsum(cells, axis=-1)
 
 
 def volterra_marginal_covariance(grid: TimeGrid, h: float) -> np.ndarray:
     """Exact covariance of the discretized Volterra fBm at nodes 1..n."""
-    k = _volterra_weights(grid.n, grid.horizon, h)
-    return grid.delta * (k @ k.T)
+    # row i of kt holds the fBm values driven by a unit increment in cell i
+    kt = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.eye(grid.n))
+    return grid.delta * (kt.T @ kt)
 
 
 def generate_noise_pair(
@@ -299,7 +329,7 @@ def generate_noise_pair(
     """Coupled (W, B^H) on a shared grid under the requested dependence.
 
     independent: disjoint streams (seed, 0) for W and (seed, 1) for B^H.
-    volterra-from-same-wiener: B^H = (Molchan-Golosov weights) @ dW.
+    volterra-from-same-wiener: B^H = (Molchan-Golosov map) of the same dW.
     joint-gaussian: Cholesky of the full joint node covariance, stream (seed, 2).
     """
     h = validate_hurst(h, allow_brownian=allow_brownian)
@@ -311,7 +341,7 @@ def generate_noise_pair(
     elif isinstance(dep, VolterraFromWiener):
         w_vals = _wiener_values_batch(grid, stream(seed, 0), 1)[0]
         b_vals = np.zeros(n + 1)
-        b_vals[1:] = _volterra_weights(n, grid.horizon, h) @ np.diff(w_vals)
+        b_vals[1:] = _volterra_fbm(_volterra_weights(n, grid.horizon, h), np.diff(w_vals))
     elif isinstance(dep, JointGaussian):
         t = grid.nodes[1:]
         cov = np.empty((2 * n, 2 * n))
@@ -375,21 +405,24 @@ def _holder_exponents(kind: str, eta: float, hurst: float | None) -> float:
     raise ValueError(f"unknown path kind {kind!r}")
 
 
-def _abs_power(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|**p, using square-and-multiply when p is a small integer."""
-    ax = np.abs(x)
+def _abs_power_inplace(sq: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """out = |sq|**p, using square-and-multiply when p is a small integer;
+    sq is overwritten (it holds the squares)."""
+    np.abs(sq, out=sq)
     if p == int(p) and 1 <= p <= 64:
         k = int(p)
-        out = None
-        sq = ax
-        while k:
-            if k & 1:
-                out = sq.copy() if out is None else out * sq
+        while not k & 1:
+            sq *= sq
             k >>= 1
-            if k:
-                sq = sq * sq
+        out[...] = sq
+        k >>= 1
+        while k:
+            sq *= sq
+            if k & 1:
+                out *= sq
+            k >>= 1
         return out
-    return ax**p
+    return np.power(sq, p, out=out)
 
 
 def holder_cumulative(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
@@ -405,15 +438,19 @@ def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: fl
     """Batched holder_cumulative: values (paths, n+1) -> K (paths, n+1).
 
     Row sums over earlier nodes accumulate one offset m at a time on the
-    node-major (n+1, paths) layout, then a cumulative sum over nodes.
+    node-major (n+1, paths) layout, then a cumulative sum over nodes. The
+    differences and their powers go into two buffers reused across offsets.
     """
     vt = np.array(np.asarray(values, dtype=float).T, order="C")
     n = vt.shape[0] - 1
     inv_sep = (np.arange(1, n + 1, dtype=float) * delta) ** (-q)
     power = 2.0 / eta
     rows = np.zeros_like(vt)
+    diff_buf = np.empty_like(vt[1:])
+    term_buf = np.empty_like(vt[1:])
     for m in range(1, n + 1):
-        term = _abs_power(vt[m:] - vt[:-m], power)
+        diff = np.subtract(vt[m:], vt[:-m], out=diff_buf[: n + 1 - m])
+        term = _abs_power_inplace(diff, power, term_buf[: n + 1 - m])
         term *= inv_sep[m - 1]
         rows[m:] += term
     total = 2.0 * np.cumsum(rows, axis=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import warnings
 
@@ -18,7 +19,7 @@ from mixedsde import (
     stopping_time,
 )
 from mixedsde.coefficients import coefficients_from_expressions
-from mixedsde.euler import _euler_solve_batch, _interpolate_on_fine, write_solution_csv
+from mixedsde.euler import _BLOWUP_CHECK_EVERY, _euler_solve_batch, _interpolate_on_fine, write_solution_csv
 from mixedsde.fbm import pair_holder_cumulative
 
 
@@ -139,6 +140,23 @@ def test_blowup_carries_step_index(pair):
     with pytest.raises(EulerBlowupError) as err:
         euler_solve(cubic, pair, 8.0, TimeGrid(1.0, 32))
     assert err.value.step >= 1
+
+
+def test_blowup_stops_the_recursion_early():
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return x**3
+
+    cubic = dataclasses.replace(
+        coefficients_from_expressions("cubic-c", "0.0", "0.0", "x**3", "3.0 * x**2", 1.0, 0.75), c=counted
+    )
+    noise = generate_noise_pair(TimeGrid(1.0, 2**15), 0.7, 0)
+    with pytest.raises(EulerBlowupError) as err:
+        euler_solve(cubic, noise, 8.0)
+    assert err.value.step == 44
+    assert len(calls) == _BLOWUP_CHECK_EVERY
 
 
 def test_batch_solver_matches_single(pair):

@@ -18,11 +18,14 @@ from mixedsde.fbm import (
     _fbm_node_covariance,
     _fbm_values_batch,
     _holder_cumulative_batch,
+    _volterra_fbm,
+    _volterra_weights,
     holder_cumulative,
     volterra_marginal_covariance,
     write_pair_csv,
     write_path_csv,
 )
+from mixedsde.fraccalc import _power_moments
 from mixedsde.rng import stream
 
 
@@ -158,6 +161,54 @@ def test_volterra_marginal_law_within_discretization_tolerance():
     assert errs[32] < 2.5e-2
     assert errs[64] < 1.2e-2
     assert errs[128] < errs[64] < errs[32]
+
+
+def _volterra_dense(n: int, horizon: float, h: float) -> np.ndarray:
+    """The (n, n) Molchan-Golosov matrix built column by column, O(n^2)."""
+    p = h - 0.5
+    delta = horizon / n
+    nodes = np.arange(n + 1, dtype=float) * delta
+    g = nodes**p
+    dg = np.diff(g)
+    c_h = math.sqrt(
+        h * (2.0 * h - 1.0) * math.gamma(1.5 - h) / (math.gamma(2.0 - 2.0 * h) * math.gamma(p))
+    )
+    kmat = np.zeros((n, n))
+    m0, m1 = _power_moments(np.arange(n - 1, dtype=float), delta, p)
+    for i in range(1, n):
+        cells = g[i:n] * m0[: n - i] + (dg[i:n] / delta) * m1[: n - i]
+        kmat[i:, i] = c_h * nodes[i] ** (-p) * np.cumsum(cells)
+    j = np.arange(1, n + 1, dtype=float)
+    kmat[:, 0] = c_h * (delta ** (-p) / (1.0 - p)) * (j * delta) ** (2.0 * p) / (2.0 * p)
+    return kmat
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256])
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.95])
+def test_volterra_fbm_matches_dense_matrix(n, h):
+    dw = np.random.default_rng(n).normal(size=(4, n)) / math.sqrt(n)
+    want = dw @ _volterra_dense(n, 2.0, h).T
+    got = _volterra_fbm(_volterra_weights(n, 2.0, h), dw)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_volterra_fbm_rows_equal_single_calls_and_half_is_the_running_sum():
+    dw = np.random.default_rng(3).normal(size=(5, 64)) / 8.0
+    weights = _volterra_weights(64, 1.0, 0.7)
+    batch = _volterra_fbm(weights, dw)
+    for row, out in zip(dw, batch):
+        assert np.array_equal(_volterra_fbm(weights, row), out)
+    assert _volterra_weights(64, 1.0, 0.5) is None
+    assert np.array_equal(_volterra_fbm(None, dw), np.cumsum(dw, axis=1))
+
+
+def test_volterra_pair_at_large_n_has_a_linear_size_cache():
+    grid = TimeGrid(1.0, 2**16)
+    pair = generate_noise_pair(grid, 0.7, 5, "volterra")
+    assert np.all(np.isfinite(pair.bh.values))
+    weights = _volterra_weights(grid.n, grid.horizon, 0.7)
+    assert sum(np.asarray(part).nbytes for part in weights) < 128 * grid.n
 
 
 def test_pair_determinism_all_modes():
