@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,6 @@ from .fbm import (
 from .fraccalc import SampledFunction, young_integral
 from .grid import TimeGrid
 
-_H_RANGE_MSG = "Hurst index must lie in (1/2, 1)"
-
 
 class HypothesisRefusal(RuntimeError):
     pass
@@ -66,46 +65,52 @@ def _out_dir(given: str | None) -> Path:
     return d
 
 
+# a preset name, or else every custom key (in coefficients_from_expressions order)
+_COEFFICIENT_KEYS = ("preset", "a", "b", "c", "dc", "k", "beta")
+
+
 def _coefficients(spec: dict):
-    if spec.get("preset"):
+    given = [k for k in _COEFFICIENT_KEYS if spec.get(k) is not None]
+    if "preset" in given:
+        if len(given) > 1:
+            flags = " ".join("--" + k for k in given)
+            raise ValueError(f"a preset excludes custom coefficients (given: {flags})")
         return preset(spec["preset"])
-    missing = [k for k in ("a", "b", "c", "dc", "k", "beta") if spec.get(k) is None]
+    custom = _COEFFICIENT_KEYS[1:]
+    missing = ", ".join(k for k in custom if k not in given)
     if missing:
-        raise ValueError(
-            f"custom coefficients need --a --b --c --dc --k --beta (missing: {', '.join(missing)})"
-        )
-    return coefficients_from_expressions(
-        "custom", spec["a"], spec["b"], spec["c"], spec["dc"], float(spec["k"]), float(spec["beta"])
-    )
+        need = " ".join("--" + k for k in custom)
+        raise ValueError(f"custom coefficients need {need} (missing: {missing})")
+    return coefficients_from_expressions("custom", *(spec[k] for k in custom))
 
 
 # ---------------------------------------------------------------------------
 # fbm
 
 
+# the Holder functional costs O(n^2); above this many steps fbm skips it
+_FBM_HOLDER_MAX_N = 1 << 14
+
+
 def cmd_fbm(args) -> int:
     grid = TimeGrid(args.t, args.n)
     if args.pair:
         pair = generate_noise_pair(grid, args.h, args.seed, args.dependence, args.method)
-        out = _out_path(args.out, f"pair_h{args.h}_n{args.n}_seed{args.seed}.csv")
-        with open(out, "w") as fh:
-            write_pair_csv(pair, fh)
-        for label, path in (("w", pair.w), ("bh", pair.bh)):
-            k = holder_functional(path, args.eta)
-            print(
-                f"{label}: min={path.values.min():.6g} max={path.values.max():.6g} "
-                f"K^({args.eta})_T={k.value:.6g}"
-            )
+        paths = {"w": pair.w, "bh": pair.bh}
+        write = partial(write_pair_csv, pair)
     else:
-        path = generate_fbm(grid, args.h, args.seed, args.method)
-        out = _out_path(args.out, f"fbm_h{args.h}_n{args.n}_seed{args.seed}.csv")
-        with open(out, "w") as fh:
-            write_path_csv(path, fh)
-        k = holder_functional(path, args.eta)
-        print(
-            f"bh: min={path.values.min():.6g} max={path.values.max():.6g} "
-            f"K^({args.eta})_T={k.value:.6g}"
-        )
+        paths = {"bh": generate_fbm(grid, args.h, args.seed, args.method)}
+        write = partial(write_path_csv, paths["bh"])
+    kind = "pair" if args.pair else "fbm"
+    out = _out_path(args.out, f"{kind}_h{args.h}_n{args.n}_seed{args.seed}.csv")
+    with open(out, "w") as fh:
+        write(fh)
+    for label, path in paths.items():
+        if args.n > _FBM_HOLDER_MAX_N:
+            k = f" not computed (n > {_FBM_HOLDER_MAX_N}, O(n^2))"
+        else:
+            k = f"={holder_functional(path, args.eta).value:.6g}"
+        print(f"{label}: min={path.values.min():.6g} max={path.values.max():.6g} K^({args.eta})_T{k}")
     print(f"wrote {out}")
     return 0
 
@@ -176,11 +181,12 @@ def cmd_check(args) -> int:
 # converge
 
 
+# in the order converge lists their flags
 _CONVERGE_DEFAULTS = {
-    "seed": 0,
     "h": 0.7,
     "t": 1.0,
     "x0": 1.0,
+    "seed": 0,
     "alpha": 0.35,
     "eta": 0.1,
     "threshold": 50.0,
@@ -195,45 +201,27 @@ _CONVERGE_DEFAULTS = {
     "coefficients": {"preset": "linear"},
 }
 
-_MANIFEST_KEYS = tuple(_CONVERGE_DEFAULTS) + ("version",)
-
 
 def _resolve_converge_settings(args) -> dict:
+    """Flags over manifest over defaults; any coefficient flag replaces the whole spec."""
     settings = dict(_CONVERGE_DEFAULTS)
     if args.manifest:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
-        unknown = set(manifest) - set(_MANIFEST_KEYS)
+        unknown = set(manifest) - set(_CONVERGE_DEFAULTS) - {"version"}
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
         manifest.pop("version", None)
         settings.update(manifest)
-    flag_map = {
-        "seed": args.seed,
-        "h": args.h,
-        "t": args.t,
-        "x0": args.x0,
-        "alpha": args.alpha,
-        "eta": args.eta,
-        "threshold": args.threshold,
-        "epsilon": args.epsilon,
-        "r_bound": args.r_bound,
-        "m_fine": args.m_fine,
-        "paths": args.paths,
-        "dependence": args.dependence,
-        "method": args.method,
-        "eval_n": args.eval_n,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    settings.update((k, v) for k, v in given.items() if k in _CONVERGE_DEFAULTS)
     if args.levels is not None:
         settings["levels"] = [int(x) for x in args.levels.split(",")]
-    coeff_flags = {k: getattr(args, k) for k in ("preset", "a", "b", "c", "dc", "k", "beta")}
-    if coeff_flags["preset"] or coeff_flags["a"]:
-        settings["coefficients"] = (
-            {"preset": coeff_flags["preset"]} if coeff_flags["preset"] else coeff_flags
-        )
+    coefficient_flags = [k for k in _COEFFICIENT_KEYS if k in given]
+    if coefficient_flags == ["preset"]:
+        settings["coefficients"] = {"preset": given["preset"]}
+    elif coefficient_flags:
+        settings["coefficients"] = {k: given.get(k) for k in _COEFFICIENT_KEYS}
     return settings
 
 
@@ -248,27 +236,14 @@ def cmd_converge(args) -> int:
                 "coefficient hypotheses failed (rerun with --force to override):\n"
                 + "\n".join(lines)
             )
-    config = SolverConfig(
-        alpha=settings["alpha"],
-        eta=settings["eta"],
-        threshold=settings["threshold"],
-        epsilon=settings["epsilon"],
-    )
+    config = SolverConfig(**{k: settings[k] for k in ("alpha", "eta", "threshold", "epsilon")})
+    run = ("h", "levels", "m_fine", "paths", "r_bound", "x0", "seed", "dependence", "method", "eval_n")
     report = mc_strong_error(
         coeffs,
-        settings["h"],
-        config,
-        settings["levels"],
-        settings["m_fine"],
-        settings["paths"],
-        settings["r_bound"],
+        config=config,
         t_horizon=settings["t"],
-        x0=settings["x0"],
-        seed=settings["seed"],
-        dependence=settings["dependence"],
-        method=settings["method"],
-        eval_n=settings["eval_n"],
         workers=args.workers,
+        **{k: settings[k] for k in run},
     )
     outdir = _out_dir(args.outdir)
     (outdir / "report.json").write_text(report.to_json() + "\n")
@@ -276,8 +251,7 @@ def cmd_converge(args) -> int:
         report.write_csv(fh)
     with open(outdir / "report_loglog.csv", "w") as fh:
         report.write_loglog_csv(fh)
-    resolved = dict(settings)
-    resolved["version"] = __version__
+    resolved = dict(settings, version=__version__)
     (outdir / "manifest.json").write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
     for l in report.levels:
         print(
@@ -307,14 +281,56 @@ def cmd_converge(args) -> int:
 # parser
 
 
-def _add_coefficient_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=preset_names(), help="named coefficient preset")
-    p.add_argument("--a", help="drift expression a(t, x)")
-    p.add_argument("--b", help="Wiener coefficient expression b(t, x)")
-    p.add_argument("--c", help="fBm coefficient expression c(t, x)")
-    p.add_argument("--dc", help="expression for dc/dx(t, x)")
-    p.add_argument("--k", type=float, help="claimed hypothesis constant K")
-    p.add_argument("--beta", type=float, help="claimed time-Holder exponent, in (1-H, 1)")
+# argparse keywords of the flags that subcommands share and of every run
+# setting, by destination; the flag is the key with "-" for "_"
+_FLAGS = {
+    "preset": dict(choices=preset_names(), help="named coefficient preset"),
+    "a": dict(help="drift expression a(t, x)"),
+    "b": dict(help="Wiener coefficient expression b(t, x)"),
+    "c": dict(help="fBm coefficient expression c(t, x)"),
+    "dc": dict(help="expression for dc/dx(t, x)"),
+    "k": dict(type=float, help="claimed hypothesis constant K"),
+    "beta": dict(type=float, help="claimed time-Holder exponent, in (1-H, 1)"),
+    "h": dict(type=float, help="Hurst index, in (1/2, 1)"),
+    "n": dict(type=int, help="number of grid steps, >= 1"),
+    "t": dict(type=float, help="horizon T > 0"),
+    "x0": dict(type=float, help="initial value"),
+    "seed": dict(type=int, help="RNG seed"),
+    "alpha": dict(type=float, help="norm order, in (1-H, min(1/2, beta))"),
+    "eta": dict(type=float, help="Holder functional exponent"),
+    "threshold": dict(type=float, help="localization threshold N"),
+    "epsilon": dict(type=float, help="rate slack, in (0, kappa - alpha)"),
+    "r_bound": dict(type=float, help="restriction radius R"),
+    "levels": dict(help="comma-separated coarse level sizes"),
+    "m_fine": dict(type=int, help="fine grid is max(levels) * 2^m_fine"),
+    "paths": dict(type=int, help="Monte Carlo paths"),
+    "dependence": dict(
+        choices=["independent", "volterra-from-same-wiener", "volterra"], help="pair coupling"
+    ),
+    "method": dict(
+        choices=["cholesky", "circulant-embedding", "circulant"], help="exact sampling method"
+    ),
+    "eval_n": dict(type=int, help="norm/functional evaluation subgrid"),
+    "out": dict(help="output CSV path (default derived, in $MIXEDSDE_OUT)"),
+}
+
+
+def _shown(default) -> str:
+    """A default as the help shows it: 1 for 1.0, 16,...,256 for a list."""
+    if isinstance(default, list):
+        return f"{default[0]},...,{default[-1]}"
+    return f"{default:g}" if isinstance(default, float) else str(default)
+
+
+def _add_flags(p: argparse.ArgumentParser, *keys: str, required=(), manifest=False) -> None:
+    """Add the _FLAGS entries `keys`. An optional run setting defaults to its
+    _CONVERGE_DEFAULTS value, or to None when a manifest may set it."""
+    for key in keys:
+        kw = dict(_FLAGS[key], required=key in required)
+        default = None if key in required else _CONVERGE_DEFAULTS.get(key)
+        if default is not None:
+            kw["help"] += f" (default {_shown(default)})"
+        p.add_argument("--" + key.replace("_", "-"), default=None if manifest else default, **kw)
 
 
 def build_parser() -> _Parser:
@@ -323,25 +339,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fbm", help="sample an fBm path or a (W, B^H) pair and write CSV")
-    p.add_argument("--h", type=float, required=True, help="Hurst index, in (1/2, 1)")
-    p.add_argument("--n", type=int, required=True, help="number of grid steps, >= 1")
-    p.add_argument("--t", type=float, default=1.0, help="horizon T > 0 (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument(
-        "--method",
-        choices=["cholesky", "circulant-embedding", "circulant"],
-        default="circulant-embedding",
-        help="exact sampling method (default circulant-embedding)",
-    )
+    _add_flags(p, "h", "n", "t", "seed", "method", required=("h", "n"))
     p.add_argument("--pair", action="store_true", help="write a coupled (W, B^H) pair instead")
-    p.add_argument(
-        "--dependence",
-        choices=["independent", "volterra-from-same-wiener", "volterra"],
-        default="independent",
-        help="pair coupling (default independent)",
-    )
-    p.add_argument("--eta", type=float, default=0.1, help="eta for the printed Holder functional")
-    p.add_argument("--out", help="output CSV path (default derived, in $MIXEDSDE_OUT)")
+    _add_flags(p, "dependence", "eta", "out")
     p.set_defaults(func=cmd_fbm)
 
     p = sub.add_parser("integrate", help="Young integral of f against dg from CSV samples")
@@ -351,55 +351,26 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("solve", help="run the Euler scheme and write the path CSV")
-    _add_coefficient_flags(p)
-    p.add_argument("--h", type=float, required=True, help="Hurst index, in (1/2, 1)")
-    p.add_argument("--n", type=int, required=True, help="number of grid steps")
-    p.add_argument("--t", type=float, default=1.0, help="horizon T > 0 (default 1)")
-    p.add_argument("--x0", type=float, default=1.0, help="initial value (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument(
-        "--dependence",
-        choices=["independent", "volterra-from-same-wiener", "volterra"],
-        default="independent",
-    )
-    p.add_argument(
-        "--method",
-        choices=["cholesky", "circulant-embedding", "circulant"],
-        default="circulant-embedding",
-    )
-    p.add_argument("--out", help="output CSV path (default derived, in $MIXEDSDE_OUT)")
+    solve_flags = ("h", "n", "t", "x0", "seed", "dependence", "method", "out")
+    _add_flags(p, *_COEFFICIENT_KEYS, *solve_flags, required=("h", "n"))
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="sample-check the coefficient hypotheses (A)-(E)")
-    _add_coefficient_flags(p)
+    _add_flags(p, *_COEFFICIENT_KEYS)
     p.add_argument("--t-min", type=float, default=0.0, help="time range lower end (default 0)")
     p.add_argument("--t-max", type=float, default=1.0, help="time range upper end (default 1)")
     p.add_argument("--x-min", type=float, default=-10.0, help="state range lower end (default -10)")
     p.add_argument("--x-max", type=float, default=10.0, help="state range upper end (default 10)")
     p.add_argument("--samples", type=int, default=200, help="samples per axis, >= 100")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    _add_flags(p, "seed")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
         "converge", help="Monte Carlo strong-error study across dyadic levels with rate fit"
     )
     p.add_argument("--manifest", help="JSON manifest; flags override its entries")
-    _add_coefficient_flags(p)
-    p.add_argument("--h", type=float, help="Hurst index, in (1/2, 1) (default 0.7)")
-    p.add_argument("--t", type=float, help="horizon T > 0 (default 1)")
-    p.add_argument("--x0", type=float, help="initial value (default 1)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--alpha", type=float, help="norm order, in (1-H, min(1/2, beta)) (default 0.35)")
-    p.add_argument("--eta", type=float, help="Holder functional exponent (default 0.1)")
-    p.add_argument("--threshold", type=float, help="localization threshold N (default 50)")
-    p.add_argument("--epsilon", type=float, help="rate slack, in (0, kappa - alpha) (default 0.05)")
-    p.add_argument("--r-bound", type=float, help="restriction radius R (default 1000)")
-    p.add_argument("--levels", help="comma-separated coarse level sizes (default 16,...,256)")
-    p.add_argument("--m-fine", type=int, help="fine grid is max(levels) * 2^m_fine (default 4)")
-    p.add_argument("--paths", type=int, help="Monte Carlo paths (default 10000)")
-    p.add_argument("--dependence", choices=["independent", "volterra-from-same-wiener", "volterra"])
-    p.add_argument("--method", choices=["cholesky", "circulant-embedding", "circulant"])
-    p.add_argument("--eval-n", type=int, help="norm/functional evaluation subgrid (default 256)")
+    settings = [k for k in _CONVERGE_DEFAULTS if k != "coefficients"]
+    _add_flags(p, *_COEFFICIENT_KEYS, *settings, manifest=True)
     p.add_argument("--workers", type=int, help="worker threads (default: available parallelism)")
     p.add_argument("--force", action="store_true", help="skip the hypothesis gate")
     p.add_argument("--outdir", help="output directory (default $MIXEDSDE_OUT or .)")

@@ -71,9 +71,10 @@ class CoefficientSet:
 # expression language
 #
 # Arithmetic (+ - * / **), unary minus, the functions below, the variables
-# t and x, and numeric literals. Parsed once with ast; evaluation follows
-# the AST left to right with IEEE-754 doubles (numpy ufuncs), so a given
-# expression always evaluates in the same order, bit for bit.
+# t and x, and numeric literals. Parsed and checked once with ast, then
+# compiled to a Python lambda: operators act on floats or numpy arrays and
+# the functions are the numpy ufuncs below, so a given expression always
+# evaluates in the same order, bit for bit.
 
 _FUNCTIONS = {
     "exp": np.exp,
@@ -89,13 +90,7 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-_BINOPS = {
-    ast.Add: np.add,
-    ast.Sub: np.subtract,
-    ast.Mult: np.multiply,
-    ast.Div: np.divide,
-    ast.Pow: np.power,
-}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def compile_expression(src: str, variables: tuple[str, ...] = ("t", "x")):
@@ -108,7 +103,7 @@ def compile_expression(src: str, variables: tuple[str, ...] = ("t", "x")):
     def check(node):
         if isinstance(node, ast.Expression):
             check(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
             check(node.left)
             check(node.right)
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -160,10 +155,6 @@ def coefficients_from_expressions(
 
 # ---------------------------------------------------------------------------
 # presets
-
-
-def _const(value: float):
-    return lambda t, x: value + 0.0 * np.asarray(x, dtype=float)
 
 
 _PRESETS = {

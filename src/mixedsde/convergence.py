@@ -42,6 +42,8 @@ __all__ = ["LevelStats", "ErrorReport", "pathwise_error", "mc_strong_error", "fi
 
 DEFAULT_R = 1000.0
 _CHUNK = 256  # fixed path chunk; results never depend on worker count
+# larger eval_n is refused: the bracket and Holder kernels cost O(paths * eval_n^2)
+_EVAL_N_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -286,6 +288,11 @@ def mc_strong_error(
         if n < 2 or fine_n % n or (ratio & (ratio - 1)):
             raise ValueError(f"level n={n} is not a dyadic coarsening of fine n={fine_n}")
     eval_n = min(int(eval_n), fine_n)
+    if eval_n > _EVAL_N_MAX:
+        raise ValueError(
+            f"eval_n={eval_n} exceeds {_EVAL_N_MAX}: the increment bracket and the Holder "
+            "functional cost O(paths * eval_n^2) time"
+        )
     if fine_n % eval_n or (fine_n // eval_n) & (fine_n // eval_n - 1):
         raise ValueError(f"eval_n={eval_n} must be a dyadic divisor of fine n={fine_n}")
     if paths < 1:
@@ -354,13 +361,8 @@ def mc_strong_error(
                 ninf_sq[li, lo:hi] = ninf_coarse**2
                 in_b[li, lo:hi] = (ninf_coarse + ninf_fine) <= r_bound
 
-    n_chunks = (paths + _CHUNK - 1) // _CHUNK
-    if workers is None or workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        for ci in range(n_chunks):
-            run_chunk(ci)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_chunk, range((paths + _CHUNK - 1) // _CHUNK)))
 
     level_stats = []
     for li, n in enumerate(levels):

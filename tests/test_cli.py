@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mixedsde.cli import build_parser, main
+from mixedsde import cli
+from mixedsde.cli import _CONVERGE_DEFAULTS, _resolve_converge_settings, build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -209,3 +210,117 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["fbm"])  # missing required flags
     assert exc.value.code == 1
+
+
+_CUSTOM = ["--a", "0.1 * x", "--b", "0.1", "--c", "0.2 * x", "--dc", "0.2", "--k", "1.0", "--beta", "0.75"]
+_SMALL_RUN = ["--paths", "5", "--levels", "8,16,32", "--m-fine", "2", "--eval-n", "32", "--workers", "1"]
+
+
+def test_converge_partial_custom_flags_refused(outdir, capsys):
+    # no --a: the flags still select custom coefficients, which are incomplete
+    rc = main(
+        ["converge", "--b", "0.9", "--c", "x", "--dc", "1", "--k", "2", "--beta", "0.75",
+         *_SMALL_RUN, "--outdir", str(outdir / "p")]
+    )
+    assert rc == 1
+    assert "missing: a" in capsys.readouterr().err
+    assert not (outdir / "p" / "manifest.json").exists()
+
+
+def test_solve_preset_with_custom_flag_refused(outdir, capsys):
+    rc = main(["solve", "--preset", "linear", "--a", "x*100", "--h", "0.7", "--n", "16"])
+    assert rc == 1
+    assert "--preset --a" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["check", "converge"])
+def test_preset_with_custom_flags_refused(outdir, capsys, command):
+    rc = main([command, "--preset", "linear", "--k", "3", "--beta", "0.8"])
+    assert rc == 1
+    assert "--preset --k --beta" in capsys.readouterr().err
+
+
+def test_converge_manifest_with_preset_and_custom_refused(outdir, capsys):
+    manifest = {"paths": 5, "coefficients": {"preset": "linear", "c": "x"}}
+    (outdir / "m.json").write_text(json.dumps(manifest))
+    assert main(["converge", "--manifest", str(outdir / "m.json")]) == 1
+    assert "--preset --c" in capsys.readouterr().err
+
+
+def test_converge_custom_flags_replace_manifest_preset(outdir):
+    manifest = {"paths": 5, "coefficients": {"preset": "bounded-smooth"}}
+    (outdir / "m.json").write_text(json.dumps(manifest))
+    rc = main(
+        ["converge", "--manifest", str(outdir / "m.json"), *_CUSTOM, *_SMALL_RUN, "--outdir", str(outdir / "c")]
+    )
+    assert rc == 0
+    written = json.loads((outdir / "c" / "manifest.json").read_text())
+    assert written["coefficients"] == {
+        "preset": None, "a": "0.1 * x", "b": "0.1", "c": "0.2 * x", "dc": "0.2", "k": 1.0, "beta": 0.75,
+    }
+    assert json.loads((outdir / "c" / "report.json").read_text())["coefficients"] == "custom"
+
+
+# two values of each converge setting, both off its default, as flag strings
+_ALTERNATIVES = {
+    "dependence": ("volterra", "volterra-from-same-wiener"),
+    "method": ("cholesky", "circulant"),
+    "levels": ("8,16,32", "8,16"),
+}
+
+
+@pytest.mark.parametrize("key", [k for k in _CONVERGE_DEFAULTS if k != "coefficients"])
+def test_every_converge_setting_can_be_overridden(outdir, key):
+    default = _CONVERGE_DEFAULTS[key]
+    if key in _ALTERNATIVES:
+        flag_text, manifest_text = _ALTERNATIVES[key]
+    else:
+        flag_text, manifest_text = str(default + 1), str(default + 2)
+    flag = "--" + key.replace("_", "-")
+    parse = build_parser().parse_args
+    manifest_value = _resolve_converge_settings(parse(["converge", flag, manifest_text]))[key]
+    (outdir / "m.json").write_text(json.dumps({key: manifest_value}))
+    from_manifest = _resolve_converge_settings(parse(["converge", "--manifest", str(outdir / "m.json")]))
+    assert from_manifest == dict(_CONVERGE_DEFAULTS, **{key: manifest_value})
+    overridden = _resolve_converge_settings(
+        parse(["converge", "--manifest", str(outdir / "m.json"), flag, flag_text])
+    )
+    assert overridden[key] not in (default, manifest_value)
+    assert overridden == dict(_CONVERGE_DEFAULTS, **{key: overridden[key]})
+
+
+def test_eval_n_above_4096_refused(outdir, capsys):
+    rc = main(
+        ["converge", "--preset", "linear", "--paths", "4", "--levels", "16,32,64", "--m-fine", "7",
+         "--eval-n", "8192", "--workers", "1", "--outdir", str(outdir / "e")]
+    )
+    assert rc == 1
+    assert "eval_n=8192 exceeds 4096" in capsys.readouterr().err
+
+
+def _no_holder(*args):
+    raise AssertionError("Holder functional computed above the fbm bound")
+
+
+@pytest.mark.parametrize("extra, name, labels", [
+    ([], "fbm_h0.7_n32768_seed2.csv", ["bh"]),
+    (["--pair"], "pair_h0.7_n32768_seed2.csv", ["w", "bh"]),
+])
+def test_fbm_skips_holder_functional_above_bound(outdir, capsys, monkeypatch, extra, name, labels):
+    monkeypatch.setattr(cli, "holder_functional", _no_holder)
+    assert main(["fbm", "--h", "0.7", "--n", "32768", "--seed", "2", *extra]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == labels
+    for line in lines[:-1]:
+        assert "min=" in line and "max=" in line
+        assert line.endswith("K^(0.1)_T not computed (n > 16384, O(n^2))")
+    assert len((outdir / name).read_text().splitlines()) == 32770
+
+
+def test_fbm_holder_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_FBM_HOLDER_MAX_N", 64)
+    assert main(["fbm", "--h", "0.7", "--n", "64"]) == 0
+    assert "K^(0.1)_T=" in capsys.readouterr().out
+    assert main(["fbm", "--h", "0.7", "--n", "128"]) == 0
+    assert "not computed (n > 64" in capsys.readouterr().out

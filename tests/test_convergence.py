@@ -281,6 +281,19 @@ def test_eval_n_above_2048_runs():
     assert all(math.isfinite(l.err2_norm2) for l in rep.levels if l.retained)
 
 
+def test_eval_n_above_4096_refused_before_any_noise(monkeypatch):
+    import mixedsde.convergence as convergence
+
+    def no_noise(*args):
+        raise AssertionError("noise drawn before the eval_n bound was checked")
+
+    monkeypatch.setattr(convergence, "_chunk_noise", no_noise)
+    with pytest.raises(ValueError, match=r"eval_n=8192 exceeds 4096.*O\(paths \* eval_n\^2\)"):
+        mc_strong_error(
+            preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], 7, 4, eval_n=8192, workers=1
+        )
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_must_be_positive(workers):
     with pytest.raises(ValueError, match="workers"):
