@@ -211,6 +211,10 @@ def _resolve_converge_settings(args) -> dict:
         unknown = set(manifest) - set(_CONVERGE_DEFAULTS) - {"version"}
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
+        spec = manifest.get("coefficients")
+        stray = set(spec) - set(_COEFFICIENT_KEYS) if isinstance(spec, dict) else ()
+        if stray:
+            raise ValueError(f"unknown manifest coefficient keys: {sorted(stray)}")
         manifest.pop("version", None)
         settings.update(manifest)
     given = {k: v for k, v in vars(args).items() if v is not None}

@@ -7,7 +7,8 @@ coarse solution subsamples it. tau_N is computed once per path from the
 noise (it does not depend on the level) and the same tau stops every
 level. The Holder functionals and both norms are quadratured on a fixed
 dyadic evaluation subgrid (default 256 cells) for runtime; sup errors use
-every fine node.
+every fine node up to tau, in one blocked pass per level over the
+node-major (nodes, paths) storage of the chunk.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ DEFAULT_R = 1000.0
 _CHUNK = 256  # fixed path chunk; results never depend on worker count
 # larger eval_n is refused: the bracket and Holder kernels cost O(paths * eval_n^2)
 _EVAL_N_MAX = 4096
+# fine nodes per block of the per-level pass; a power of two, so a block
+# spans whole coarse cells or lies inside one
+_BLOCK_NODES = 256
 
 
 @dataclass(frozen=True)
@@ -181,48 +185,89 @@ def pathwise_error(
         raise ValueError("solutions are not driven by the same noise (coupling violated)")
     if coarse.tau != fine.tau:
         raise ValueError("stopped solutions must share one stopping time")
-    stride = csol.grid.refinement_stride(fsol.grid)
     fine_grid = fsol.grid
-    noise_stride = fine_grid.refinement_stride(csol.noise.grid)
-    w = csol.noise.w.values[None, ::noise_stride]
-    bh = csol.noise.bh.values[None, ::noise_stride]
-    interp = _interpolate_on_fine(
-        csol.coeffs, csol.grid.nodes, csol.values[None, :], fine_grid.nodes, w, bh, stride
-    )
     norm_n = fine_grid.n if norm_grid_n is None else norm_grid_n
     if fine_grid.n % norm_n:
         raise ValueError("norm_grid_n must divide the fine grid size")
+    noise_stride = fine_grid.refinement_stride(csol.noise.grid)
+    w, bh = (p.values[None, ::noise_stride] for p in (csol.noise.w, csol.noise.bh))
+    tau_idx = np.array([fine_grid.node_index(coarse.tau)])
+    # every fine node is an eval node here: tau need not lie on the norm grid
+    sup2, interp = _level_pass(
+        csol.coeffs, csol.grid.nodes, csol.values[None, :], fine_grid.nodes, w, bh, fsol.values[None, :], tau_idx, 1
+    )
+    norm_stride = fine_grid.n // norm_n
+    coarse_eval = _stop_batch(interp, tau_idx)[:, ::norm_stride]
+    fine_eval = _stop_batch(fsol.values[None, :], tau_idx)[:, ::norm_stride]
     delta_n = fine_grid.horizon / norm_n
     cells = _norm2_weight_cells(norm_n, delta_n, float(alpha), fine_grid.horizon)
-    tau_idx = np.array([fine_grid.node_index(coarse.tau)])
-    coarse_stopped = _stop_batch(interp, tau_idx)
-    fine_stopped = _stop_batch(fsol.values[None, :], tau_idx)
-    sup2, norm2sq, _ = _level_errors(
-        coarse_stopped, fine_stopped, fine_grid.n // norm_n, delta_n, alpha, cells
-    )
+    norm2sq, _ = _error_norms(coarse_eval, fine_eval, delta_n, alpha, cells)
     return math.sqrt(sup2[0]), math.sqrt(norm2sq[0])
 
 
-def _level_errors(
-    coarse_stopped: np.ndarray,
-    fine_stopped: np.ndarray,
+def _level_pass(
+    coeffs: CoefficientSet,
+    coarse_t: np.ndarray,
+    x_coarse: np.ndarray,
+    fine_t: np.ndarray,
+    w: np.ndarray,
+    bh: np.ndarray,
+    x_fine: np.ndarray,
+    tau_fine: np.ndarray,
     eval_stride: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One blocked pass over the fine nodes of one level.
+
+    x_coarse is (paths, n+1); w, bh and x_fine are (paths, fine_n+1),
+    ideally views of node-major storage. Per row it gives the squared sup
+    error over every fine node up to tau_fine, and the coarse interpolation
+    at every eval_stride-th fine node (not stopped), as a (paths, eval_n+1)
+    array. Both stopped solutions are frozen after tau, so later nodes
+    cannot raise the sup: they are zeroed (node 0's error is exactly 0),
+    while a nan up to tau still propagates. The interpolation of at most
+    _BLOCK_NODES + 1 fine nodes at a time goes into one reused buffer.
+    """
+    nf = fine_t.size - 1
+    stride = nf // (coarse_t.size - 1)
+    xf = np.moveaxis(x_fine, -1, 0)
+    paths = xf.shape[1]
+    buf = np.empty((_BLOCK_NODES + 1, paths))
+    sup2 = np.zeros(paths)
+    coarse_eval = np.empty((paths, nf // eval_stride + 1))
+    first_stop = int(tau_fine.min())
+    for lo in range(0, nf, _BLOCK_NODES):
+        hi = min(lo + _BLOCK_NODES, nf)
+        if hi == nf:
+            hi += 1  # the last block takes the last fine node too
+        d = buf[: hi - lo]
+        _interpolate_on_fine(coeffs, coarse_t, x_coarse, fine_t, w, bh, stride, d.T, lo)
+        first = -lo % eval_stride
+        coarse_eval[:, (lo + first) // eval_stride : (hi - 1) // eval_stride + 1] = d[first::eval_stride].T
+        with np.errstate(invalid="ignore"):
+            d -= xf[lo:hi]
+            d *= d
+            if first_stop < hi - 1:
+                d[np.arange(lo, hi)[:, None] > tau_fine] = 0.0
+            np.maximum(sup2, d.max(axis=0), out=sup2)
+    return sup2, coarse_eval
+
+
+def _error_norms(
+    coarse_eval: np.ndarray,
+    fine_eval: np.ndarray,
     delta_eval: float,
     alpha: float,
     cells: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of (paths, n+1) solutions on the fine grid: the squared sup
-    error over every node, and ||.||^2_{2,alpha} and ||.||^2_{inf,alpha} of
-    the error on every eval_stride-th node (cells: the 2-norm cell weights).
-    Rows holding nan (aborted paths) give nan."""
-    diff = coarse_stopped - fine_stopped
+) -> tuple[np.ndarray, np.ndarray]:
+    """||.||^2_{2,alpha} and ||.||^2_{inf,alpha} per row of the error between
+    two stopped (paths, eval_n+1) solutions (cells: the 2-norm cell
+    weights). Rows holding nan (aborted paths) give nan."""
     with np.errstate(invalid="ignore"):
-        sup2 = np.max(diff * diff, axis=1)
-        de = diff[:, ::eval_stride]
+        de = coarse_eval - fine_eval
         br = np.abs(de) + _increment_bracket_batch(de, delta_eval, alpha)
         norm2sq = np.sum(0.5 * (br[:, :-1] ** 2 + br[:, 1:] ** 2) * cells, axis=1)
         ninf_sq = np.max(br, axis=1) ** 2
-    return sup2, norm2sq, ninf_sq
+    return norm2sq, ninf_sq
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +370,8 @@ def mc_strong_error(
         hi = min(lo + _CHUNK, paths)
         size = hi - lo
         w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
+        # node-major storage from here on; w, bh, x_fine are (paths, n+1) views
+        w, bh = (np.ascontiguousarray(v.T).T for v in (w, bh))
         x_fine, ab_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
         k_eta = _holder_cumulative_batch(
             w[:, ::eval_stride], delta_eval, config.eta, q_w
@@ -333,8 +380,8 @@ def mc_strong_error(
         tau_eval = np.where(crossed.any(axis=1), crossed.argmax(axis=1), eval_n)
         tau_lt_t[lo:hi] = tau_eval < eval_n
         tau_fine = tau_eval * eval_stride
-        fine_stopped = _stop_batch(x_fine, tau_fine)
-        fs_eval = fine_stopped[:, ::eval_stride]
+        # eval arrays are path-major, so the norm sums run along contiguous rows
+        fs_eval = _stop_batch(np.ascontiguousarray(x_fine[:, ::eval_stride]), tau_eval)
         br_fine = np.abs(fs_eval) + _increment_bracket_batch(fs_eval, delta_eval, alpha)
         ninf_fine = np.max(br_fine, axis=1)
         for li, n in enumerate(levels):
@@ -343,19 +390,18 @@ def mc_strong_error(
             x_coarse, ab_coarse = _euler_solve_batch(
                 coeffs, coarse_t, w[:, ::stride], bh[:, ::stride], x0
             )
-            interp = _interpolate_on_fine(coeffs, coarse_t, x_coarse, fine.nodes, w, bh, stride)
-            coarse_stopped = _stop_batch(interp, tau_fine)
+            sup2[li, lo:hi], c_eval = _level_pass(
+                coeffs, coarse_t, x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride
+            )
+            cs_eval = _stop_batch(c_eval, tau_eval)
             bad = (ab_fine >= 0) | (ab_coarse >= 0)
             aborted[li, lo:hi] = bad
-            sup2[li, lo:hi], n2, ninf_d_sq = _level_errors(
-                coarse_stopped, fine_stopped, eval_stride, delta_eval, alpha, eval_cells
-            )
+            n2, ninf_d_sq = _error_norms(cs_eval, fs_eval, delta_eval, alpha, eval_cells)
             norm2sq[li, lo:hi] = n2
             with np.errstate(invalid="ignore"):
                 violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
                 if np.any(violated):
                     raise AssertionError("norm comparison ||f||_2 <= C ||f||_inf violated")
-                cs_eval = coarse_stopped[:, ::eval_stride]
                 br_c = np.abs(cs_eval) + _increment_bracket_batch(cs_eval, delta_eval, alpha)
                 ninf_coarse = np.max(br_c, axis=1)
                 ninf_sq[li, lo:hi] = ninf_coarse**2

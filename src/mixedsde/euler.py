@@ -135,20 +135,22 @@ def _euler_solve_batch(
     is the first step at which a path blew up (non-finite or above
     STATE_CAP), or -1, and a blown path holds nan from that step on. The
     recursion stops early once every path is past the cap.
+    The recursion runs node-major: a C-contiguous w gets C-contiguous
+    values, any other w (a view of node-major storage or a subsample) a
+    view of the node-major result, so node-major callers copy nothing.
     Rows are independent, so a path's values do not depend on its batch.
     """
     n = w.shape[-1] - 1
     delta = t[1] - t[0]
-    dw = np.ascontiguousarray(np.moveaxis(np.diff(w, axis=-1), -1, 0))
-    dbh = np.ascontiguousarray(np.moveaxis(np.diff(bh, axis=-1), -1, 0))
+    dw = np.diff(np.ascontiguousarray(np.moveaxis(w, -1, 0)), axis=0)
+    dbh = np.diff(np.ascontiguousarray(np.moveaxis(bh, -1, 0)), axis=0)
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     x = np.empty((n + 1,) + w.shape[:-1])
     x[0] = x0
-    # node-major state; a blow-up only poisons its own path, found below
+    # a blow-up only poisons its own path, found below
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            xk = x[k]
-            x[k + 1] = xk + a(t[k], xk) * delta + b(t[k], xk) * dw[k] + c(t[k], xk) * dbh[k]
+        for k, (tk, xk, dwk, dbk) in enumerate(zip(t, x, dw, dbh)):
+            x[k + 1] = xk + a(tk, xk) * delta + b(tk, xk) * dwk + c(tk, xk) * dbk
             # once every path is past the cap, each abort step is known
             if (k + 1) % _BLOWUP_CHECK_EVERY == 0 and not np.any(np.abs(x[k + 1]) <= STATE_CAP):
                 x[k + 2 :] = np.nan
@@ -157,7 +159,8 @@ def _euler_solve_batch(
     aborted = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, -1)
     if np.any(aborted >= 0):
         x[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1)), aborted
+    x = np.moveaxis(x, 0, -1)
+    return (np.ascontiguousarray(x) if w.flags.c_contiguous else x), aborted
 
 
 def _interpolate_on_fine(
@@ -168,29 +171,58 @@ def _interpolate_on_fine(
     fine_w: np.ndarray,
     fine_bh: np.ndarray,
     stride: int,
+    out: np.ndarray | None = None,
+    lo: int = 0,
 ) -> np.ndarray:
-    """Continuous interpolation of a coarse solution at all fine nodes.
+    """Continuous interpolation of a coarse solution at fine nodes lo, lo+1, ...
 
-    Works on (paths, n+1) arrays; at fine nodes that are coarse nodes the
-    recursion is reproduced exactly.
+    coarse_x is (..., n+1) and fine_w, fine_bh are (..., stride*n+1); the
+    result, written into out (..., m) when given, holds fine nodes
+    lo..lo+m-1 (default: lo to the end). Fine node j uses the coarse node
+    k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
+    so at coarse nodes the recursion is reproduced exactly, the last fine
+    node included. a, b, c are evaluated once on the coarse nodes of the
+    range, which must span whole coarse cells or lie inside one. The work
+    runs on (cells, stride, ...) views of the node-major layout: views of
+    node-major storage are read without copies, and out must be one (its
+    node axis moved first must be C-contiguous) so that it is written in
+    place.
     """
-    nf1 = fine_t.size
+    nf = fine_t.size - 1
+    if out is None:
+        out = np.moveaxis(np.empty((nf + 1 - lo,) + fine_w.shape[:-1]), 0, -1)
+    x, w, bh, o = (np.moveaxis(v, -1, 0) for v in (coarse_x, fine_w, fine_bh, out))
+    hi = lo + o.shape[0]
+    batch = w.shape[1:]
+    # the cells of the range, then the last fine node as a cell of its own
+    for j0, j1 in ((lo, min(hi, nf)), (max(lo, nf), hi)):
+        if j1 <= j0:
+            continue
+        s = min(stride, j1 - j0)
+        k0 = j0 // stride
+        cells = (j1 - j0) // s
+        k1 = k0 + cells
+        tk, xk = coarse_t[k0:k1], x[k0:k1]
 
-    def held(v):
-        """Coarse-node values held over the stride fine nodes that follow."""
-        return np.repeat(v, stride, axis=-1)[..., :nf1]
+        def frozen(fn):
+            # constant coefficients return scalars or 1-d arrays
+            v = fn(tk.reshape((cells,) + (1,) * len(batch)), xk)
+            return np.broadcast_to(v, xk.shape)[:, None]
 
-    def frozen(fn):
-        # constant coefficients return scalars or 1-d arrays
-        return held(np.broadcast_to(fn(coarse_t, coarse_x), coarse_x.shape))
+        def held(v):
+            """Node values over the range's cells, and each cell's left node."""
+            return v[j0:j1].reshape((cells, s) + batch), v[k0 * stride : k1 * stride : stride][:, None]
 
-    tk = held(coarse_t)
-    return (
-        held(coarse_x)
-        + frozen(coeffs.a) * (fine_t - tk)
-        + frozen(coeffs.b) * (fine_w - held(fine_w[:, ::stride]))
-        + frozen(coeffs.c) * (fine_bh - held(fine_bh[:, ::stride]))
-    )
+        blk = o[j0 - lo : j1 - lo].reshape((cells, s) + batch)
+        tmp = np.empty_like(blk)
+        dt = fine_t[j0:j1].reshape(cells, s) - tk[:, None]
+        np.multiply(frozen(coeffs.a), dt.reshape(dt.shape + (1,) * len(batch)), out=blk)
+        blk += xk[:, None]
+        for fn, v in ((coeffs.b, w), (coeffs.c, bh)):
+            np.subtract(*held(v), out=tmp)
+            tmp *= frozen(fn)
+            blk += tmp
+    return out
 
 
 def interpolate(sol: EulerSolution, u: float) -> float:

@@ -162,6 +162,22 @@ def test_converge_rejects_unknown_manifest_keys(outdir):
     assert main(["converge", "--manifest", str(outdir / "bad.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"preset": "linear", "K": 9},
+        {"preset": None, "a": "0.1 * x", "b": "0.1", "c": "0.2 * x", "dc": "0.2", "k": 1.0, "beta": 0.75, "gamma": 2},
+    ],
+)
+def test_converge_rejects_unknown_coefficient_keys(outdir, capsys, spec):
+    (outdir / "m.json").write_text(json.dumps({"paths": 5, "coefficients": spec}))
+    rc = main(["converge", "--manifest", str(outdir / "m.json"), *_SMALL_RUN, "--outdir", str(outdir / "r")])
+    assert rc == 1
+    stray = "K" if "K" in spec else "gamma"
+    assert f"unknown manifest coefficient keys: ['{stray}']" in capsys.readouterr().err
+    assert not (outdir / "r").exists()
+
+
 def test_converge_numerical_failure_exit_code(outdir, capsys):
     # an impossible restriction radius discards every path, so no rate fits
     rc = main(
