@@ -45,8 +45,7 @@ DEFAULT_R = 1000.0
 _CHUNK = 256  # fixed path chunk; results never depend on worker count
 # larger eval_n is refused: the bracket and Holder kernels cost O(paths * eval_n^2)
 _EVAL_N_MAX = 4096
-# fine nodes per block of the per-level pass; a power of two, so a block
-# spans whole coarse cells or lies inside one
+# fine nodes per block of the per-level pass (at most, plus the last node)
 _BLOCK_NODES = 256
 
 
@@ -186,6 +185,7 @@ def pathwise_error(
     if coarse.tau != fine.tau:
         raise ValueError("stopped solutions must share one stopping time")
     fine_grid = fsol.grid
+    csol.grid.refinement_stride(fine_grid)  # raises unless the fine grid refines the coarse one
     norm_n = fine_grid.n if norm_grid_n is None else norm_grid_n
     if fine_grid.n % norm_n:
         raise ValueError("norm_grid_n must divide the fine grid size")
@@ -205,6 +205,20 @@ def pathwise_error(
     return math.sqrt(sup2[0]), math.sqrt(norm2sq[0])
 
 
+def _blocks(nf: int, stride: int) -> list[tuple[int, int]]:
+    """Fine-node ranges [lo, hi) of at most _BLOCK_NODES nodes that cover
+    [0, nf), each spanning whole coarse cells of stride nodes or lying
+    inside one, as _interpolate_on_fine needs."""
+    if stride <= _BLOCK_NODES:
+        step = _BLOCK_NODES // stride * stride
+        return [(lo, min(lo + step, nf)) for lo in range(0, nf, step)]
+    return [
+        (lo, min(lo + _BLOCK_NODES, k + stride))
+        for k in range(0, nf, stride)
+        for lo in range(k, k + stride, _BLOCK_NODES)
+    ]
+
+
 def _level_pass(
     coeffs: CoefficientSet,
     coarse_t: np.ndarray,
@@ -219,13 +233,15 @@ def _level_pass(
     """One blocked pass over the fine nodes of one level.
 
     x_coarse is (paths, n+1); w, bh and x_fine are (paths, fine_n+1),
-    ideally views of node-major storage. Per row it gives the squared sup
+    ideally views of node-major storage, and the fine grid must refine the
+    coarse one (any integer stride). Per row it gives the squared sup
     error over every fine node up to tau_fine, and the coarse interpolation
     at every eval_stride-th fine node (not stopped), as a (paths, eval_n+1)
     array. Both stopped solutions are frozen after tau, so later nodes
     cannot raise the sup: they are zeroed (node 0's error is exactly 0),
     while a nan up to tau still propagates. The interpolation of at most
-    _BLOCK_NODES + 1 fine nodes at a time goes into one reused buffer.
+    _BLOCK_NODES + 1 fine nodes at a time (see _blocks) goes into one
+    reused buffer.
     """
     nf = fine_t.size - 1
     stride = nf // (coarse_t.size - 1)
@@ -235,8 +251,7 @@ def _level_pass(
     sup2 = np.zeros(paths)
     coarse_eval = np.empty((paths, nf // eval_stride + 1))
     first_stop = int(tau_fine.min())
-    for lo in range(0, nf, _BLOCK_NODES):
-        hi = min(lo + _BLOCK_NODES, nf)
+    for lo, hi in _blocks(nf, stride):
         if hi == nf:
             hi += 1  # the last block takes the last fine node too
         d = buf[: hi - lo]

@@ -182,11 +182,11 @@ def _interpolate_on_fine(
     k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
     so at coarse nodes the recursion is reproduced exactly, the last fine
     node included. a, b, c are evaluated once on the coarse nodes of the
-    range, which must span whole coarse cells or lie inside one. The work
-    runs on (cells, stride, ...) views of the node-major layout: views of
-    node-major storage are read without copies, and out must be one (its
-    node axis moved first must be C-contiguous) so that it is written in
-    place.
+    range, which must span whole coarse cells or lie inside one (else
+    ValueError). The work runs on (cells, stride, ...) views of the
+    node-major layout: views of node-major storage are read without copies,
+    and out must be one (its node axis moved first must be C-contiguous) so
+    that it is written in place.
     """
     nf = fine_t.size - 1
     if out is None:
@@ -200,6 +200,9 @@ def _interpolate_on_fine(
             continue
         s = min(stride, j1 - j0)
         k0 = j0 // stride
+        whole_cells = s == stride and j0 % stride == 0 and (j1 - j0) % stride == 0
+        if not (whole_cells or k0 == (j1 - 1) // stride):
+            raise ValueError(f"fine nodes {j0}..{j1 - 1} neither span whole cells of {stride} nor lie inside one")
         cells = (j1 - j0) // s
         k1 = k0 + cells
         tk, xk = coarse_t[k0:k1], x[k0:k1]

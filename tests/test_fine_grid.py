@@ -8,11 +8,22 @@ import numpy as np
 import pytest
 
 import mixedsde.convergence as convergence
-from mixedsde import NoisePair, NoisePath, SolverConfig, TimeGrid, euler_solve, mc_strong_error, preset
+from mixedsde import (
+    NoisePair,
+    NoisePath,
+    SolverConfig,
+    TimeGrid,
+    euler_solve,
+    generate_noise_pair,
+    mc_strong_error,
+    pathwise_error,
+    preset,
+    stop,
+)
 from mixedsde.cli import main
 from mixedsde.coefficients import coefficients_from_expressions
 from mixedsde.convergence import _chunk_noise, _error_norms, _level_pass, _stop_batch
-from mixedsde.euler import _euler_solve_batch
+from mixedsde.euler import _euler_solve_batch, _interpolate_on_fine
 from mixedsde.fbm import Independent
 from mixedsde.fraccalc import _increment_bracket_batch, _norm2_weight_cells
 
@@ -66,6 +77,8 @@ _SPIKY = coefficients_from_expressions("spiky", "1 / (x - 1.25)", "0.2", "0.3 * 
         (40, 5, 5),  # 5 cells in blocks of 2 (block 16): the count does not divide
         (64, 2, 16),  # stride 32 above block 16: blocks inside one cell
         (128, 16, 2),  # eval stride 64 above block 16: blocks without eval nodes
+        (96, 32, 96),  # stride 3: blocks of 15 nodes (block 16) end on cell boundaries
+        (90, 2, 10),  # stride 45 above block 16: each cell split into 16 + 16 + 13
     ],
 )
 @pytest.mark.parametrize("name", ["linear", "additive", "bounded-smooth", "spiky"])
@@ -112,6 +125,52 @@ def test_blocked_pass_keeps_the_last_node_formula():
         sup2, c_eval = _level_pass(coeffs, fine_t[::4], x_c, fine_t, w, bh, x_f, np.full(3, 16), 4)
     assert np.isnan(c_eval[:, -1]).all() and np.isfinite(c_eval[:, :-1]).all()
     assert np.isnan(sup2).all()
+
+
+@pytest.mark.parametrize(
+    "coarse_n, fine_n, noise_n",
+    [
+        (100, 300, 600),  # stride 3, the noise on a grid finer than the fine one
+        (2, 768, 768),  # stride 384: a block boundary would fall inside a cell
+        (3, 771, 771),  # stride 257, one node above the block size
+    ],
+)
+@pytest.mark.parametrize("stop_at", ["middle", "end"])
+def test_pathwise_error_matches_full_width_at_any_stride(coarse_n, fine_n, noise_n, stop_at):
+    coeffs = preset("bounded-smooth")
+    fine_grid = TimeGrid(1.0, fine_n)
+    tau_idx = fine_n // 2 if stop_at == "middle" else fine_n
+    tau = float(fine_grid.nodes[tau_idx])
+    pair = generate_noise_pair(TimeGrid(1.0, noise_n), 0.7, 4)
+    coarse = stop(euler_solve(coeffs, pair, 1.0, TimeGrid(1.0, coarse_n)), tau)
+    fine = stop(euler_solve(coeffs, pair, 1.0, fine_grid), tau)
+    sup, n2 = pathwise_error(coarse, fine, ALPHA)
+
+    stride, noise_stride = fine_n // coarse_n, noise_n // fine_n
+    w, bh = (p.values[None, ::noise_stride] for p in (pair.w, pair.bh))
+    cells = _norm2_weight_cells(fine_n, fine_grid.delta, ALPHA, 1.0)
+    sup2, norm2sq, _ = _full_width(
+        coeffs, coarse.grid.nodes, coarse.base.values[None, :], fine_grid.nodes, w, bh, stride,
+        fine.base.values[None, :], np.array([tau_idx]), 1, fine_grid.delta, cells,
+    )
+    assert sup > 0.0
+    assert (sup, n2) == (np.sqrt(sup2[0]), np.sqrt(norm2sq[0]))
+
+
+def test_pathwise_error_refuses_grids_that_are_not_nested():
+    pair = generate_noise_pair(TimeGrid(1.0, 12), 0.7, 1)
+    coarse = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 4))
+    fine = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 6))
+    with pytest.raises(ValueError, match="not nested"):
+        pathwise_error(stop(coarse, 1.0), stop(fine, 1.0), ALPHA)
+
+
+def test_interpolation_refuses_a_range_across_a_cell_boundary():
+    fine_t = np.linspace(0.0, 1.0, 13)
+    w, bh = _node_major_noise(2, 12, 3)
+    x_c = np.ones((2, 3))
+    with pytest.raises(ValueError, match="whole cells"):
+        _interpolate_on_fine(preset("linear"), fine_t[::6], x_c, fine_t, w, bh, 6, np.empty((2, 4)), 4)
 
 
 # ---------------------------------------------------------------------------
