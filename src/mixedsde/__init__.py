@@ -44,17 +44,10 @@ from .coefficients import (
     preset_names,
     compile_expression,
 )
-from .euler import (
-    SolverConfig,
-    EulerSolution,
-    StoppedSolution,
-    EulerBlowupError,
-    euler_solve,
-    interpolate,
-    stopping_time,
-    stop,
+from .euler import SolverConfig, EulerSolution, EulerBlowupError, euler_solve, interpolate
+from .convergence import (
+    StoppedSolution, stopping_time, stop, ErrorReport, LevelStats, pathwise_error, mc_strong_error, fit_rate
 )
-from .convergence import ErrorReport, LevelStats, pathwise_error, mc_strong_error, fit_rate
 
 __all__ = [
     "__version__",

@@ -1,6 +1,9 @@
-"""Monte Carlo harness for strong errors between nested dyadic Euler
-solutions, in the sup norm and the weighted 2-norm, with a log-log fit of
-the convergence rate.
+"""Localization by the stopping time tau_N and a Monte Carlo harness for
+strong errors between nested dyadic Euler solutions, in the sup norm and
+the weighted 2-norm, with a log-log fit of the convergence rate.
+
+The public `stopping_time`, `stop` and `pathwise_error` are one-row calls
+of the harness's own crossing rule, freeze and per-level pass.
 
 Coupling: noise is generated once per path on the finest grid; every
 coarse solution subsamples it. tau_N is computed once per path from the
@@ -22,9 +25,10 @@ import numpy as np
 
 from . import __version__ as _version
 from .coefficients import CoefficientSet
-from .euler import SolverConfig, StoppedSolution, _euler_solve_batch, _interpolate_on_fine
+from .euler import EulerSolution, SolverConfig, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
     JointGaussian,
+    NoisePair,
     VolterraFromWiener,
     _fbm_values_batch,
     _holder_cumulative_batch,
@@ -33,13 +37,16 @@ from .fbm import (
     _volterra_fbm,
     _volterra_weights,
     _wiener_values_batch,
+    pair_holder_cumulative,
     validate_hurst,
 )
-from .fraccalc import _increment_bracket_batch, _norm2_weight_cells, norms_comparison_constant
+from .fraccalc import _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, norms_comparison_constant
 from .grid import TimeGrid
 from .rng import stream
 
-__all__ = ["LevelStats", "ErrorReport", "pathwise_error", "mc_strong_error", "fit_rate"]
+__all__ = [
+    "StoppedSolution", "stopping_time", "stop", "LevelStats", "ErrorReport", "pathwise_error", "mc_strong_error", "fit_rate"
+]
 
 DEFAULT_R = 1000.0
 _CHUNK = 256  # fixed path chunk; results never depend on worker count
@@ -164,6 +171,53 @@ def fit_rate(report: ErrorReport, functional: str = "norm2") -> tuple[float, flo
 
 
 # ---------------------------------------------------------------------------
+# localization (public, one-row calls of the harness rules)
+
+
+def _first_crossing(k_cum: np.ndarray, threshold: float) -> np.ndarray:
+    """Per row, the first node where K >= threshold, else the last node."""
+    crossed = k_cum >= threshold
+    return np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), k_cum.shape[-1] - 1)
+
+
+def _stop_batch(values: np.ndarray, tau_idx: np.ndarray) -> np.ndarray:
+    """Freeze each row after its own node index."""
+    frozen = values[np.arange(values.shape[0]), tau_idx][:, None]
+    return np.where(np.arange(values.shape[1]) > tau_idx[:, None], frozen, values)
+
+
+def stopping_time(noise: NoisePair, eta: float, threshold: float, kind: str = "sum") -> float:
+    """First grid node where the cumulative Holder functional reaches the
+    threshold N, else the horizon. kind selects K^W, K^B or their sum."""
+    if not threshold > 0.0:
+        raise ValueError("threshold must be positive")
+    k_cum = pair_holder_cumulative(noise, eta, kind)
+    k = _first_crossing(k_cum, threshold)
+    # no crossing gives T itself: nodes[n] = n*T/n can differ from T in the last bit
+    return float(noise.grid.nodes[k] if k_cum[k] >= threshold else noise.grid.horizon)
+
+
+@dataclass(frozen=True)
+class StoppedSolution:
+    """X^{delta,N}: the solution frozen at the last node <= tau."""
+
+    base: EulerSolution
+    tau: float
+    values: np.ndarray
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.base.grid
+
+
+def stop(sol: EulerSolution, tau: float) -> StoppedSolution:
+    if not (0.0 <= tau <= sol.grid.horizon * (1.0 + 1e-12)):
+        raise ValueError(f"tau must lie in [0, T], got {tau}")
+    k = sol.grid.floor_index(min(tau, sol.grid.horizon))
+    return StoppedSolution(base=sol, tau=float(tau), values=_stop_batch(sol.values[None, :], np.array([k]))[0])
+
+
+# ---------------------------------------------------------------------------
 # pathwise error (public, full-resolution by default)
 
 
@@ -187,8 +241,8 @@ def pathwise_error(
     fine_grid = fsol.grid
     csol.grid.refinement_stride(fine_grid)  # raises unless the fine grid refines the coarse one
     norm_n = fine_grid.n if norm_grid_n is None else norm_grid_n
-    if fine_grid.n % norm_n:
-        raise ValueError("norm_grid_n must divide the fine grid size")
+    if norm_n < 1 or fine_grid.n % norm_n:
+        raise ValueError(f"norm_grid_n must be a positive divisor of the fine grid size, got {norm_n}")
     noise_stride = fine_grid.refinement_stride(csol.noise.grid)
     w, bh = (p.values[None, ::noise_stride] for p in (csol.noise.w, csol.noise.bh))
     tau_idx = np.array([fine_grid.node_index(coarse.tau)])
@@ -280,9 +334,7 @@ def _error_norms(
     with np.errstate(invalid="ignore"):
         de = coarse_eval - fine_eval
         br = np.abs(de) + _increment_bracket_batch(de, delta_eval, alpha)
-        norm2sq = np.sum(0.5 * (br[:, :-1] ** 2 + br[:, 1:] ** 2) * cells, axis=1)
-        ninf_sq = np.max(br, axis=1) ** 2
-    return norm2sq, ninf_sq
+        return _norm_2_sq(br, cells), np.max(br, axis=1) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +353,6 @@ def _chunk_noise(
     w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
     b = _fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method)
     return w, b
-
-
-def _stop_batch(values: np.ndarray, tau_idx: np.ndarray) -> np.ndarray:
-    """Freeze each row after its own node index."""
-    frozen = values[np.arange(values.shape[0]), tau_idx][:, None]
-    return np.where(np.arange(values.shape[1]) > tau_idx[:, None], frozen, values)
 
 
 def mc_strong_error(
@@ -391,8 +437,7 @@ def mc_strong_error(
         k_eta = _holder_cumulative_batch(
             w[:, ::eval_stride], delta_eval, config.eta, q_w
         ) + _holder_cumulative_batch(bh[:, ::eval_stride], delta_eval, config.eta, q_b)
-        crossed = k_eta >= config.threshold
-        tau_eval = np.where(crossed.any(axis=1), crossed.argmax(axis=1), eval_n)
+        tau_eval = _first_crossing(k_eta, config.threshold)
         tau_lt_t[lo:hi] = tau_eval < eval_n
         tau_fine = tau_eval * eval_stride
         # eval arrays are path-major, so the norm sums run along contiguous rows

@@ -1,6 +1,8 @@
 """Explicit Euler scheme for the mixed equation
-dX = a(t, X) dt + b(t, X) dW + c(t, X) dB^H,
-its continuous interpolation, and localization by the stopping time tau_N.
+dX = a(t, X) dt + b(t, X) dW + c(t, X) dB^H
+and its continuous interpolation. Localization by the stopping time tau_N
+(`stopping_time`, `stop`) lives in `convergence`, next to the harness
+kernels it shares.
 """
 
 from __future__ import annotations
@@ -10,18 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .fbm import NoisePair, pair_holder_cumulative
+from .fbm import NoisePair
 from .grid import TimeGrid
 
 __all__ = [
     "SolverConfig",
     "EulerSolution",
-    "StoppedSolution",
     "EulerBlowupError",
     "euler_solve",
     "interpolate",
-    "stopping_time",
-    "stop",
     "write_solution_csv",
 ]
 
@@ -101,11 +100,6 @@ class EulerSolution:
         object.__setattr__(self, "values", v)
 
 
-def _noise_on_grid(noise: NoisePair, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    stride = grid.refinement_stride(noise.grid)
-    return noise.w.values[::stride], noise.bh.values[::stride]
-
-
 def euler_solve(
     coeffs: CoefficientSet, noise: NoisePair, x0: float, grid: TimeGrid | None = None
 ) -> EulerSolution:
@@ -115,8 +109,8 @@ def euler_solve(
     left node. Deterministic in its inputs; no refinement happens here.
     """
     grid = noise.grid if grid is None else grid
-    w, bh = _noise_on_grid(noise, grid)
-    x, aborted = _euler_solve_batch(coeffs, grid.nodes, w, bh, x0)
+    stride = grid.refinement_stride(noise.grid)
+    x, aborted = _euler_solve_batch(coeffs, grid.nodes, noise.w.values[::stride], noise.bh.values[::stride], x0)
     if aborted >= 0:
         raise EulerBlowupError(int(aborted))
     return EulerSolution(grid=grid, values=x, noise=noise, coeffs=coeffs, x0=float(x0))
@@ -231,59 +225,16 @@ def _interpolate_on_fine(
 def interpolate(sol: EulerSolution, u: float) -> float:
     """Value of the continuously interpolated solution at time u.
 
-    u must be resolvable on the noise grid; between nodes the coefficients
-    are frozen at the last solve node and applied to the actual noise
+    u must be a node of the noise grid (within node_index's tolerance);
+    the value is the harness's interpolation at that node: coefficients
+    frozen at the last solve node and applied to the actual noise
     increments, matching the integral form of the scheme.
     """
-    j = sol.noise.grid.node_index(float(u))
-    k = int(sol.grid.floor_index(u))
-    if k == sol.grid.n:
-        return float(sol.values[-1])
-    tk = sol.grid.nodes[k]
-    xk = float(sol.values[k])
-    stride = sol.grid.refinement_stride(sol.noise.grid)
-    w = sol.noise.w.values
-    bh = sol.noise.bh.values
-    return float(
-        xk
-        + sol.coeffs.a(tk, xk) * (u - tk)
-        + sol.coeffs.b(tk, xk) * (w[j] - w[k * stride])
-        + sol.coeffs.c(tk, xk) * (bh[j] - bh[k * stride])
-    )
-
-
-def stopping_time(noise: NoisePair, eta: float, threshold: float, kind: str = "sum") -> float:
-    """First grid node where the cumulative Holder functional reaches the
-    threshold N, else the horizon. kind selects K^W, K^B or their sum."""
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
-    k_cum = pair_holder_cumulative(noise, eta, kind)
-    hit = np.nonzero(k_cum >= threshold)[0]
-    if hit.size == 0:
-        return float(noise.grid.horizon)
-    return float(noise.grid.nodes[hit[0]])
-
-
-@dataclass(frozen=True)
-class StoppedSolution:
-    """X^{delta,N}: the solution frozen at the last node <= tau."""
-
-    base: EulerSolution
-    tau: float
-    values: np.ndarray
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.base.grid
-
-
-def stop(sol: EulerSolution, tau: float) -> StoppedSolution:
-    if not (0.0 <= tau <= sol.grid.horizon * (1.0 + 1e-12)):
-        raise ValueError(f"tau must lie in [0, T], got {tau}")
-    k = int(sol.grid.floor_index(min(tau, sol.grid.horizon)))
-    frozen = sol.values.copy()
-    frozen[k + 1 :] = sol.values[k]
-    return StoppedSolution(base=sol, tau=float(tau), values=frozen)
+    noise, out = sol.noise, np.empty(1)
+    j = noise.grid.node_index(float(u))
+    stride = sol.grid.refinement_stride(noise.grid)
+    fine = (noise.grid.nodes, noise.w.values, noise.bh.values)
+    return float(_interpolate_on_fine(sol.coeffs, sol.grid.nodes, sol.values, *fine, stride, out, j)[0])
 
 
 def write_solution_csv(sol: EulerSolution, file) -> None:

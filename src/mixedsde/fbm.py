@@ -39,6 +39,8 @@ __all__ = [
 # Relative tolerance on circulant eigenvalues; anything more negative than
 # -CIRCULANT_EIG_TOL * max(eig) signals a covariance bug, not roundoff.
 CIRCULANT_EIG_TOL = 1e-10
+# larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time)
+_CHOLESKY_N_MAX = 4096
 
 
 def validate_hurst(h: float, allow_brownian: bool = False) -> float:
@@ -212,6 +214,11 @@ def _fbm_values_batch(
         np.cumsum(fgn, axis=1, out=out[:, 1:])
         return out
     if method == "cholesky":
+        if n > _CHOLESKY_N_MAX:
+            raise ValueError(
+                f"cholesky sampling of n={n} > {_CHOLESKY_N_MAX} steps refused: the n x n covariance needs "
+                "O(n^2) memory and its factorisation O(n^3) time; use circulant-embedding"
+            )
         cov = _fbm_node_covariance(grid, h)
         try:
             chol = np.linalg.cholesky(cov)

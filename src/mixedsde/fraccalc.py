@@ -317,9 +317,11 @@ def _norm2_weight_cells(n: int, delta: float, alpha: float, length: float) -> np
     return cells
 
 
-def _norm_2_from_bracket(bracket_sq: np.ndarray, delta: float, alpha: float, length: float) -> float:
-    cells = _norm2_weight_cells(bracket_sq.size - 1, float(delta), float(alpha), float(length))
-    return math.sqrt(float(np.sum(0.5 * (bracket_sq[:-1] + bracket_sq[1:]) * cells)))
+def _norm_2_sq(bracket: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Squared ||.||_{2,alpha} per row of bracket (..., n+1) = |f| + the
+    increment bracket: the squared bracket averaged over each cell's two
+    nodes, times the cell's weight integral (cells from _norm2_weight_cells)."""
+    return np.sum(0.5 * (bracket[..., :-1] ** 2 + bracket[..., 1:] ** 2) * cells, axis=-1)
 
 
 def norm_2_alpha(f: SampledFunction, alpha: float) -> float:
@@ -329,7 +331,8 @@ def norm_2_alpha(f: SampledFunction, alpha: float) -> float:
     if alpha >= 0.5:
         raise ValueError("the (b-s)^(-alpha-1/2) weight is integrable only for alpha < 1/2")
     bracket = np.abs(f.y) + increment_bracket(f.y, f.delta, alpha)
-    return _norm_2_from_bracket(bracket**2, f.delta, alpha, f.b - f.a)
+    cells = _norm2_weight_cells(f.t.size - 1, f.delta, alpha, f.b - f.a)
+    return math.sqrt(float(_norm_2_sq(bracket, cells)))
 
 
 def norms_comparison_constant(alpha: float, a: float, b: float) -> float:

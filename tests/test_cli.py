@@ -39,6 +39,21 @@ def test_fbm_rejects_bad_hurst(capsys):
     assert "(1/2, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fbm", "--h", "0.7", "--n", "65536"],
+        ["solve", "--preset", "linear", "--h", "0.7", "--n", "8192"],
+        ["converge", "--preset", "linear", "--levels", "16,32,64", "--m-fine", "7", "--paths", "2", "--eval-n", "64"],
+    ],
+    ids=["fbm", "solve", "converge"],
+)
+def test_cholesky_above_its_bound_exits_1(outdir, capsys, args):
+    assert main(args + ["--method", "cholesky"]) == 1
+    assert "O(n^2) memory" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
 def test_fbm_pair_output(outdir):
     assert main(["fbm", "--h", "0.7", "--n", "32", "--seed", "1", "--pair"]) == 0
     lines = (outdir / "pair_h0.7_n32_seed1.csv").read_text().splitlines()

@@ -80,6 +80,15 @@ def test_pathwise_error_requires_shared_tau():
         pathwise_error(stop(coarse, 0.5), stop(fine, 1.0), 0.35)
 
 
+@pytest.mark.parametrize("norm_grid_n", [0, -4, -256])
+def test_pathwise_error_refuses_norm_grid_below_one(norm_grid_n):
+    pair = generate_noise_pair(TimeGrid(1.0, 256), 0.7, 5)
+    coarse = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
+    fine = euler_solve(preset("linear"), pair, 1.0)
+    with pytest.raises(ValueError, match="norm_grid_n must be a positive divisor"):
+        pathwise_error(stop(coarse, 1.0), stop(fine, 1.0), 0.35, norm_grid_n)
+
+
 def test_pathwise_error_norm_matches_comparison_bound():
     pair = generate_noise_pair(TimeGrid(1.0, 256), 0.7, 5)
     coarse = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))

@@ -14,6 +14,7 @@ from mixedsde import (
     generate_wiener,
     holder_functional,
 )
+from mixedsde import fbm
 from mixedsde.fbm import (
     _fbm_node_covariance,
     _fbm_values_batch,
@@ -95,6 +96,28 @@ def test_empirical_covariance_matches_formula():
         vals = _fbm_values_batch(grid, 0.7, stream(101, 1), m, method)
         emp = vals[:, 1:].T @ vals[:, 1:] / m
         assert np.max(np.abs(emp - ana) / se) < 5.0
+
+
+def test_cholesky_refuses_n_above_its_bound(monkeypatch):
+    def never(*args):
+        raise AssertionError("covariance built for a refused n")
+
+    monkeypatch.setattr(fbm, "_fbm_node_covariance", never)
+    with pytest.raises(ValueError, match=r"n=4097 > 4096 .*O\(n\^2\) memory .*O\(n\^3\) time"):
+        _fbm_values_batch(TimeGrid(1.0, 4097), 0.7, stream(1, 1), 1, "cholesky")
+
+
+def test_cholesky_accepts_n_at_its_bound(monkeypatch):
+    # the covariance is patched out: reaching it means n passed the bound
+    class Reached(Exception):
+        pass
+
+    def reached(grid, h):
+        raise Reached(grid.n)
+
+    monkeypatch.setattr(fbm, "_fbm_node_covariance", reached)
+    with pytest.raises(Reached):
+        _fbm_values_batch(TimeGrid(1.0, 4096), 0.7, stream(1, 1), 1, "cholesky")
 
 
 def test_generation_methods_agree():

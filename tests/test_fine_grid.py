@@ -1,6 +1,7 @@
 """The per-level pass over the fine grid: the blocked kernel against the
-full-width formula it replaced, and the dyadic coupling invariants of the
-harness (observed by spying on its own kernel calls)."""
+full-width formula it replaced, the dyadic coupling invariants of the
+harness (observed by spying on its own kernel calls), and the public
+localization API against the harness on each path."""
 
 import json
 
@@ -19,6 +20,7 @@ from mixedsde import (
     pathwise_error,
     preset,
     stop,
+    stopping_time,
 )
 from mixedsde.cli import main
 from mixedsde.coefficients import coefficients_from_expressions
@@ -247,3 +249,44 @@ def test_report_identical_across_worker_counts(tmp_path):
         reports.append((out / "report.json").read_bytes())
     assert json.loads(reports[0])["paths"] == 600
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_public_localization_agrees_with_the_harness(monkeypatch):
+    stops = []
+    _spy(monkeypatch, "_stop_batch", stops)
+    eta, threshold, paths, eval_n = 0.1, 3.75, 40, 64
+    config = SolverConfig(alpha=ALPHA, eta=eta, threshold=threshold)
+    rep = mc_strong_error(preset("linear"), 0.7, config, [8, 16, 32], 2, paths, seed=6, eval_n=eval_n, workers=1)
+    (_, tau_eval), fine_eval = stops[0]  # the harness stops the fine solution first
+    fine, eval_grid = TimeGrid(1.0, 128), TimeGrid(1.0, eval_n)
+    w, bh = _chunk_noise(Independent(), fine, 0.7, 6, 0, paths, "circulant-embedding")
+    assert 0.5 < rep.localization_fraction < 1.0  # most paths stop before T, not all
+    for p in range(paths):
+        pair = NoisePair(NoisePath(fine, w[p], "wiener"), NoisePath(fine, bh[p], "fbm", 0.7), "independent", 6)
+        on_eval = NoisePair(pair.w.restrict(eval_grid), pair.bh.restrict(eval_grid), "independent", 6)
+        tau = stopping_time(on_eval, eta, threshold)
+        assert eval_grid.node_index(tau) == tau_eval[p]
+        stopped = stop(euler_solve(preset("linear"), pair, 1.0), tau)
+        assert np.array_equal(stopped.values[:: fine.n // eval_n], fine_eval[p])
+
+
+@pytest.mark.parametrize("dependence", ["independent", "volterra"])
+def test_chunk_streams_are_disjoint(monkeypatch, dependence):
+    keys, noise = [], []
+    original_stream = convergence.stream
+
+    def spy_stream(*key):
+        keys.append(key)
+        return original_stream(*key)
+
+    monkeypatch.setattr(convergence, "stream", spy_stream)
+    _spy(monkeypatch, "_chunk_noise", noise)
+    config = SolverConfig(alpha=ALPHA)
+    mc_strong_error(preset("linear"), 0.7, config, [4, 8, 16], 1, 600, seed=9, dependence=dependence, eval_n=32, workers=2)
+    chunks = sorted(args[4] for args, _ in noise)
+    assert chunks == [0, 1, 2]
+    roles = {0, 1} if dependence == "independent" else {0}
+    assert sorted(keys) == sorted((9, role, ci) for role in roles for ci in chunks)
+    w_first, b_first = ([out[i][0] for _, out in noise] for i in (0, 1))
+    for rows in (w_first, b_first):
+        assert all(not np.array_equal(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])

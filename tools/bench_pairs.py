@@ -13,6 +13,11 @@ workload. It writes every per-seed value with the median, the quartiles
 end-to-end metric of BENCHMARK.json, the traced per-layer metrics, the
 machine block, the commands and the protocol. A run that exits non-zero
 stops the script with its stderr.
+
+A per-layer metric that is nonzero on the parent and exactly 0 on the
+change usually means the change moved code out of reach of the trace, not
+that the layer got free. Such metrics are listed under "zeroed_layers" in
+the file and printed, and the script then exits 1.
 """
 
 from __future__ import annotations
@@ -62,6 +67,18 @@ def compare(spec: list[dict], results: dict) -> dict:
     return out
 
 
+def zeroed_layers(per_layer: list[str], trace1: dict) -> dict:
+    """Per traced workload, the per-layer metrics that are nonzero on the
+    parent and 0 (or missing) on the change; workloads without one are left out."""
+    out = {}
+    for workload, sides in trace1.items():
+        parent, change = (sides[s]["metrics"] for s in ("parent", "change"))
+        zeroed = [name for name in per_layer if parent.get(name, 0.0) != 0.0 and change.get(name, 0.0) == 0.0]
+        if zeroed:
+            out[workload] = zeroed
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -80,7 +97,8 @@ def main(argv=None) -> int:
     if args.trace_workloads and args.trace_seed is None:
         p.error("--trace-workloads needs --trace-seed")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    spec = declared["end_to_end"]
 
     machine, parent_sha, trace0, trace1 = None, None, {}, {}
     for workload in args.workloads:
@@ -138,6 +156,7 @@ def main(argv=None) -> int:
         "machine": machine,
         "trace0": trace0,
         "trace1": trace1,
+        "zeroed_layers": zeroed_layers([m["name"] for m in declared["per_layer"]], trace1),
     }
     if trace1:
         traced = f"--workload W --seed {args.trace_seed} --seconds {args.seconds:g} --trace 1"
@@ -145,7 +164,9 @@ def main(argv=None) -> int:
     out = args.out or trees["change"] / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    for workload, names in bench["zeroed_layers"].items():
+        print(f"{workload}: nonzero on the parent, 0 on the change: {' '.join(names)}", file=sys.stderr)
+    return 1 if bench["zeroed_layers"] else 0
 
 
 if __name__ == "__main__":
