@@ -10,8 +10,8 @@ coarse solution subsamples it. tau_N is computed once per path from the
 noise (it does not depend on the level) and the same tau stops every
 level. The Holder functionals and both norms are quadratured on a fixed
 dyadic evaluation subgrid (default 256 cells) for runtime; sup errors use
-every fine node up to tau, in one blocked pass per level over the
-node-major (nodes, paths) storage of the chunk.
+every fine node up to tau, in one blocked pass per level. Every batched
+kernel takes and returns node-major arrays: (n+1, paths), nodes first.
 """
 
 from __future__ import annotations
@@ -170,20 +170,27 @@ def fit_rate(report: ErrorReport, functional: str = "norm2") -> tuple[float, flo
     return slope, se
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; all but Python and numpy integers (bool, 64.0, "20") raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # localization (public, one-row calls of the harness rules)
 
 
 def _first_crossing(k_cum: np.ndarray, threshold: float) -> np.ndarray:
-    """Per row, the first node where K >= threshold, else the last node."""
+    """Per path of k_cum (n+1, ...), the first node where K >= threshold, else the last node."""
     crossed = k_cum >= threshold
-    return np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), k_cum.shape[-1] - 1)
+    return np.where(crossed.any(axis=0), crossed.argmax(axis=0), k_cum.shape[0] - 1)
 
 
 def _stop_batch(values: np.ndarray, tau_idx: np.ndarray) -> np.ndarray:
-    """Freeze each row after its own node index."""
-    frozen = values[np.arange(values.shape[0]), tau_idx][:, None]
-    return np.where(np.arange(values.shape[1]) > tau_idx[:, None], frozen, values)
+    """Freeze each path of values (n+1, paths) after its own node index."""
+    frozen = values[tau_idx, np.arange(values.shape[1])]
+    return np.where(np.arange(values.shape[0])[:, None] > tau_idx, frozen, values)
 
 
 def stopping_time(noise: NoisePair, eta: float, threshold: float, kind: str = "sum") -> float:
@@ -214,7 +221,7 @@ def stop(sol: EulerSolution, tau: float) -> StoppedSolution:
     if not (0.0 <= tau <= sol.grid.horizon * (1.0 + 1e-12)):
         raise ValueError(f"tau must lie in [0, T], got {tau}")
     k = sol.grid.floor_index(min(tau, sol.grid.horizon))
-    return StoppedSolution(base=sol, tau=float(tau), values=_stop_batch(sol.values[None, :], np.array([k]))[0])
+    return StoppedSolution(base=sol, tau=float(tau), values=_stop_batch(sol.values[:, None], np.array([k]))[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +247,19 @@ def pathwise_error(
         raise ValueError("stopped solutions must share one stopping time")
     fine_grid = fsol.grid
     csol.grid.refinement_stride(fine_grid)  # raises unless the fine grid refines the coarse one
-    norm_n = fine_grid.n if norm_grid_n is None else norm_grid_n
+    norm_n = fine_grid.n if norm_grid_n is None else _integer("norm_grid_n", norm_grid_n)
     if norm_n < 1 or fine_grid.n % norm_n:
         raise ValueError(f"norm_grid_n must be a positive divisor of the fine grid size, got {norm_n}")
     noise_stride = fine_grid.refinement_stride(csol.noise.grid)
-    w, bh = (p.values[None, ::noise_stride] for p in (csol.noise.w, csol.noise.bh))
+    w, bh = (p.values[::noise_stride, None] for p in (csol.noise.w, csol.noise.bh))
     tau_idx = np.array([fine_grid.node_index(coarse.tau)])
     # every fine node is an eval node here: tau need not lie on the norm grid
     sup2, interp = _level_pass(
-        csol.coeffs, csol.grid.nodes, csol.values[None, :], fine_grid.nodes, w, bh, fsol.values[None, :], tau_idx, 1
+        csol.coeffs, csol.grid.nodes, csol.values[:, None], fine_grid.nodes, w, bh, fsol.values[:, None], tau_idx, 1
     )
     norm_stride = fine_grid.n // norm_n
-    coarse_eval = _stop_batch(interp, tau_idx)[:, ::norm_stride]
-    fine_eval = _stop_batch(fsol.values[None, :], tau_idx)[:, ::norm_stride]
+    coarse_eval = _stop_batch(interp, tau_idx)[::norm_stride]
+    fine_eval = _stop_batch(fsol.values[:, None], tau_idx)[::norm_stride]
     delta_n = fine_grid.horizon / norm_n
     cells = _norm2_weight_cells(norm_n, delta_n, float(alpha), fine_grid.horizon)
     norm2sq, _ = _error_norms(coarse_eval, fine_eval, delta_n, alpha, cells)
@@ -286,34 +293,32 @@ def _level_pass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One blocked pass over the fine nodes of one level.
 
-    x_coarse is (paths, n+1); w, bh and x_fine are (paths, fine_n+1),
-    ideally views of node-major storage, and the fine grid must refine the
-    coarse one (any integer stride). Per row it gives the squared sup
-    error over every fine node up to tau_fine, and the coarse interpolation
-    at every eval_stride-th fine node (not stopped), as a (paths, eval_n+1)
-    array. Both stopped solutions are frozen after tau, so later nodes
-    cannot raise the sup: they are zeroed (node 0's error is exactly 0),
-    while a nan up to tau still propagates. The interpolation of at most
-    _BLOCK_NODES + 1 fine nodes at a time (see _blocks) goes into one
-    reused buffer.
+    x_coarse is (n+1, paths); w, bh and x_fine are (fine_n+1, paths), and
+    the fine grid must refine the coarse one (any integer stride). Per path
+    it gives the squared sup error over every fine node up to tau_fine, and
+    the coarse interpolation at every eval_stride-th fine node (not
+    stopped), as an (eval_n+1, paths) array. Both stopped solutions are
+    frozen after tau, so later nodes cannot raise the sup: they are zeroed
+    (node 0's error is exactly 0), while a nan up to tau still propagates.
+    The interpolation of at most _BLOCK_NODES + 1 fine nodes at a time (see
+    _blocks) goes into one reused buffer.
     """
     nf = fine_t.size - 1
     stride = nf // (coarse_t.size - 1)
-    xf = np.moveaxis(x_fine, -1, 0)
-    paths = xf.shape[1]
+    paths = x_fine.shape[1]
     buf = np.empty((_BLOCK_NODES + 1, paths))
     sup2 = np.zeros(paths)
-    coarse_eval = np.empty((paths, nf // eval_stride + 1))
+    coarse_eval = np.empty((nf // eval_stride + 1, paths))
     first_stop = int(tau_fine.min())
     for lo, hi in _blocks(nf, stride):
         if hi == nf:
             hi += 1  # the last block takes the last fine node too
         d = buf[: hi - lo]
-        _interpolate_on_fine(coeffs, coarse_t, x_coarse, fine_t, w, bh, stride, d.T, lo)
+        _interpolate_on_fine(coeffs, coarse_t, x_coarse, fine_t, w, bh, stride, d, lo)
         first = -lo % eval_stride
-        coarse_eval[:, (lo + first) // eval_stride : (hi - 1) // eval_stride + 1] = d[first::eval_stride].T
+        coarse_eval[(lo + first) // eval_stride : (hi - 1) // eval_stride + 1] = d[first::eval_stride]
         with np.errstate(invalid="ignore"):
-            d -= xf[lo:hi]
+            d -= x_fine[lo:hi]
             d *= d
             if first_stop < hi - 1:
                 d[np.arange(lo, hi)[:, None] > tau_fine] = 0.0
@@ -328,13 +333,13 @@ def _error_norms(
     alpha: float,
     cells: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """||.||^2_{2,alpha} and ||.||^2_{inf,alpha} per row of the error between
-    two stopped (paths, eval_n+1) solutions (cells: the 2-norm cell
-    weights). Rows holding nan (aborted paths) give nan."""
+    """||.||^2_{2,alpha} and ||.||^2_{inf,alpha} per path of the error
+    between two stopped (eval_n+1, paths) solutions (cells: the 2-norm cell
+    weights). Paths holding nan (aborted paths) give nan."""
     with np.errstate(invalid="ignore"):
         de = coarse_eval - fine_eval
         br = np.abs(de) + _increment_bracket_batch(de, delta_eval, alpha)
-        return _norm_2_sq(br, cells), np.max(br, axis=1) ** 2
+        return _norm_2_sq(br, cells), np.max(br, axis=0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +349,16 @@ def _error_norms(
 def _chunk_noise(
     dep, grid: TimeGrid, h: float, seed: int, chunk_idx: int, size: int, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(W, B^H) values for one chunk of paths, (size, n+1) each."""
+    """(W, B^H) values for one chunk of paths, node-major (n+1, size) each.
+    The samplers draw path-major rows (the stream order, and the Volterra
+    FFT runs along rows); this is their one transpose."""
+    w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
     if isinstance(dep, VolterraFromWiener):
-        w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
         b = np.zeros_like(w)
         b[:, 1:] = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.diff(w, axis=1))
-        return w, b
-    w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
-    b = _fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method)
-    return w, b
+    else:
+        b = _fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method)
+    return np.ascontiguousarray(w.T), np.ascontiguousarray(b.T)
 
 
 def mc_strong_error(
@@ -383,7 +389,8 @@ def mc_strong_error(
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
     config.validate(h, coeffs.beta)
-    levels = sorted(int(n) for n in levels)
+    levels = sorted(_integer("levels entry", n) for n in levels)
+    m_fine, paths, seed = _integer("m_fine", m_fine), _integer("paths", paths), _integer("seed", seed)
     if len(set(levels)) != len(levels):
         raise ValueError("levels must be distinct")
     if m_fine < 1:
@@ -393,7 +400,7 @@ def mc_strong_error(
         ratio = fine_n // n
         if n < 2 or fine_n % n or (ratio & (ratio - 1)):
             raise ValueError(f"level n={n} is not a dyadic coarsening of fine n={fine_n}")
-    eval_n = min(int(eval_n), fine_n)
+    eval_n = min(_integer("eval_n", eval_n), fine_n)
     if eval_n > _EVAL_N_MAX:
         raise ValueError(
             f"eval_n={eval_n} exceeds {_EVAL_N_MAX}: the increment bracket and the Holder "
@@ -403,7 +410,7 @@ def mc_strong_error(
         raise ValueError(f"eval_n={eval_n} must be a dyadic divisor of fine n={fine_n}")
     if paths < 1:
         raise ValueError("need at least one path")
-    if workers is not None and workers < 1:
+    if workers is not None and _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
     fine = TimeGrid(float(t_horizon), fine_n)
@@ -431,24 +438,24 @@ def mc_strong_error(
         hi = min(lo + _CHUNK, paths)
         size = hi - lo
         w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
-        # node-major storage from here on; w, bh, x_fine are (paths, n+1) views
-        w, bh = (np.ascontiguousarray(v.T).T for v in (w, bh))
         x_fine, ab_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
+        # compact eval-node rows: the Holder loop reads each one eval_n times,
+        # and rows eval_stride fine nodes apart miss the cache
+        w_eval, bh_eval = (np.ascontiguousarray(v[::eval_stride]) for v in (w, bh))
         k_eta = _holder_cumulative_batch(
-            w[:, ::eval_stride], delta_eval, config.eta, q_w
-        ) + _holder_cumulative_batch(bh[:, ::eval_stride], delta_eval, config.eta, q_b)
+            w_eval, delta_eval, config.eta, q_w
+        ) + _holder_cumulative_batch(bh_eval, delta_eval, config.eta, q_b)
         tau_eval = _first_crossing(k_eta, config.threshold)
         tau_lt_t[lo:hi] = tau_eval < eval_n
         tau_fine = tau_eval * eval_stride
-        # eval arrays are path-major, so the norm sums run along contiguous rows
-        fs_eval = _stop_batch(np.ascontiguousarray(x_fine[:, ::eval_stride]), tau_eval)
+        fs_eval = _stop_batch(x_fine[::eval_stride], tau_eval)
         br_fine = np.abs(fs_eval) + _increment_bracket_batch(fs_eval, delta_eval, alpha)
-        ninf_fine = np.max(br_fine, axis=1)
+        ninf_fine = np.max(br_fine, axis=0)
         for li, n in enumerate(levels):
             stride = fine_n // n
             coarse_t = fine.nodes[::stride]
             x_coarse, ab_coarse = _euler_solve_batch(
-                coeffs, coarse_t, w[:, ::stride], bh[:, ::stride], x0
+                coeffs, coarse_t, w[::stride], bh[::stride], x0
             )
             sup2[li, lo:hi], c_eval = _level_pass(
                 coeffs, coarse_t, x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride
@@ -463,7 +470,7 @@ def mc_strong_error(
                 if np.any(violated):
                     raise AssertionError("norm comparison ||f||_2 <= C ||f||_inf violated")
                 br_c = np.abs(cs_eval) + _increment_bracket_batch(cs_eval, delta_eval, alpha)
-                ninf_coarse = np.max(br_c, axis=1)
+                ninf_coarse = np.max(br_c, axis=0)
                 ninf_sq[li, lo:hi] = ninf_coarse**2
                 in_b[li, lo:hi] = (ninf_coarse + ninf_fine) <= r_bound
 
@@ -511,7 +518,7 @@ def mc_strong_error(
         h=h,
         t_horizon=fine.horizon,
         x0=float(x0),
-        seed=int(seed),
+        seed=seed,
         paths=paths,
         levels=level_stats,
         fine_n=fine_n,

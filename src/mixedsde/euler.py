@@ -123,23 +123,19 @@ def _euler_solve_batch(
     bh: np.ndarray,
     x0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Euler recursion for one path or many: w, bh are (..., n+1).
+    """The Euler recursion for one path or many: w, bh are (n+1, ...).
 
-    Returns (values, aborted_step) with values shaped like w; aborted_step
-    is the first step at which a path blew up (non-finite or above
-    STATE_CAP), or -1, and a blown path holds nan from that step on. The
-    recursion stops early once every path is past the cap.
-    The recursion runs node-major: a C-contiguous w gets C-contiguous
-    values, any other w (a view of node-major storage or a subsample) a
-    view of the node-major result, so node-major callers copy nothing.
-    Rows are independent, so a path's values do not depend on its batch.
+    Returns (values, aborted_step): values (n+1, ...), C-contiguous, and
+    aborted_step (...), the first step at which a path blew up (non-finite
+    or above STATE_CAP), or -1; a blown path holds nan from that step on.
+    The recursion stops early once every path is past the cap. Paths are
+    independent, so a path's values do not depend on its batch.
     """
-    n = w.shape[-1] - 1
     delta = t[1] - t[0]
-    dw = np.diff(np.ascontiguousarray(np.moveaxis(w, -1, 0)), axis=0)
-    dbh = np.diff(np.ascontiguousarray(np.moveaxis(bh, -1, 0)), axis=0)
+    dw = np.diff(w, axis=0)
+    dbh = np.diff(bh, axis=0)
     a, b, c = coeffs.a, coeffs.b, coeffs.c
-    x = np.empty((n + 1,) + w.shape[:-1])
+    x = np.empty(w.shape)
     x[0] = x0
     # a blow-up only poisons its own path, found below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -153,8 +149,7 @@ def _euler_solve_batch(
     aborted = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, -1)
     if np.any(aborted >= 0):
         x[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
-    x = np.moveaxis(x, 0, -1)
-    return (np.ascontiguousarray(x) if w.flags.c_contiguous else x), aborted
+    return x, aborted
 
 
 def _interpolate_on_fine(
@@ -170,24 +165,20 @@ def _interpolate_on_fine(
 ) -> np.ndarray:
     """Continuous interpolation of a coarse solution at fine nodes lo, lo+1, ...
 
-    coarse_x is (..., n+1) and fine_w, fine_bh are (..., stride*n+1); the
-    result, written into out (..., m) when given, holds fine nodes
-    lo..lo+m-1 (default: lo to the end). Fine node j uses the coarse node
-    k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
+    coarse_x is (n+1, ...) and fine_w, fine_bh are (stride*n+1, ...); the
+    result, written into out (m, ...) when given (C-contiguous), holds fine
+    nodes lo..lo+m-1 (default: lo to the end). Fine node j uses the coarse
+    node k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
     so at coarse nodes the recursion is reproduced exactly, the last fine
     node included. a, b, c are evaluated once on the coarse nodes of the
     range, which must span whole coarse cells or lie inside one (else
-    ValueError). The work runs on (cells, stride, ...) views of the
-    node-major layout: views of node-major storage are read without copies,
-    and out must be one (its node axis moved first must be C-contiguous) so
-    that it is written in place.
+    ValueError). The work runs on (cells, stride, ...) views.
     """
     nf = fine_t.size - 1
     if out is None:
-        out = np.moveaxis(np.empty((nf + 1 - lo,) + fine_w.shape[:-1]), 0, -1)
-    x, w, bh, o = (np.moveaxis(v, -1, 0) for v in (coarse_x, fine_w, fine_bh, out))
-    hi = lo + o.shape[0]
-    batch = w.shape[1:]
+        out = np.empty((nf + 1 - lo,) + fine_w.shape[1:])
+    hi = lo + out.shape[0]
+    batch = fine_w.shape[1:]
     # the cells of the range, then the last fine node as a cell of its own
     for j0, j1 in ((lo, min(hi, nf)), (max(lo, nf), hi)):
         if j1 <= j0:
@@ -199,7 +190,7 @@ def _interpolate_on_fine(
             raise ValueError(f"fine nodes {j0}..{j1 - 1} neither span whole cells of {stride} nor lie inside one")
         cells = (j1 - j0) // s
         k1 = k0 + cells
-        tk, xk = coarse_t[k0:k1], x[k0:k1]
+        tk, xk = coarse_t[k0:k1], coarse_x[k0:k1]
 
         def frozen(fn):
             # constant coefficients return scalars or 1-d arrays
@@ -210,12 +201,12 @@ def _interpolate_on_fine(
             """Node values over the range's cells, and each cell's left node."""
             return v[j0:j1].reshape((cells, s) + batch), v[k0 * stride : k1 * stride : stride][:, None]
 
-        blk = o[j0 - lo : j1 - lo].reshape((cells, s) + batch)
+        blk = out[j0 - lo : j1 - lo].reshape((cells, s) + batch)
         tmp = np.empty_like(blk)
         dt = fine_t[j0:j1].reshape(cells, s) - tk[:, None]
         np.multiply(frozen(coeffs.a), dt.reshape(dt.shape + (1,) * len(batch)), out=blk)
         blk += xk[:, None]
-        for fn, v in ((coeffs.b, w), (coeffs.c, bh)):
+        for fn, v in ((coeffs.b, fine_w), (coeffs.c, fine_bh)):
             np.subtract(*held(v), out=tmp)
             tmp *= frozen(fn)
             blk += tmp

@@ -438,30 +438,29 @@ def holder_cumulative(values: np.ndarray, delta: float, eta: float, q: float) ->
     Node-pair rectangle rule with weight delta^2 on every off-diagonal pair;
     diagonal (zero-width) cells are skipped. Monotone in k by construction.
     """
-    return _holder_cumulative_batch(np.asarray(values, dtype=float)[None, :], delta, eta, q)[0]
+    return _holder_cumulative_batch(np.asarray(values, dtype=float), delta, eta, q)
 
 
 def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
-    """Batched holder_cumulative: values (paths, n+1) -> K (paths, n+1).
+    """Batched holder_cumulative: values (n+1, ...) -> K (n+1, ...).
 
-    Row sums over earlier nodes accumulate one offset m at a time on the
-    node-major (n+1, paths) layout, then a cumulative sum over nodes. The
-    differences and their powers go into two buffers reused across offsets.
+    Sums over earlier nodes accumulate one offset m at a time, then a
+    cumulative sum over nodes. The differences and their powers go into
+    two buffers reused across offsets.
     """
-    vt = np.array(np.asarray(values, dtype=float).T, order="C")
-    n = vt.shape[0] - 1
+    n = values.shape[0] - 1
     inv_sep = (np.arange(1, n + 1, dtype=float) * delta) ** (-q)
     power = 2.0 / eta
-    rows = np.zeros_like(vt)
-    diff_buf = np.empty_like(vt[1:])
-    term_buf = np.empty_like(vt[1:])
+    rows = np.zeros(values.shape)
+    diff_buf = np.empty((n,) + values.shape[1:])
+    term_buf = np.empty_like(diff_buf)
     for m in range(1, n + 1):
-        diff = np.subtract(vt[m:], vt[:-m], out=diff_buf[: n + 1 - m])
+        diff = np.subtract(values[m:], values[:-m], out=diff_buf[: n + 1 - m])
         term = _abs_power_inplace(diff, power, term_buf[: n + 1 - m])
         term *= inv_sep[m - 1]
         rows[m:] += term
     total = 2.0 * np.cumsum(rows, axis=0)
-    return ((total * delta * delta) ** (eta / 2.0)).T
+    return (total * delta * delta) ** (eta / 2.0)
 
 
 def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> HolderFunctional:

@@ -271,30 +271,29 @@ def young_integral(
 
 def increment_bracket(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:
     """int_a^s |f(s)-f(z)| (s-z)^(-1-alpha) dz at every node s."""
-    return _increment_bracket_batch(np.asarray(values, dtype=float)[None, :], delta, alpha)[0]
+    return _increment_bracket_batch(np.asarray(values, dtype=float), delta, alpha)
 
 
 def _increment_bracket_batch(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:
-    """Batched increment_bracket: (paths, n+1) -> (paths, n+1).
+    """Batched increment_bracket: values (n+1, ...) -> bracket (n+1, ...).
 
     The weight on |f_i - f_{i-m}| is b_w[m] + a_w[m+1] [i-m >= 1], Toeplitz
     in the offset m except for the column z = a, so one pass per offset over
-    the node-major (n+1, paths) layout needs O(paths n) memory.
+    the nodes needs O(paths n) memory.
     """
-    vt = np.array(np.asarray(values, dtype=float).T, order="C")
-    n = vt.shape[0] - 1
+    n = values.shape[0] - 1
     a_w, b_w = _cell_weights(n, float(delta), float(alpha))
     fused = b_w[1:] + np.append(a_w[2:], 0.0)  # weight at offset m for z > a
-    out = np.zeros_like(vt)
-    buf = np.empty((n, vt.shape[1]))
+    out = np.zeros(values.shape)
+    buf = np.empty((n,) + values.shape[1:])
     for m in range(1, n + 1):
         d = buf[: n + 1 - m]
-        np.subtract(vt[m:], vt[:-m], out=d)
+        np.subtract(values[m:], values[:-m], out=d)
         np.abs(d, out=d)
         out[m] += b_w[m] * d[0]
         d[1:] *= fused[m - 1]
         out[m + 1 :] += d[1:]
-    return out.T
+    return out
 
 
 def norm_inf_alpha(f: SampledFunction, alpha: float) -> float:
@@ -318,10 +317,13 @@ def _norm2_weight_cells(n: int, delta: float, alpha: float, length: float) -> np
 
 
 def _norm_2_sq(bracket: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Squared ||.||_{2,alpha} per row of bracket (..., n+1) = |f| + the
-    increment bracket: the squared bracket averaged over each cell's two
-    nodes, times the cell's weight integral (cells from _norm2_weight_cells)."""
-    return np.sum(0.5 * (bracket[..., :-1] ** 2 + bracket[..., 1:] ** 2) * cells, axis=-1)
+    """Squared ||.||_{2,alpha} per path of bracket (n+1,) or (n+1, paths) =
+    |f| + the increment bracket: the squared bracket averaged over each
+    cell's two nodes, times the cell's weight integral (cells from
+    _norm2_weight_cells). The sum runs along contiguous path-major rows,
+    where numpy sums pairwise; along the node axis it would add in order."""
+    rows = np.ascontiguousarray(bracket.T)
+    return np.sum(0.5 * (rows[..., :-1] ** 2 + rows[..., 1:] ** 2) * cells, axis=-1)
 
 
 def norm_2_alpha(f: SampledFunction, alpha: float) -> float:

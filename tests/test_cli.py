@@ -217,6 +217,19 @@ def test_converge_rejects_zero_workers(outdir, capsys):
     assert "workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.5), ("levels", [16, 32.5, 64]), ("eval_n", 32.5), ("m_fine", 2.0), ("paths", 20.5), ("paths", "20")],
+)
+def test_converge_refuses_a_manifest_setting_that_is_not_an_integer(outdir, capsys, key, value):
+    manifest = {"paths": 20, "levels": [16, 32, 64], "m_fine": 2, "eval_n": 64, key: value}
+    (outdir / "m.json").write_text(json.dumps(manifest))
+    assert main(["converge", "--manifest", str(outdir / "m.json"), "--outdir", str(outdir / "r")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "must be an integer" in err and "Traceback" not in err
+    assert [p.name for p in outdir.iterdir()] == ["m.json"]
+
+
 def test_help_documents_flags():
     parser = build_parser()
     for cmd, flags in {

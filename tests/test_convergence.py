@@ -89,6 +89,41 @@ def test_pathwise_error_refuses_norm_grid_below_one(norm_grid_n):
         pathwise_error(stop(coarse, 1.0), stop(fine, 1.0), 0.35, norm_grid_n)
 
 
+@pytest.mark.parametrize("norm_grid_n", [64.0, 2.5, True, "64"])
+def test_pathwise_error_refuses_a_norm_grid_that_is_not_an_integer(norm_grid_n):
+    pair = generate_noise_pair(TimeGrid(1.0, 256), 0.7, 5)
+    coarse = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
+    fine = euler_solve(preset("linear"), pair, 1.0)
+    with pytest.raises(ValueError, match="norm_grid_n must be an integer"):
+        pathwise_error(stop(coarse, 1.0), stop(fine, 1.0), 0.35, norm_grid_n)
+
+
+def test_pathwise_error_takes_a_numpy_integer_norm_grid():
+    pair = generate_noise_pair(TimeGrid(1.0, 256), 0.7, 5)
+    coarse = stop(euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32)), 1.0)
+    fine = stop(euler_solve(preset("linear"), pair, 1.0), 1.0)
+    assert pathwise_error(coarse, fine, 0.35, np.int64(64)) == pathwise_error(coarse, fine, 0.35, 64)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("levels", [8, 16.0, 32]), ("m_fine", 2.0), ("paths", 4.5), ("paths", "4"), ("seed", 1.5), ("eval_n", 32.0),
+     ("workers", 1.0), ("seed", True)],
+)
+def test_integer_settings_refuse_other_types(key, value):
+    run = {**dict(levels=[8, 16, 32], m_fine=2, paths=4, seed=0, eval_n=32, workers=1), key: value}
+    with pytest.raises(ValueError, match=f"{key}.* must be an integer"):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), **run)
+
+
+def test_integer_settings_take_numpy_integers(small_report):
+    rep = mc_strong_error(
+        preset("linear"), 0.7, SolverConfig(alpha=0.35), np.array([8, 16, 32]), np.int64(3), np.int32(300),
+        seed=np.uint8(4), workers=np.int64(1),
+    )
+    assert rep.to_json() == small_report.to_json()
+
+
 def test_pathwise_error_norm_matches_comparison_bound():
     pair = generate_noise_pair(TimeGrid(1.0, 256), 0.7, 5)
     coarse = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
@@ -278,7 +313,7 @@ def test_stop_batch_freezes_each_row_after_its_index():
     want = values.copy()
     for row, k in zip(want, tau):
         row[k + 1 :] = row[k]
-    assert np.array_equal(_stop_batch(values, tau), want)
+    assert np.array_equal(_stop_batch(values.T, tau), want.T)
 
 
 def test_eval_n_above_2048_runs():
@@ -341,7 +376,7 @@ def test_harness_agrees_with_pathwise_error():
     fine_grid = TimeGrid(1.0, 256)
     w, bh = _chunk_noise(Independent(), fine_grid, h, seed, 0, 1, "circulant-embedding")
     pair = NoisePair(
-        NoisePath(fine_grid, w[0], "wiener"), NoisePath(fine_grid, bh[0], "fbm", h), "independent", seed
+        NoisePath(fine_grid, w[:, 0], "wiener"), NoisePath(fine_grid, bh[:, 0], "fbm", h), "independent", seed
     )
     fine = stop(euler_solve(coeffs, pair, 1.0), 1.0)
     for level, n in zip(rep.levels, levels):

@@ -166,8 +166,8 @@ def test_batch_solver_matches_single(pair):
     stride = pair.grid.n // grid.n
     w = np.stack([pair.w.values[::stride]] * 3)
     bh = np.stack([pair.bh.values[::stride]] * 3)
-    vals, aborted = _euler_solve_batch(lin, grid.nodes, w, bh, 1.0)
-    assert np.array_equal(vals[1], sol.values)
+    vals, aborted = _euler_solve_batch(lin, grid.nodes, w.T, bh.T, 1.0)
+    assert np.array_equal(vals[:, 1], sol.values)
     assert np.all(aborted == -1)
 
 
@@ -177,9 +177,9 @@ def test_batch_solver_flags_blowup(pair):
     stride = pair.grid.n // grid.n
     w = np.stack([pair.w.values[::stride]] * 2)
     bh = np.stack([pair.bh.values[::stride]] * 2)
-    vals, aborted = _euler_solve_batch(cubic, grid.nodes, w, bh, 8.0)
+    vals, aborted = _euler_solve_batch(cubic, grid.nodes, w.T, bh.T, 8.0)
     assert np.all(aborted >= 1)
-    assert np.all(np.isnan(vals[:, -1]))
+    assert np.all(np.isnan(vals[-1]))
 
 
 def _noise_rows(rows, n, seed):
@@ -195,12 +195,12 @@ def _noise_rows(rows, n, seed):
 def test_kernel_row_equals_batch_row(name):
     coeffs = preset(name)
     t, w, bh = _noise_rows(5, 64, 7)
-    vals, aborted = _euler_solve_batch(coeffs, t, w, bh, 1.0)
-    assert vals.shape == w.shape and vals.flags.c_contiguous
+    vals, aborted = _euler_solve_batch(coeffs, t, w.T, bh.T, 1.0)
+    assert vals.shape == w.T.shape and vals.flags.c_contiguous
     for p in range(5):
         row, ab = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
         assert row.shape == (65,)
-        assert np.array_equal(row, vals[p])
+        assert np.array_equal(row, vals[:, p])
         assert ab == aborted[p] == -1
 
 
@@ -210,14 +210,14 @@ def test_kernel_blowup_confined_to_its_row():
     w[2] *= 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, aborted = _euler_solve_batch(coeffs, t, w, bh, 1.0)
+        vals, aborted = _euler_solve_batch(coeffs, t, w.T, bh.T, 1.0)
         step = int(aborted[2])
         assert step >= 1
-        assert np.all(np.isnan(vals[2, step:])) and np.all(np.isfinite(vals[2, :step]))
+        assert np.all(np.isnan(vals[step:, 2])) and np.all(np.isfinite(vals[:step, 2]))
         for p in (0, 1, 3):
             row, ab = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
             assert ab == aborted[p] == -1
-            assert np.array_equal(vals[p], row)
+            assert np.array_equal(vals[:, p], row)
         grid = TimeGrid(1.0, 64)
         pair = NoisePair(
             NoisePath(grid, w[2], "wiener"), NoisePath(grid, bh[2], "fbm", 0.7), "independent", 0
@@ -246,12 +246,12 @@ def test_increment_bound_monitor():
             interp = _interpolate_on_fine(
                 lin,
                 grid.nodes,
-                sol.values[None, :],
+                sol.values[:, None],
                 fine.nodes,
-                pair.w.values[None, :],
-                pair.bh.values[None, :],
+                pair.w.values[:, None],
+                pair.bh.values[:, None],
                 stride,
-            )[0]
+            )[:, 0]
             base = np.arange(fine.n + 1) // stride
             off = np.arange(fine.n + 1) % stride != 0
             s = fine.nodes[off]
@@ -274,19 +274,19 @@ def test_interpolate_on_fine_matches_per_node_formula(name):
     w = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
     bh = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
     coarse_t = fine_t[::stride]
-    x, _ = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride], bh[:, ::stride], 1.0)
+    x, _ = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride].T, bh[:, ::stride].T, 1.0)
     want = np.empty_like(w)
     for j in range(fine_t.size):
         k = j // stride
-        tk, xk = coarse_t[k], x[:, k]
+        tk, xk = coarse_t[k], x[k]
         want[:, j] = (
             xk
             + coeffs.a(tk, xk) * (fine_t[j] - tk)
             + coeffs.b(tk, xk) * (w[:, j] - w[:, k * stride])
             + coeffs.c(tk, xk) * (bh[:, j] - bh[:, k * stride])
         )
-    got = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w, bh, stride)
-    assert np.array_equal(got, want)
+    got = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride)
+    assert np.array_equal(got, want.T)
 
 
 def test_solution_csv(pair):

@@ -347,9 +347,9 @@ def _holder_double_loop(v: np.ndarray, delta: float, eta: float, q: float) -> np
 def test_holder_cumulative_batch_matches_double_loop(n, eta, q):
     rng = np.random.default_rng(n)
     values = np.cumsum(rng.normal(size=(3, n + 1)), axis=1) / math.sqrt(n)
-    got = _holder_cumulative_batch(values, 1.0 / n, eta, q)
-    assert got.shape == values.shape
-    for row, out in zip(values, got):
+    got = _holder_cumulative_batch(values.T, 1.0 / n, eta, q)
+    assert got.shape == values.T.shape
+    for row, out in zip(values, got.T):
         np.testing.assert_allclose(out, _holder_double_loop(row, 1.0 / n, eta, q), rtol=1e-12, atol=0.0)
 
 
@@ -357,16 +357,16 @@ def test_holder_cumulative_is_the_batch_on_one_row():
     path = generate_fbm(TimeGrid(1.0, 64), 0.7, 4)
     q = 2 * 0.7 / 0.1
     single = holder_cumulative(path.values, 1 / 64, 0.1, q)
-    assert np.array_equal(single, _holder_cumulative_batch(path.values[None], 1 / 64, 0.1, q)[0])
+    assert np.array_equal(single, _holder_cumulative_batch(path.values[:, None], 1 / 64, 0.1, q)[:, 0])
 
 
 def test_holder_cumulative_batch_confines_nan_to_its_row():
     values = np.cumsum(np.random.default_rng(8).normal(size=(3, 33)), axis=1) / 6
-    clean = _holder_cumulative_batch(values, 1 / 32, 0.1, 10.0)
+    clean = _holder_cumulative_batch(values.T, 1 / 32, 0.1, 10.0)
     values[1, 5] = np.nan
-    got = _holder_cumulative_batch(values, 1 / 32, 0.1, 10.0)
-    assert np.array_equal(got[[0, 2]], clean[[0, 2]])
-    assert np.all(np.isfinite(got[1, :5])) and np.all(np.isnan(got[1, 5:]))
+    got = _holder_cumulative_batch(values.T, 1 / 32, 0.1, 10.0)
+    assert np.array_equal(got[:, [0, 2]], clean[:, [0, 2]])
+    assert np.all(np.isfinite(got[:5, 1])) and np.all(np.isnan(got[5:, 1]))
 
 
 def test_holder_validation():

@@ -51,10 +51,10 @@ def _full_width(coeffs, coarse_t, x_c, fine_t, w, bh, stride, x_f, tau_fine, eva
         + frozen(coeffs.b) * (w - held(w[:, ::stride]))
         + frozen(coeffs.c) * (bh - held(bh[:, ::stride]))
     )
-    diff = _stop_batch(interp, tau_fine) - _stop_batch(x_f, tau_fine)
+    diff = np.ascontiguousarray((_stop_batch(interp.T, tau_fine) - _stop_batch(x_f.T, tau_fine)).T)
     sup2 = np.max(diff * diff, axis=1)
     de = diff[:, ::eval_stride]
-    br = np.abs(de) + _increment_bracket_batch(de, delta_eval, ALPHA)
+    br = np.abs(de) + _increment_bracket_batch(de.T, delta_eval, ALPHA).T
     norm2sq = np.sum(0.5 * (br[:, :-1] ** 2 + br[:, 1:] ** 2) * cells, axis=1)
     return sup2, norm2sq, np.max(br, axis=1) ** 2
 
@@ -64,7 +64,7 @@ def _node_major_noise(paths, n, seed):
     w, bh = np.zeros((2, n + 1, paths))
     np.cumsum(rng.normal(size=(n, paths)) / np.sqrt(n), axis=0, out=w[1:])
     np.cumsum(rng.normal(size=(n, paths)) / np.sqrt(n), axis=0, out=bh[1:])
-    return w.T, bh.T  # (paths, n+1) views of node-major storage
+    return w, bh
 
 
 _SPIKY = coefficients_from_expressions("spiky", "1 / (x - 1.25)", "0.2", "0.3 * x", "0.3", 1.0, 0.75)
@@ -93,20 +93,22 @@ def test_blocked_pass_matches_full_width(monkeypatch, name, fine_n, coarse_n, ev
     w, bh = _node_major_noise(7, fine_n, 11)
     with np.errstate(all="ignore"):
         x_f, _ = _euler_solve_batch(coeffs, fine_t, w, bh, 1.0)
-        x_c, _ = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride], bh[:, ::stride], 1.0)
+        x_c, _ = _euler_solve_batch(coeffs, coarse_t, w[::stride], bh[::stride], 1.0)
     # aborted rows: nan before tau propagates, nan after tau is frozen away
-    x_f[3, fine_n // 4 :] = np.nan
-    x_c[4, -1:] = np.nan
-    x_f[5, -1] = np.nan
+    x_f[fine_n // 4 :, 3] = np.nan
+    x_c[-1:, 4] = np.nan
+    x_f[-1, 5] = np.nan
     tau_eval = np.array([0, eval_n // 2, eval_n, eval_n, eval_n // 2, eval_n - 1, 1])
     tau_fine = tau_eval * eval_stride
     delta_eval = 1.0 / eval_n
     cells = _norm2_weight_cells(eval_n, delta_eval, ALPHA, 1.0)
 
     with np.errstate(all="ignore"):
-        want = _full_width(coeffs, coarse_t, x_c, fine_t, w, bh, stride, x_f, tau_fine, eval_stride, delta_eval, cells)
+        want = _full_width(
+            coeffs, coarse_t, x_c.T, fine_t, w.T, bh.T, stride, x_f.T, tau_fine, eval_stride, delta_eval, cells
+        )
         sup2, c_eval = _level_pass(coeffs, coarse_t, x_c, fine_t, w, bh, x_f, tau_fine, eval_stride)
-        fs_eval = _stop_batch(np.ascontiguousarray(x_f[:, ::eval_stride]), tau_eval)
+        fs_eval = _stop_batch(x_f[::eval_stride], tau_eval)
         got = (sup2, *_error_norms(_stop_batch(c_eval, tau_eval), fs_eval, delta_eval, ALPHA, cells))
     for g, v in zip(got, want):
         assert np.array_equal(g, v, equal_nan=True)
@@ -121,11 +123,11 @@ def test_blocked_pass_keeps_the_last_node_formula():
     coeffs = coefficients_from_expressions("edge", "0 / (t - 1)", "0.2", "0.3", "0.0", 1.0, 0.75)
     fine_t = np.linspace(0.0, 1.0, 17)
     w, bh = _node_major_noise(3, 16, 2)
-    x_f = np.ones((3, 17))
-    x_c = np.ones((3, 5))
+    x_f = np.ones((17, 3))
+    x_c = np.ones((5, 3))
     with np.errstate(all="ignore"):
         sup2, c_eval = _level_pass(coeffs, fine_t[::4], x_c, fine_t, w, bh, x_f, np.full(3, 16), 4)
-    assert np.isnan(c_eval[:, -1]).all() and np.isfinite(c_eval[:, :-1]).all()
+    assert np.isnan(c_eval[-1]).all() and np.isfinite(c_eval[:-1]).all()
     assert np.isnan(sup2).all()
 
 
@@ -170,9 +172,9 @@ def test_pathwise_error_refuses_grids_that_are_not_nested():
 def test_interpolation_refuses_a_range_across_a_cell_boundary():
     fine_t = np.linspace(0.0, 1.0, 13)
     w, bh = _node_major_noise(2, 12, 3)
-    x_c = np.ones((2, 3))
+    x_c = np.ones((3, 2))
     with pytest.raises(ValueError, match="whole cells"):
-        _interpolate_on_fine(preset("linear"), fine_t[::6], x_c, fine_t, w, bh, 6, np.empty((2, 4)), 4)
+        _interpolate_on_fine(preset("linear"), fine_t[::6], x_c, fine_t, w, bh, 6, np.empty((4, 2)), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +212,8 @@ def test_coarse_solves_equal_euler_solve_on_subsampled_noise(harness_calls):
         grid = TimeGrid(1.0, len(args[1]) - 1)
         assert np.all(aborted == -1)
         for p in range(20):
-            pair = NoisePair(NoisePath(fine, w[p], "wiener"), NoisePath(fine, bh[p], "fbm", 0.7), "independent", 5)
-            assert np.array_equal(values[p], euler_solve(preset("linear"), pair, 1.0, grid).values)
+            pair = NoisePair(NoisePath(fine, w[:, p], "wiener"), NoisePath(fine, bh[:, p], "fbm", 0.7), "independent", 5)
+            assert np.array_equal(values[:, p], euler_solve(preset("linear"), pair, 1.0, grid).values)
 
 
 def test_interpolation_reproduces_the_recursion_at_coarse_nodes(harness_calls):
@@ -221,9 +223,9 @@ def test_interpolation_reproduces_the_recursion_at_coarse_nodes(harness_calls):
     for args, out in calls["_interpolate_on_fine"]:
         coarse_t, x_coarse, stride, lo = args[1], args[2], args[6], args[8]
         assert x_coarse is solves[len(coarse_t) - 1]
-        nodes = np.arange(lo, lo + out.shape[-1])
+        nodes = np.arange(lo, lo + out.shape[0])
         at_coarse = nodes % stride == 0
-        assert np.array_equal(out[:, at_coarse], x_coarse[:, nodes[at_coarse] // stride])
+        assert np.array_equal(out[at_coarse], x_coarse[nodes[at_coarse] // stride])
         seen.update((stride, int(j)) for j in nodes[at_coarse])
     assert seen == {(s, j) for s in (16, 8, 4) for j in range(0, 129, s)}
 
@@ -262,12 +264,12 @@ def test_public_localization_agrees_with_the_harness(monkeypatch):
     w, bh = _chunk_noise(Independent(), fine, 0.7, 6, 0, paths, "circulant-embedding")
     assert 0.5 < rep.localization_fraction < 1.0  # most paths stop before T, not all
     for p in range(paths):
-        pair = NoisePair(NoisePath(fine, w[p], "wiener"), NoisePath(fine, bh[p], "fbm", 0.7), "independent", 6)
+        pair = NoisePair(NoisePath(fine, w[:, p], "wiener"), NoisePath(fine, bh[:, p], "fbm", 0.7), "independent", 6)
         on_eval = NoisePair(pair.w.restrict(eval_grid), pair.bh.restrict(eval_grid), "independent", 6)
         tau = stopping_time(on_eval, eta, threshold)
         assert eval_grid.node_index(tau) == tau_eval[p]
         stopped = stop(euler_solve(preset("linear"), pair, 1.0), tau)
-        assert np.array_equal(stopped.values[:: fine.n // eval_n], fine_eval[p])
+        assert np.array_equal(stopped.values[:: fine.n // eval_n], fine_eval[:, p])
 
 
 @pytest.mark.parametrize("dependence", ["independent", "volterra"])
@@ -287,6 +289,6 @@ def test_chunk_streams_are_disjoint(monkeypatch, dependence):
     assert chunks == [0, 1, 2]
     roles = {0, 1} if dependence == "independent" else {0}
     assert sorted(keys) == sorted((9, role, ci) for role in roles for ci in chunks)
-    w_first, b_first = ([out[i][0] for _, out in noise] for i in (0, 1))
+    w_first, b_first = ([out[i][:, 0] for _, out in noise] for i in (0, 1))
     for rows in (w_first, b_first):
         assert all(not np.array_equal(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])

@@ -300,24 +300,24 @@ def _bracket_double_loop(f: np.ndarray, delta: float, alpha: float) -> np.ndarra
 def test_increment_bracket_batch_matches_double_loop(n):
     rng = np.random.default_rng(n)
     values = np.cumsum(rng.normal(size=(3, n + 1)), axis=1)
-    got = _increment_bracket_batch(values, 1.0 / n, 0.35)
-    assert got.shape == values.shape
-    for row, out in zip(values, got):
+    got = _increment_bracket_batch(values.T, 1.0 / n, 0.35)
+    assert got.shape == values.T.shape
+    for row, out in zip(values, got.T):
         np.testing.assert_allclose(out, _bracket_double_loop(row, 1.0 / n, 0.35), rtol=1e-12, atol=0.0)
 
 
 def test_increment_bracket_is_the_batch_on_one_row():
     row = np.cumsum(np.random.default_rng(5).normal(size=65))
-    assert np.array_equal(increment_bracket(row, 1 / 64, 0.3), _increment_bracket_batch(row[None], 1 / 64, 0.3)[0])
+    assert np.array_equal(increment_bracket(row, 1 / 64, 0.3), _increment_bracket_batch(row[:, None], 1 / 64, 0.3)[:, 0])
 
 
 def test_increment_bracket_batch_confines_nan_to_its_row():
     values = np.cumsum(np.random.default_rng(6).normal(size=(3, 33)), axis=1)
-    clean = _increment_bracket_batch(values, 1 / 32, 0.3)
+    clean = _increment_bracket_batch(values.T, 1 / 32, 0.3)
     values[1, 5] = np.nan
-    got = _increment_bracket_batch(values, 1 / 32, 0.3)
-    assert np.array_equal(got[[0, 2]], clean[[0, 2]])
-    assert np.all(np.isfinite(got[1, :5])) and np.all(np.isnan(got[1, 5:]))
+    got = _increment_bracket_batch(values.T, 1 / 32, 0.3)
+    assert np.array_equal(got[:, [0, 2]], clean[:, [0, 2]])
+    assert np.all(np.isfinite(got[:5, 1])) and np.all(np.isnan(got[5:, 1]))
 
 
 # ---------------------------------------------------------------------------

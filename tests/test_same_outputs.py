@@ -1,0 +1,50 @@
+"""The run matrix and the comparison of tools/same_outputs.py."""
+
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location("same_outputs", Path(__file__).parents[1] / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(same_outputs)
+
+
+def _result(**changes):
+    base = {"exit": 0, "stdout": b"wrote report to <outdir>\n", "report.json": b"{}", "report.csv": b"level_n\n",
+            "report_loglog.csv": b"level_n\n", "manifest.json": b"{}"}
+    return {**base, **changes}
+
+
+def test_matrix_covers_presets_noise_thresholds_and_workers():
+    runs = same_outputs.matrix()
+    assert len(runs) == 24
+    assert all(args[-8:] == ["--paths", "300", "--levels", "16,32,64", "--m-fine", "3", "--eval-n", "64"]
+               for args in runs.values())
+    forced = [name for name, args in runs.items() if "--force" in args]
+    assert len(forced) == 8 and all(name.startswith("unbounded-b-") for name in forced)
+    for flag, values in (("--preset", {"linear", "bounded-smooth", "unbounded-b"}),
+                         ("--dependence", {"independent", "volterra"}), ("--threshold", {"50", "2"}),
+                         ("--workers", {"1", "2"})):
+        assert {args[args.index(flag) + 1] for args in runs.values()} == values
+
+
+def test_identical_runs_have_no_differences():
+    side = {"a": _result(), "b": _result(exit=3)}
+    assert same_outputs.differences(side, {k: dict(v) for k, v in side.items()}) == {}
+
+
+def test_differences_name_each_differing_output():
+    parent = {"a": _result(), "b": _result(), "c": _result()}
+    change = {
+        "a": _result(**{"report.json": b"{ }"}),
+        "b": _result(exit=1, stdout=b"", **{"manifest.json": None}),
+        "c": _result(),
+    }
+    assert same_outputs.differences(parent, change) == {
+        "a": ["report.json"],
+        "b": ["exit", "manifest.json", "stdout"],
+    }
+
+
+def test_a_run_missing_on_one_side_differs_in_everything():
+    diff = same_outputs.differences({"a": _result()}, {})
+    assert diff == {"a": sorted(_result())}
