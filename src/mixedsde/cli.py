@@ -202,6 +202,16 @@ _CONVERGE_DEFAULTS = {
 }
 
 
+# what a setting of each default type must hold (never a bool); mc_strong_error checks integers
+_KINDS = {float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
+
+
+def _check_kind(name: str, value, kind: type) -> None:
+    types, want = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
 def _resolve_converge_settings(args) -> dict:
     """Flags over manifest over defaults; any coefficient flag replaces the whole spec."""
     settings = dict(_CONVERGE_DEFAULTS)
@@ -226,6 +236,12 @@ def _resolve_converge_settings(args) -> dict:
         settings["coefficients"] = {"preset": given["preset"]}
     elif coefficient_flags:
         settings["coefficients"] = {k: given.get(k) for k in _COEFFICIENT_KEYS}
+    for key, default in _CONVERGE_DEFAULTS.items():
+        if type(default) in _KINDS:
+            _check_kind(key, settings[key], type(default))
+    for key, value in settings["coefficients"].items():  # None: not given
+        if value is not None:
+            _check_kind(f"coefficients entry {key}", value, float if key in ("k", "beta") else str)
     return settings
 
 
@@ -375,7 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", help="JSON manifest; flags override its entries")
     settings = [k for k in _CONVERGE_DEFAULTS if k != "coefficients"]
     _add_flags(p, *_COEFFICIENT_KEYS, *settings, manifest=True)
-    p.add_argument("--workers", type=int, help="worker threads (default: available parallelism)")
+    p.add_argument("--workers", type=int, help="worker threads, one per 256-path chunk at most (default: usable CPUs)")
     p.add_argument("--force", action="store_true", help="skip the hypothesis gate")
     p.add_argument("--outdir", help="output directory (default $MIXEDSDE_OUT or .)")
     p.set_defaults(func=cmd_converge)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field
 
@@ -266,20 +267,6 @@ def pathwise_error(
     return math.sqrt(sup2[0]), math.sqrt(norm2sq[0])
 
 
-def _blocks(nf: int, stride: int) -> list[tuple[int, int]]:
-    """Fine-node ranges [lo, hi) of at most _BLOCK_NODES nodes that cover
-    [0, nf), each spanning whole coarse cells of stride nodes or lying
-    inside one, as _interpolate_on_fine needs."""
-    if stride <= _BLOCK_NODES:
-        step = _BLOCK_NODES // stride * stride
-        return [(lo, min(lo + step, nf)) for lo in range(0, nf, step)]
-    return [
-        (lo, min(lo + _BLOCK_NODES, k + stride))
-        for k in range(0, nf, stride)
-        for lo in range(k, k + stride, _BLOCK_NODES)
-    ]
-
-
 def _level_pass(
     coeffs: CoefficientSet,
     coarse_t: np.ndarray,
@@ -300,8 +287,8 @@ def _level_pass(
     stopped), as an (eval_n+1, paths) array. Both stopped solutions are
     frozen after tau, so later nodes cannot raise the sup: they are zeroed
     (node 0's error is exactly 0), while a nan up to tau still propagates.
-    The interpolation of at most _BLOCK_NODES + 1 fine nodes at a time (see
-    _blocks) goes into one reused buffer.
+    The interpolation of _BLOCK_NODES fine nodes at a time (the last block
+    also takes the last fine node) goes into one reused buffer.
     """
     nf = fine_t.size - 1
     stride = nf // (coarse_t.size - 1)
@@ -310,9 +297,8 @@ def _level_pass(
     sup2 = np.zeros(paths)
     coarse_eval = np.empty((nf // eval_stride + 1, paths))
     first_stop = int(tau_fine.min())
-    for lo, hi in _blocks(nf, stride):
-        if hi == nf:
-            hi += 1  # the last block takes the last fine node too
+    for lo in range(0, nf, _BLOCK_NODES):
+        hi = lo + _BLOCK_NODES if lo + _BLOCK_NODES < nf else nf + 1  # the last block takes node nf
         d = buf[: hi - lo]
         _interpolate_on_fine(coeffs, coarse_t, x_coarse, fine_t, w, bh, stride, d, lo)
         first = -lo % eval_stride
@@ -384,7 +370,8 @@ def mc_strong_error(
 
     The fine grid has max(levels) * 2^m_fine cells. Paths outside B^R are
     reported as discarded instead of entering the restricted means; paths
-    whose state explodes are aborted and counted separately.
+    whose state explodes are aborted and counted separately. workers
+    (default: the CPUs this process may run on) is capped at one per chunk.
     """
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
@@ -410,7 +397,9 @@ def mc_strong_error(
         raise ValueError(f"eval_n={eval_n} must be a dyadic divisor of fine n={fine_n}")
     if paths < 1:
         raise ValueError("need at least one path")
-    if workers is not None and _integer("workers", workers) < 1:
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
     fine = TimeGrid(float(t_horizon), fine_n)
@@ -439,12 +428,9 @@ def mc_strong_error(
         size = hi - lo
         w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
         x_fine, ab_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
-        # compact eval-node rows: the Holder loop reads each one eval_n times,
-        # and rows eval_stride fine nodes apart miss the cache
-        w_eval, bh_eval = (np.ascontiguousarray(v[::eval_stride]) for v in (w, bh))
         k_eta = _holder_cumulative_batch(
-            w_eval, delta_eval, config.eta, q_w
-        ) + _holder_cumulative_batch(bh_eval, delta_eval, config.eta, q_b)
+            w[::eval_stride], delta_eval, config.eta, q_w
+        ) + _holder_cumulative_batch(bh[::eval_stride], delta_eval, config.eta, q_b)
         tau_eval = _first_crossing(k_eta, config.threshold)
         tau_lt_t[lo:hi] = tau_eval < eval_n
         tau_fine = tau_eval * eval_stride
@@ -474,8 +460,9 @@ def mc_strong_error(
                 ninf_sq[li, lo:hi] = ninf_coarse**2
                 in_b[li, lo:hi] = (ninf_coarse + ninf_fine) <= r_bound
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_chunk, range((paths + _CHUNK - 1) // _CHUNK)))
+    chunks = range((paths + _CHUNK - 1) // _CHUNK)
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        list(pool.map(run_chunk, chunks))
 
     level_stats = []
     for li, n in enumerate(levels):

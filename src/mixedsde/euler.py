@@ -170,24 +170,23 @@ def _interpolate_on_fine(
     nodes lo..lo+m-1 (default: lo to the end). Fine node j uses the coarse
     node k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
     so at coarse nodes the recursion is reproduced exactly, the last fine
-    node included. a, b, c are evaluated once on the coarse nodes of the
-    range, which must span whole coarse cells or lie inside one (else
-    ValueError). The work runs on (cells, stride, ...) views.
+    node included. Any range is split into the part of a cell before its
+    first whole cell, the whole cells, and the part after them (the last
+    fine node on its own); a, b, c are evaluated once per piece on its
+    coarse nodes, and the work runs on (cells, nodes per cell, ...) views.
     """
     nf = fine_t.size - 1
     if out is None:
         out = np.empty((nf + 1 - lo,) + fine_w.shape[1:])
     hi = lo + out.shape[0]
     batch = fine_w.shape[1:]
-    # the cells of the range, then the last fine node as a cell of its own
-    for j0, j1 in ((lo, min(hi, nf)), (max(lo, nf), hi)):
+    e0 = min(-(-lo // stride) * stride, hi)  # first cell edge in the range
+    e1 = max(e0, min(hi, nf) // stride * stride)  # last one before the tail
+    for j0, j1 in ((lo, e0), (e0, e1), (e1, hi)):
         if j1 <= j0:
             continue
         s = min(stride, j1 - j0)
         k0 = j0 // stride
-        whole_cells = s == stride and j0 % stride == 0 and (j1 - j0) % stride == 0
-        if not (whole_cells or k0 == (j1 - 1) // stride):
-            raise ValueError(f"fine nodes {j0}..{j1 - 1} neither span whole cells of {stride} nor lie inside one")
         cells = (j1 - j0) // s
         k1 = k0 + cells
         tk, xk = coarse_t[k0:k1], coarse_x[k0:k1]

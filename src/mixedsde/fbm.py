@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fraccalc import _power_moments
+from .fraccalc import _offset_sum, _power_moments
 from .grid import TimeGrid
 from .rng import stream
 
@@ -39,7 +39,8 @@ __all__ = [
 # Relative tolerance on circulant eigenvalues; anything more negative than
 # -CIRCULANT_EIG_TOL * max(eig) signals a covariance bug, not roundoff.
 CIRCULANT_EIG_TOL = 1e-10
-# larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time)
+# larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time),
+# and a larger 2n by the joint-gaussian one
 _CHOLESKY_N_MAX = 4096
 
 
@@ -350,6 +351,11 @@ def generate_noise_pair(
         b_vals = np.zeros(n + 1)
         b_vals[1:] = _volterra_fbm(_volterra_weights(n, grid.horizon, h), np.diff(w_vals))
     elif isinstance(dep, JointGaussian):
+        if 2 * n > _CHOLESKY_N_MAX:
+            raise ValueError(
+                f"joint-gaussian sampling of n={n} steps refused: the 2n x 2n joint covariance needs "
+                f"O(n^2) memory and its factorisation O(n^3) time (2n <= {_CHOLESKY_N_MAX})"
+            )
         t = grid.nodes[1:]
         cov = np.empty((2 * n, 2 * n))
         cov[:n, :n] = np.minimum(t[:, None], t[None, :])
@@ -412,26 +418,6 @@ def _holder_exponents(kind: str, eta: float, hurst: float | None) -> float:
     raise ValueError(f"unknown path kind {kind!r}")
 
 
-def _abs_power_inplace(sq: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    """out = |sq|**p, using square-and-multiply when p is a small integer;
-    sq is overwritten (it holds the squares)."""
-    np.abs(sq, out=sq)
-    if p == int(p) and 1 <= p <= 64:
-        k = int(p)
-        while not k & 1:
-            sq *= sq
-            k >>= 1
-        out[...] = sq
-        k >>= 1
-        while k:
-            sq *= sq
-            if k & 1:
-                out *= sq
-            k >>= 1
-        return out
-    return np.power(sq, p, out=out)
-
-
 def holder_cumulative(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
     """K at every node: (double integral over [0, nu_k]^2)^{eta/2}, k = 0..n.
 
@@ -444,22 +430,11 @@ def holder_cumulative(values: np.ndarray, delta: float, eta: float, q: float) ->
 def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
     """Batched holder_cumulative: values (n+1, ...) -> K (n+1, ...).
 
-    Sums over earlier nodes accumulate one offset m at a time, then a
-    cumulative sum over nodes. The differences and their powers go into
-    two buffers reused across offsets.
+    The sums over earlier nodes, |x_i - x_{i-m}|^(2/eta) (m delta)^(-q), are
+    one _offset_sum; then a cumulative sum over nodes.
     """
-    n = values.shape[0] - 1
-    inv_sep = (np.arange(1, n + 1, dtype=float) * delta) ** (-q)
-    power = 2.0 / eta
-    rows = np.zeros(values.shape)
-    diff_buf = np.empty((n,) + values.shape[1:])
-    term_buf = np.empty_like(diff_buf)
-    for m in range(1, n + 1):
-        diff = np.subtract(values[m:], values[:-m], out=diff_buf[: n + 1 - m])
-        term = _abs_power_inplace(diff, power, term_buf[: n + 1 - m])
-        term *= inv_sep[m - 1]
-        rows[m:] += term
-    total = 2.0 * np.cumsum(rows, axis=0)
+    inv_sep = (np.arange(1, values.shape[0], dtype=float) * delta) ** (-q)
+    total = 2.0 * np.cumsum(_offset_sum(values, inv_sep, inv_sep, 2.0 / eta), axis=0)
     return (total * delta * delta) ** (eta / 2.0)
 
 
@@ -476,17 +451,11 @@ def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> Ho
 
 def pair_holder_cumulative(pair: NoisePair, eta: float, kind: str = "sum") -> np.ndarray:
     """Cumulative K^eta at the pair's grid nodes; kind in {wiener, fbm, sum}."""
-    if kind not in ("wiener", "fbm", "sum"):
+    paths = {"wiener": (pair.w,), "fbm": (pair.bh,), "sum": (pair.w, pair.bh)}.get(kind)
+    if paths is None:
         raise ValueError(f"unknown functional kind {kind!r}")
-    out = None
-    if kind in ("wiener", "sum"):
-        q = _holder_exponents("wiener", eta, None)
-        out = holder_cumulative(pair.w.values, pair.grid.delta, eta, q)
-    if kind in ("fbm", "sum"):
-        q = _holder_exponents("fbm", eta, pair.bh.hurst)
-        k_b = holder_cumulative(pair.bh.values, pair.grid.delta, eta, q)
-        out = k_b if out is None else out + k_b
-    return out
+    k = [holder_cumulative(p.values, pair.grid.delta, eta, _holder_exponents(p.kind, eta, p.hurst)) for p in paths]
+    return k[0] if len(k) == 1 else k[0] + k[1]
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,45 @@ def young_integral(
 # weighted norms
 
 
+def _abs_power_inplace(sq: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """out = |sq|**p, using square-and-multiply when p is a small integer;
+    sq is overwritten (it holds the squares)."""
+    np.abs(sq, out=sq)
+    if p == int(p) and 1 <= p <= 64:
+        k = int(p)
+        while not k & 1:
+            sq *= sq
+            k >>= 1
+        out[...] = sq
+        k >>= 1
+        while k:
+            sq *= sq
+            if k & 1:
+                out *= sq
+            k >>= 1
+        return out
+    return np.power(sq, p, out=out)
+
+
+def _offset_sum(values: np.ndarray, weights: np.ndarray, first: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """out[i] = sum over m = 1..i of w_m |f_i - f_{i-m}|^power for node-major
+    values (n+1, ...), with w_m = first[m-1] on the pair that reaches node 0
+    and weights[m-1] otherwise: one pass per offset, O(n) memory per path.
+    Each node is read n times, so a strided input is gathered first."""
+    values = np.ascontiguousarray(values)
+    n = values.shape[0] - 1
+    out = np.zeros(values.shape)
+    diff_buf = np.empty((n,) + values.shape[1:])
+    term_buf = diff_buf if power == 1.0 else np.empty_like(diff_buf)
+    for m in range(1, n + 1):
+        d = np.subtract(values[m:], values[:-m], out=diff_buf[: n + 1 - m])
+        term = np.abs(d, out=d) if power == 1.0 else _abs_power_inplace(d, power, term_buf[: n + 1 - m])
+        out[m] += first[m - 1] * term[0]
+        term[1:] *= weights[m - 1]
+        out[m + 1 :] += term[1:]
+    return out
+
+
 def increment_bracket(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:
     """int_a^s |f(s)-f(z)| (s-z)^(-1-alpha) dz at every node s."""
     return _increment_bracket_batch(np.asarray(values, dtype=float), delta, alpha)
@@ -278,22 +317,11 @@ def _increment_bracket_batch(values: np.ndarray, delta: float, alpha: float) -> 
     """Batched increment_bracket: values (n+1, ...) -> bracket (n+1, ...).
 
     The weight on |f_i - f_{i-m}| is b_w[m] + a_w[m+1] [i-m >= 1], Toeplitz
-    in the offset m except for the column z = a, so one pass per offset over
-    the nodes needs O(paths n) memory.
+    in the offset m except for the column z = a, so the bracket is one
+    _offset_sum.
     """
-    n = values.shape[0] - 1
-    a_w, b_w = _cell_weights(n, float(delta), float(alpha))
-    fused = b_w[1:] + np.append(a_w[2:], 0.0)  # weight at offset m for z > a
-    out = np.zeros(values.shape)
-    buf = np.empty((n,) + values.shape[1:])
-    for m in range(1, n + 1):
-        d = buf[: n + 1 - m]
-        np.subtract(values[m:], values[:-m], out=d)
-        np.abs(d, out=d)
-        out[m] += b_w[m] * d[0]
-        d[1:] *= fused[m - 1]
-        out[m + 1 :] += d[1:]
-    return out
+    a_w, b_w = _cell_weights(values.shape[0] - 1, float(delta), float(alpha))
+    return _offset_sum(values, b_w[1:] + np.append(a_w[2:], 0.0), b_w[1:])
 
 
 def norm_inf_alpha(f: SampledFunction, alpha: float) -> float:

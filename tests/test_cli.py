@@ -230,6 +230,31 @@ def test_converge_refuses_a_manifest_setting_that_is_not_an_integer(outdir, caps
     assert [p.name for p in outdir.iterdir()] == ["m.json"]
 
 
+_CUSTOM_SPEC = {"a": "0.1 * x", "b": "0.1", "c": "0.2 * x", "dc": "0.2", "k": 1.0, "beta": 0.75}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("threshold", "50", "threshold must be a number, got '50'"),
+        ("h", "0.7", "h must be a number, got '0.7'"),
+        ("r_bound", True, "r_bound must be a number, got True"),
+        ("levels", 16, "levels must be a list, got 16"),
+        ("dependence", 3, "dependence must be a string, got 3"),
+        ("coefficients", "linear", "coefficients must be an object, got 'linear'"),
+        ("coefficients", dict(_CUSTOM_SPEC, a=1), "coefficients entry a must be a string, got 1"),
+        ("coefficients", dict(_CUSTOM_SPEC, k="1"), "coefficients entry k must be a number, got '1'"),
+    ],
+)
+def test_converge_refuses_a_manifest_setting_of_the_wrong_type(outdir, capsys, key, value, message):
+    manifest = {"paths": 20, "levels": [16, 32, 64], "m_fine": 2, "eval_n": 64, key: value}
+    (outdir / "m.json").write_text(json.dumps(manifest))
+    assert main(["converge", "--manifest", str(outdir / "m.json"), "--outdir", str(outdir / "r")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert [p.name for p in outdir.iterdir()] == ["m.json"]
+
+
 def test_help_documents_flags():
     parser = build_parser()
     for cmd, flags in {

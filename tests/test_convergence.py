@@ -1,9 +1,11 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
+import mixedsde.convergence as convergence
 from mixedsde import (
     ErrorReport,
     JointGaussian,
@@ -342,6 +344,39 @@ def test_eval_n_above_4096_refused_before_any_noise(monkeypatch):
 def test_workers_must_be_positive(workers):
     with pytest.raises(ValueError, match="workers"):
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, 4, workers=workers)
+
+
+def _spy_pool_sizes(monkeypatch) -> list:
+    """The max_workers of every thread pool mc_strong_error starts."""
+    sizes, real = [], convergence.ThreadPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(convergence, "ThreadPoolExecutor", pool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, paths, expected",
+    [(None, 3, 600, 3), (None, 64, 600, 3), (None, 2, 600, 2), (None, 64, 1, 1), (5, 2, 300, 2), (1, 64, 600, 1)],
+)
+def test_pool_takes_the_available_parallelism_at_most_one_per_chunk(monkeypatch, workers, cpus, paths, expected):
+    # cpus is only what the platform reports; the pool starts `expected` threads
+    sizes = _spy_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, paths, workers=workers)
+    assert sizes == [expected]
+
+
+@pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch, cpus, expected):
+    sizes = _spy_pool_sizes(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600)
+    assert sizes == [expected]
 
 
 def test_volterra_dependence_supported():

@@ -269,24 +269,31 @@ def test_increment_bound_monitor():
 def test_interpolate_on_fine_matches_per_node_formula(name):
     coeffs = preset(name)
     rng = np.random.default_rng(3)
-    stride, n = 4, 8
-    fine_t = np.arange(n * stride + 1) / (n * stride)
-    w = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
-    bh = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
-    coarse_t = fine_t[::stride]
-    x, _ = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride].T, bh[:, ::stride].T, 1.0)
-    want = np.empty_like(w)
-    for j in range(fine_t.size):
-        k = j // stride
-        tk, xk = coarse_t[k], x[k]
-        want[:, j] = (
-            xk
-            + coeffs.a(tk, xk) * (fine_t[j] - tk)
-            + coeffs.b(tk, xk) * (w[:, j] - w[:, k * stride])
-            + coeffs.c(tk, xk) * (bh[:, j] - bh[:, k * stride])
-        )
-    got = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride)
-    assert np.array_equal(got, want.T)
+    for stride, n in ((4, 8), (3, 5), (6, 4), (45, 3), (384, 2)):
+        fine_t = np.arange(n * stride + 1) / (n * stride)
+        w = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
+        bh = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
+        coarse_t = fine_t[::stride]
+        x, _ = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride].T, bh[:, ::stride].T, 1.0)
+        want = np.empty_like(w)
+        for j in range(fine_t.size):
+            k = j // stride
+            tk, xk = coarse_t[k], x[k]
+            want[:, j] = (
+                xk
+                + coeffs.a(tk, xk) * (fine_t[j] - tk)
+                + coeffs.b(tk, xk) * (w[:, j] - w[:, k * stride])
+                + coeffs.c(tk, xk) * (bh[:, j] - bh[:, k * stride])
+            )
+        got = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride)
+        assert np.array_equal(got, want.T)
+        nf, s = n * stride, stride
+        # ranges that start or end inside a cell, lie inside one, or end at the last fine node
+        ranges = [(1, nf - 1), (s - 1, 2 * s + 1), (0, s + 1), (s + 1, s + 2), (s + 1, 2 * s), (s, s + 1),
+                  (s // 2, nf + 1), (nf - 1, nf + 1), (nf, nf + 1)]
+        for lo, hi in ranges:
+            part = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride, np.empty((hi - lo, 5)), lo)
+            assert np.array_equal(part, want.T[lo:hi]), (stride, lo, hi)
 
 
 def test_solution_csv(pair):

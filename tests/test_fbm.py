@@ -261,6 +261,18 @@ def test_joint_gaussian_rejects_non_psd():
         generate_noise_pair(grid, 0.7, 0, JointGaussian(lambda s, t: 0.5 + 0.0 * s * t))
 
 
+def test_joint_gaussian_refuses_2n_above_the_cholesky_bound():
+    calls = []
+
+    def cross(s, t):
+        calls.append((s, t))
+        return 0.0 * s * t
+
+    with pytest.raises(ValueError, match=r"2n x 2n joint covariance needs O\(n\^2\) memory"):
+        generate_noise_pair(TimeGrid(1.0, 2049), 0.7, 0, JointGaussian(cross))
+    assert calls == []
+
+
 def test_pair_restrict_subsamples():
     fine = TimeGrid(1.0, 64)
     coarse = TimeGrid(1.0, 16)

@@ -25,7 +25,7 @@ from mixedsde import (
 from mixedsde.cli import main
 from mixedsde.coefficients import coefficients_from_expressions
 from mixedsde.convergence import _chunk_noise, _error_norms, _level_pass, _stop_batch
-from mixedsde.euler import _euler_solve_batch, _interpolate_on_fine
+from mixedsde.euler import _euler_solve_batch
 from mixedsde.fbm import Independent
 from mixedsde.fraccalc import _increment_bracket_batch, _norm2_weight_cells
 
@@ -167,14 +167,6 @@ def test_pathwise_error_refuses_grids_that_are_not_nested():
     fine = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 6))
     with pytest.raises(ValueError, match="not nested"):
         pathwise_error(stop(coarse, 1.0), stop(fine, 1.0), ALPHA)
-
-
-def test_interpolation_refuses_a_range_across_a_cell_boundary():
-    fine_t = np.linspace(0.0, 1.0, 13)
-    w, bh = _node_major_noise(2, 12, 3)
-    x_c = np.ones((3, 2))
-    with pytest.raises(ValueError, match="whole cells"):
-        _interpolate_on_fine(preset("linear"), fine_t[::6], x_c, fine_t, w, bh, 6, np.empty((4, 2)), 4)
 
 
 # ---------------------------------------------------------------------------

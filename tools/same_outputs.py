@@ -11,6 +11,14 @@ on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
 for byte, prints each run that differs with what differs, and exits 1 if
 any run does.
+
+One more run, "single-path-api", prints the repr of the single-path API in
+each tree (print_api_values) and compares the text: `pathwise_error` at
+three taus on fine nodes and `interpolate` at every 7th fine node, at
+refinement strides 3, 45, 257 and 384, for the linear, bounded-smooth and
+additive presets under independent and Volterra noise; then
+`increment_bracket`, `holder_cumulative`, `norm_inf_alpha`, `norm_2_alpha`
+and `stopping_time` on one pair. It must exit 0 in both trees.
 """
 
 from __future__ import annotations
@@ -40,6 +48,48 @@ def matrix() -> dict[str, list[str]]:
     return runs
 
 
+API_RUN = "single-path-api"
+TOOLS = Path(__file__).resolve().parent
+
+
+def api_cases() -> list[tuple[int, int, str, str]]:
+    """(coarse n, refinement stride, preset, dependence) of each
+    single-path case; the fine grid (coarse n x stride >= 512 nodes) spans
+    more than one 256-node block of the per-level pass."""
+    return [
+        (max(2, 600 // stride), stride, preset, dep)
+        for stride, preset, dep in itertools.product(
+            (3, 45, 257, 384), ("linear", "bounded-smooth", "additive"), ("independent", "volterra")
+        )
+    ]
+
+
+def print_api_values() -> None:
+    """Print the single-path values of API_RUN with the mixedsde first on sys.path."""
+    from mixedsde import (
+        SampledFunction, TimeGrid, euler_solve, generate_noise_pair, interpolate, norm_2_alpha, norm_inf_alpha,
+        pathwise_error, preset, stop, stopping_time,
+    )
+    from mixedsde.fbm import holder_cumulative
+    from mixedsde.fraccalc import increment_bracket
+
+    for coarse_n, stride, name, dep in api_cases():
+        fine = TimeGrid(1.0, coarse_n * stride)
+        pair = generate_noise_pair(fine, 0.7, 5, dep)
+        coarse_sol = euler_solve(preset(name), pair, 1.0, TimeGrid(1.0, coarse_n))
+        fine_sol = euler_solve(preset(name), pair, 1.0, fine)
+        for tau in fine.nodes[[fine.n // 3, fine.n // 2, fine.n]]:
+            print(name, dep, stride, tau, repr(pathwise_error(stop(coarse_sol, tau), stop(fine_sol, tau), 0.35)))
+        print(name, dep, stride, repr([interpolate(coarse_sol, u) for u in fine.nodes[::7]]))
+    pair = generate_noise_pair(TimeGrid(1.0, 512), 0.7, 6, "volterra")
+    f = SampledFunction(pair.grid.nodes, pair.bh.values)
+    print(repr(increment_bracket(f.y, f.delta, 0.35).tolist()))
+    print(repr(holder_cumulative(pair.w.values, f.delta, 0.1, 10.0).tolist()))
+    print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35))))
+    kinds = ("wiener", "fbm", "sum")
+    print(repr([stopping_time(pair, 0.1, threshold, kind) for threshold in (2.0, 50.0) for kind in kinds]))
+
+
 def run(tree: Path, args: list[str], outdir: Path) -> dict:
     """Exit code, stdout with outdir masked, and the bytes of each output
     file (None when it was not written) of one converge run in tree."""
@@ -48,6 +98,14 @@ def run(tree: Path, args: list[str], outdir: Path) -> dict:
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True)
     files = {f: (outdir / f).read_bytes() if (outdir / f).exists() else None for f in FILES}
     return {"exit": proc.returncode, "stdout": proc.stdout.replace(str(outdir).encode(), b"<outdir>"), **files}
+
+
+def run_api(tree: Path) -> dict:
+    """Exit code and stdout of print_api_values with tree's src/ on the path."""
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"))
+    code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import same_outputs; same_outputs.print_api_values()"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env, capture_output=True)
+    return {"exit": proc.returncode, "stdout": proc.stdout}
 
 
 def differences(parent: dict, change: dict) -> dict[str, list[str]]:
@@ -68,16 +126,23 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     args = ap.parse_args(argv)
     runs = matrix()
+    sides = (("parent", args.parent), ("change", args.change))
     with tempfile.TemporaryDirectory() as tmp:
         results = {
             side: {name: run(tree, cmd, Path(tmp) / side / name) for name, cmd in runs.items()}
-            for side, tree in (("parent", args.parent), ("change", args.change))
+            for side, tree in sides
         }
+    for side, tree in sides:
+        results[side][API_RUN] = run_api(tree)
     diff = differences(results["parent"], results["change"])
     for name, outputs in diff.items():
         print(f"{name}: {', '.join(outputs)} differ")
-    print(f"{len(runs) - len(diff)} of {len(runs)} runs byte-identical")
-    return 1 if diff else 0
+    failed = [side for side, _ in sides if results[side][API_RUN]["exit"] != 0]
+    for side in failed:
+        print(f"{API_RUN} failed in the {side} tree")
+    total = len(runs) + 1
+    print(f"{total - len(diff)} of {total} runs byte-identical")
+    return 1 if diff or failed else 0
 
 
 if __name__ == "__main__":
