@@ -40,7 +40,7 @@ from .fbm import (
     write_path_csv,
 )
 from .fraccalc import SampledFunction, young_integral
-from .grid import TimeGrid
+from .grid import GridResourceError, TimeGrid
 
 
 class HypothesisRefusal(RuntimeError):
@@ -322,7 +322,7 @@ _FLAGS = {
     "epsilon": dict(type=float, help="rate slack, in (0, kappa - alpha)"),
     "r_bound": dict(type=float, help="restriction radius R"),
     "levels": dict(help="comma-separated coarse level sizes"),
-    "m_fine": dict(type=int, help="fine grid is max(levels) * 2^m_fine"),
+    "m_fine": dict(type=int, help="fine grid is max(levels) * 2^m_fine cells, at most 2^16"),
     "paths": dict(type=int, help="Monte Carlo paths"),
     "dependence": dict(
         choices=["independent", "volterra-from-same-wiener", "volterra"], help="pair coupling"
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     except HypothesisRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, GridResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EulerBlowupError, ArithmeticError, AssertionError, RuntimeError) as exc:

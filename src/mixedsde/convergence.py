@@ -55,6 +55,9 @@ _CHUNK = 256  # fixed path chunk; results never depend on worker count
 _EVAL_N_MAX = 4096
 # fine nodes per block of the per-level pass (at most, plus the last node)
 _BLOCK_NODES = 256
+# larger fine n is refused: W, B^H, X and the fine solve's increments of one
+# chunk take 5 * 8 * _CHUNK bytes (10 KiB) per fine node in each worker
+_FINE_N_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -288,7 +291,9 @@ def _level_pass(
     frozen after tau, so later nodes cannot raise the sup: they are zeroed
     (node 0's error is exactly 0), while a nan up to tau still propagates.
     The interpolation of _BLOCK_NODES fine nodes at a time (the last block
-    also takes the last fine node) goes into one reused buffer.
+    also takes the last fine node) goes into one reused buffer; each block
+    walks the coarse cells it meets, so a cell cut by a block edge has its
+    coefficients evaluated once in each of the two blocks.
     """
     nf = fine_t.size - 1
     stride = nf // (coarse_t.size - 1)
@@ -368,10 +373,11 @@ def mc_strong_error(
     coarse level against the common fine solution, with MC standard errors,
     localization and restriction statistics, and fitted rates.
 
-    The fine grid has max(levels) * 2^m_fine cells. Paths outside B^R are
-    reported as discarded instead of entering the restricted means; paths
-    whose state explodes are aborted and counted separately. workers
-    (default: the CPUs this process may run on) is capped at one per chunk.
+    The fine grid has max(levels) * 2^m_fine cells, at most 2^16. Paths
+    outside B^R are reported as discarded instead of entering the
+    restricted means; paths whose state explodes are aborted and counted
+    separately. workers (default: the CPUs this process may run on) is
+    capped at one per chunk.
     """
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
@@ -382,6 +388,11 @@ def mc_strong_error(
         raise ValueError("levels must be distinct")
     if m_fine < 1:
         raise ValueError("m_fine must be at least 1")
+    if m_fine > 16 or max(levels) << m_fine > _FINE_N_MAX:  # m_fine first: no huge shift
+        raise ValueError(
+            f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: W, B^H, X and the fine solve's "
+            f"increments of one chunk take 10 KiB per fine node in each worker, 0.67 GB at {_FINE_N_MAX}"
+        )
     fine_n = max(levels) << m_fine
     for n in levels:
         ratio = fine_n // n
@@ -454,7 +465,13 @@ def mc_strong_error(
             with np.errstate(invalid="ignore"):
                 violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
                 if np.any(violated):
-                    raise AssertionError("norm comparison ||f||_2 <= C ||f||_inf violated")
+                    p = int(violated.argmax())
+                    with np.errstate(divide="ignore"):
+                        ratio = np.sqrt(n2[p] / (comparison_sq * ninf_d_sq[p]))
+                    raise AssertionError(
+                        f"norm comparison ||f||_2 <= C ||f||_inf violated in chunk {ci}, level n={n}, "
+                        f"path {lo + p}: ||f||_2 / (C ||f||_inf) = {ratio:.6g}"
+                    )
                 br_c = np.abs(cs_eval) + _increment_bracket_batch(cs_eval, delta_eval, alpha)
                 ninf_coarse = np.max(br_c, axis=0)
                 ninf_sq[li, lo:hi] = ninf_coarse**2

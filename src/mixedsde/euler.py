@@ -166,49 +166,29 @@ def _interpolate_on_fine(
     """Continuous interpolation of a coarse solution at fine nodes lo, lo+1, ...
 
     coarse_x is (n+1, ...) and fine_w, fine_bh are (stride*n+1, ...); the
-    result, written into out (m, ...) when given (C-contiguous), holds fine
-    nodes lo..lo+m-1 (default: lo to the end). Fine node j uses the coarse
-    node k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
+    result, written into out (m, ...) when given, holds fine nodes
+    lo..lo+m-1 (default: lo to the end). Fine node j uses the coarse node
+    k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
     so at coarse nodes the recursion is reproduced exactly, the last fine
-    node included. Any range is split into the part of a cell before its
-    first whole cell, the whole cells, and the part after them (the last
-    fine node on its own); a, b, c are evaluated once per piece on its
-    coarse nodes, and the work runs on (cells, nodes per cell, ...) views.
+    node included. One pass per coarse cell k that meets the range: a, b, c
+    are evaluated once at (t_k, x_k), as in the recursion, and applied to
+    the cell's fine nodes in the range.
     """
-    nf = fine_t.size - 1
     if out is None:
-        out = np.empty((nf + 1 - lo,) + fine_w.shape[1:])
+        out = np.empty((fine_t.size - lo,) + fine_w.shape[1:])
     hi = lo + out.shape[0]
-    batch = fine_w.shape[1:]
-    e0 = min(-(-lo // stride) * stride, hi)  # first cell edge in the range
-    e1 = max(e0, min(hi, nf) // stride * stride)  # last one before the tail
-    for j0, j1 in ((lo, e0), (e0, e1), (e1, hi)):
-        if j1 <= j0:
-            continue
-        s = min(stride, j1 - j0)
-        k0 = j0 // stride
-        cells = (j1 - j0) // s
-        k1 = k0 + cells
-        tk, xk = coarse_t[k0:k1], coarse_x[k0:k1]
-
-        def frozen(fn):
-            # constant coefficients return scalars or 1-d arrays
-            v = fn(tk.reshape((cells,) + (1,) * len(batch)), xk)
-            return np.broadcast_to(v, xk.shape)[:, None]
-
-        def held(v):
-            """Node values over the range's cells, and each cell's left node."""
-            return v[j0:j1].reshape((cells, s) + batch), v[k0 * stride : k1 * stride : stride][:, None]
-
-        blk = out[j0 - lo : j1 - lo].reshape((cells, s) + batch)
-        tmp = np.empty_like(blk)
-        dt = fine_t[j0:j1].reshape(cells, s) - tk[:, None]
-        np.multiply(frozen(coeffs.a), dt.reshape(dt.shape + (1,) * len(batch)), out=blk)
-        blk += xk[:, None]
+    tmp = np.empty((min(stride, out.shape[0]),) + out.shape[1:])
+    column = (-1,) + (1,) * (out.ndim - 1)
+    for k in range(lo // stride, -(-hi // stride)):
+        j0, j1 = max(lo, k * stride), min(hi, (k + 1) * stride)
+        tk, xk = coarse_t[k], coarse_x[k]
+        blk, d = out[j0 - lo : j1 - lo], tmp[: j1 - j0]
+        np.multiply(coeffs.a(tk, xk), (fine_t[j0:j1] - tk).reshape(column), out=blk)
+        blk += xk
         for fn, v in ((coeffs.b, fine_w), (coeffs.c, fine_bh)):
-            np.subtract(*held(v), out=tmp)
-            tmp *= frozen(fn)
-            blk += tmp
+            np.subtract(v[j0:j1], v[k * stride], out=d)
+            d *= fn(tk, xk)
+            blk += d
     return out
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mixedsde import cli
+from mixedsde import cli, convergence
 from mixedsde.cli import _CONVERGE_DEFAULTS, _resolve_converge_settings, build_parser, main
 
 
@@ -52,6 +52,39 @@ def test_cholesky_above_its_bound_exits_1(outdir, capsys, args):
     assert main(args + ["--method", "cholesky"]) == 1
     assert "O(n^2) memory" in capsys.readouterr().err
     assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["fbm", "--h", "0.7", "--n", "16777217"], ["solve", "--preset", "linear", "--h", "0.7", "--n", "16777217"]],
+    ids=["fbm", "solve"],
+)
+def test_grid_above_max_steps_exits_1(outdir, capsys, args):
+    assert main(args) == 1
+    assert "error: n=16777217 exceeds MAX_STEPS=16777216" in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
+def test_converge_fine_n_above_2_16_exits_1_before_any_noise(outdir, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
+    rc = main(
+        ["converge", "--preset", "linear", "--levels", "16,32,64", "--m-fine", "11", "--paths", "1",
+         "--workers", "1", "--outdir", str(outdir / "f")]
+    )
+    assert rc == 1
+    assert "fine n = 64 * 2^11 exceeds 65536" in capsys.readouterr().err
+    assert drawn == []
+    assert not any(outdir.iterdir())
+
+
+def test_converge_norm_comparison_failure_exits_3_naming_the_path(outdir, capsys, monkeypatch):
+    monkeypatch.setattr(convergence, "norms_comparison_constant", lambda *args: 1e-6)
+    assert main(["converge", "--preset", "linear", *_SMALL_RUN, "--outdir", str(outdir / "c")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: norm comparison ||f||_2 <= C ||f||_inf violated")
+    assert "in chunk 0, level n=8, path 0: ||f||_2 / (C ||f||_inf) = " in err
+    assert not (outdir / "c" / "report.json").exists()
 
 
 def test_fbm_pair_output(outdir):

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -338,6 +339,59 @@ def test_eval_n_above_4096_refused_before_any_noise(monkeypatch):
         mc_strong_error(
             preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], 7, 4, eval_n=8192, workers=1
         )
+
+
+def _no_noise(*args):
+    raise AssertionError("noise drawn before the fine n bound was checked")
+
+
+@pytest.mark.parametrize("levels, m_fine", [([16, 32, 64], 11), ([2, 4, 8], 14), ([16, 32, 64], 64)])
+def test_fine_n_above_2_16_refused_before_any_noise(monkeypatch, levels, m_fine):
+    monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
+    with pytest.raises(ValueError, match=rf"fine n = {levels[-1]} \* 2\^{m_fine} exceeds 65536:.*0\.67 GB"):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), levels, m_fine, 1, workers=1)
+
+
+class _NoiseReached(Exception):
+    pass
+
+
+def test_fine_n_bound_is_inclusive(monkeypatch):
+    def reached(*args):
+        raise _NoiseReached
+
+    monkeypatch.setattr(convergence, "_chunk_noise", reached)
+    with pytest.raises(_NoiseReached):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], 10, 1, workers=1)
+
+
+_NORM_MESSAGE = r"violated in chunk (\d+), level n=(\d+), path (\d+): \|\|f\|\|_2 / \(C \|\|f\|\|_inf\) = (\S+)"
+
+
+def test_norm_comparison_failure_names_chunk_level_and_path(monkeypatch):
+    monkeypatch.setattr(convergence, "norms_comparison_constant", lambda *args: 1e-6)
+    with pytest.raises(AssertionError, match=_NORM_MESSAGE) as exc:
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 3, 300, seed=4, workers=1)
+    chunk, level, path, ratio = re.search(_NORM_MESSAGE, str(exc.value)).groups()
+    assert (chunk, level, path) == ("0", "8", "0")
+    assert float(ratio) > 1.0
+
+
+def test_norm_comparison_failure_counts_paths_across_chunks(monkeypatch):
+    error_norms = convergence._error_norms
+
+    def inflated(coarse_eval, *args):
+        n2, ninf_sq = error_norms(coarse_eval, *args)
+        if coarse_eval.shape[1] == 44:  # the second chunk of 300 paths
+            n2[5:] *= 1e6
+        return n2, ninf_sq
+
+    monkeypatch.setattr(convergence, "_error_norms", inflated)
+    with pytest.raises(AssertionError, match=_NORM_MESSAGE) as exc:
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 3, 300, seed=4, workers=1)
+    chunk, level, path, ratio = re.search(_NORM_MESSAGE, str(exc.value)).groups()
+    assert (chunk, level, path) == ("1", "8", "261")
+    assert float(ratio) > 1.0
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -269,7 +269,7 @@ def test_increment_bound_monitor():
 def test_interpolate_on_fine_matches_per_node_formula(name):
     coeffs = preset(name)
     rng = np.random.default_rng(3)
-    for stride, n in ((4, 8), (3, 5), (6, 4), (45, 3), (384, 2)):
+    for stride, n in ((4, 8), (3, 5), (6, 4), (45, 3), (384, 2), (1, 9), (2, 7)):
         fine_t = np.arange(n * stride + 1) / (n * stride)
         w = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
         bh = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6

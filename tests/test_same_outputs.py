@@ -52,8 +52,8 @@ def test_a_run_missing_on_one_side_differs_in_everything():
 
 def test_api_cases_cover_strides_presets_and_noise_past_one_block():
     cases = same_outputs.api_cases()
-    assert len(cases) == 24
-    assert {stride for _, stride, _, _ in cases} == {3, 45, 257, 384}
+    assert len(cases) == 36
+    assert {stride for _, stride, _, _ in cases} == {1, 2, 3, 45, 257, 384}
     assert {name for _, _, name, _ in cases} == {"linear", "bounded-smooth", "additive"}
     assert {dep for _, _, _, dep in cases} == {"independent", "volterra"}
     assert all(coarse_n >= 2 and coarse_n * stride > 512 for coarse_n, stride, _, _ in cases)

@@ -15,8 +15,9 @@ any run does.
 One more run, "single-path-api", prints the repr of the single-path API in
 each tree (print_api_values) and compares the text: `pathwise_error` at
 three taus on fine nodes and `interpolate` at every 7th fine node, at
-refinement strides 3, 45, 257 and 384, for the linear, bounded-smooth and
-additive presets under independent and Volterra noise; then
+refinement strides 1, 2, 3, 45, 257 and 384, for the linear,
+bounded-smooth and additive presets under independent and Volterra noise;
+then
 `increment_bracket`, `holder_cumulative`, `norm_inf_alpha`, `norm_2_alpha`
 and `stopping_time` on one pair. It must exit 0 in both trees.
 """
@@ -59,7 +60,7 @@ def api_cases() -> list[tuple[int, int, str, str]]:
     return [
         (max(2, 600 // stride), stride, preset, dep)
         for stride, preset, dep in itertools.product(
-            (3, 45, 257, 384), ("linear", "bounded-smooth", "additive"), ("independent", "volterra")
+            (1, 2, 3, 45, 257, 384), ("linear", "bounded-smooth", "additive"), ("independent", "volterra")
         )
     ]
 
