@@ -174,34 +174,45 @@ class NoisePair:
 # generators
 
 
-def _fgn_unit_circulant(n: int, h: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """(size, n) unit-step fractional Gaussian noise via Davies-Harte.
-
-    Draw order fixed as: Z_0 block, Z_n block, real block, imaginary block.
-    """
+@lru_cache(maxsize=4)
+def _circulant_sqrt_eigs(n: int, h: float) -> np.ndarray:
+    """Square roots of the half spectrum of the 2n circulant that embeds the
+    unit-step fGn covariance: sqrt(e_0), sqrt(e_k / 2) for k = 1..n-1 and
+    sqrt(e_n), read-only. Each entry holds 8(n+1) bytes."""
     k = np.arange(n + 1, dtype=float)
     gamma = 0.5 * ((k + 1.0) ** (2 * h) - 2.0 * k ** (2 * h) + np.abs(k - 1.0) ** (2 * h))
     # first row of the 2n circulant: [gamma_0..gamma_n, gamma_{n-1}..gamma_1]
     row = np.concatenate([gamma, gamma[n - 1 : 0 : -1]])
-    eigs = np.fft.fft(row).real
+    eigs = np.fft.rfft(row).real
     if eigs.min() < -CIRCULANT_EIG_TOL * eigs.max():
         raise RuntimeError(
             f"circulant embedding produced eigenvalue {eigs.min():.3e}; "
             "the increment covariance is wrong"
         )
     eigs = np.clip(eigs, 0.0, None)
-    m = 2 * n
-    z0 = rng.standard_normal(size)
-    zn = rng.standard_normal(size)
-    v_re = rng.standard_normal((size, n - 1))
-    v_im = rng.standard_normal((size, n - 1))
-    y = np.zeros((size, m), dtype=complex)
-    y[:, 0] = np.sqrt(eigs[0]) * z0
-    y[:, n] = np.sqrt(eigs[n]) * zn
-    half = np.sqrt(eigs[1:n] / 2.0)
-    y[:, 1:n] = half * (v_re + 1j * v_im)
-    y[:, n + 1 :] = np.conj(y[:, 1:n][:, ::-1])
-    return math.sqrt(m) * np.fft.ifft(y, axis=1).real[:, :n]
+    eigs[1:n] /= 2.0
+    roots = np.sqrt(eigs)
+    roots.setflags(write=False)
+    return roots
+
+
+def _fgn_unit_circulant(n: int, h: float, rng: np.random.Generator, size: int, scale: float) -> np.ndarray:
+    """(size, n) unit-step fractional Gaussian noise via Davies-Harte, times
+    scale (delta**h gives the increments of a step-delta grid).
+
+    Draw order fixed as: Z_0 block, Z_n block, real block, imaginary block.
+    The Hermitian spectrum is filled on its n+1 half and inverted by irfft.
+    """
+    y = np.empty((size, n + 1), dtype=complex)
+    y[:, 0] = rng.standard_normal(size)
+    y[:, n] = rng.standard_normal(size)
+    block = np.empty((size, n - 1))
+    y.real[:, 1:n] = rng.standard_normal(out=block)
+    y.imag[:, 1:n] = rng.standard_normal(out=block)
+    del block  # freed before irfft allocates its (size, 2n) result
+    parts = y.view(float).reshape(size, n + 1, 2)
+    parts *= (_circulant_sqrt_eigs(n, h) * (math.sqrt(2 * n) * scale))[:, None]
+    return np.fft.irfft(y, 2 * n, axis=1)[:, :n]
 
 
 def _fbm_values_batch(
@@ -210,7 +221,7 @@ def _fbm_values_batch(
     """(size, n+1) fBm node values, exact in distribution for both methods."""
     n = grid.n
     if method in ("circulant", "circulant-embedding"):
-        fgn = _fgn_unit_circulant(n, h, rng, size) * grid.delta**h
+        fgn = _fgn_unit_circulant(n, h, rng, size, grid.delta**h)
         out = np.zeros((size, n + 1))
         np.cumsum(fgn, axis=1, out=out[:, 1:])
         return out
@@ -246,7 +257,8 @@ def generate_fbm(
 
 
 def _wiener_values_batch(grid: TimeGrid, rng: np.random.Generator, size: int) -> np.ndarray:
-    dw = rng.standard_normal((size, grid.n)) * math.sqrt(grid.delta)
+    dw = rng.standard_normal((size, grid.n))
+    dw *= math.sqrt(grid.delta)
     out = np.zeros((size, grid.n + 1))
     np.cumsum(dw, axis=1, out=out[:, 1:])
     return out

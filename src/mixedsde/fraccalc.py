@@ -292,19 +292,24 @@ def _abs_power_inplace(sq: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
 def _offset_sum(values: np.ndarray, weights: np.ndarray, first: np.ndarray, power: float = 1.0) -> np.ndarray:
     """out[i] = sum over m = 1..i of w_m |f_i - f_{i-m}|^power for node-major
     values (n+1, ...), with w_m = first[m-1] on the pair that reaches node 0
-    and weights[m-1] otherwise: one pass per offset, O(n) memory per path.
-    Each node is read n times, so a strided input is gathered first."""
+    and weights[m-1] otherwise: one pass per offset, then one pass over the
+    pairs that reach node 0, O(n) memory per path. Each node is read n
+    times, so a strided input is gathered first."""
     values = np.ascontiguousarray(values)
     n = values.shape[0] - 1
     out = np.zeros(values.shape)
     diff_buf = np.empty((n,) + values.shape[1:])
     term_buf = diff_buf if power == 1.0 else np.empty_like(diff_buf)
-    for m in range(1, n + 1):
-        d = np.subtract(values[m:], values[:-m], out=diff_buf[: n + 1 - m])
-        term = np.abs(d, out=d) if power == 1.0 else _abs_power_inplace(d, power, term_buf[: n + 1 - m])
-        out[m] += first[m - 1] * term[0]
-        term[1:] *= weights[m - 1]
-        out[m + 1 :] += term[1:]
+    for m in range(1, n):
+        d = np.subtract(values[m + 1 :], values[1 : n + 1 - m], out=diff_buf[: n - m])
+        term = np.abs(d, out=d) if power == 1.0 else _abs_power_inplace(d, power, term_buf[: n - m])
+        term *= weights[m - 1]
+        out[m + 1 :] += term
+    # the pair (i, 0) is the last addend of out[i]: add it for every i at once
+    d = np.subtract(values[1:], values[0], out=diff_buf)
+    term = np.abs(d, out=d) if power == 1.0 else _abs_power_inplace(d, power, term_buf)
+    term *= first[:n].reshape((n,) + (1,) * (values.ndim - 1))
+    out[1:] += term
     return out
 
 

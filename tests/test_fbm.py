@@ -148,6 +148,68 @@ def test_increment_stationarity():
 
 
 # ---------------------------------------------------------------------------
+# circulant sampler
+
+
+def _fgn_complex_reference(n: int, h: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    # Davies-Harte on the full 2n spectrum: a mirrored conjugate array and a complex ifft
+    k = np.arange(n + 1, dtype=float)
+    gamma = 0.5 * ((k + 1.0) ** (2 * h) - 2.0 * k ** (2 * h) + np.abs(k - 1.0) ** (2 * h))
+    row = np.concatenate([gamma, gamma[n - 1 : 0 : -1]])
+    eigs = np.clip(np.fft.fft(row).real, 0.0, None)
+    m = 2 * n
+    z0 = rng.standard_normal(size)
+    zn = rng.standard_normal(size)
+    v_re = rng.standard_normal((size, n - 1))
+    v_im = rng.standard_normal((size, n - 1))
+    y = np.zeros((size, m), dtype=complex)
+    y[:, 0] = np.sqrt(eigs[0]) * z0
+    y[:, n] = np.sqrt(eigs[n]) * zn
+    y[:, 1:n] = np.sqrt(eigs[1:n] / 2.0) * (v_re + 1j * v_im)
+    y[:, n + 1 :] = np.conj(y[:, 1:n][:, ::-1])
+    return math.sqrt(m) * np.fft.ifft(y, axis=1).real[:, :n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4096])
+@pytest.mark.parametrize("size", [1, 5])
+def test_half_spectrum_sampler_matches_the_complex_form(n, size):
+    want = _fgn_complex_reference(n, 0.7, stream(9, 1), size)
+    for scale in (1.0, (1.0 / n) ** 0.7):
+        got = fbm._fgn_unit_circulant(n, 0.7, stream(9, 1), size, scale)
+        assert got.shape == (size, n)
+        assert np.max(np.abs(got - scale * want)) <= 1e-14 * np.max(np.abs(scale * want))
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_sampler_draws_the_four_documented_blocks(n):
+    rng = stream(9, 1)
+    fbm._fgn_unit_circulant(n, 0.7, rng, 5, 1.0)
+    fresh = stream(9, 1)
+    for shape in (5, 5, (5, n - 1), (5, n - 1)):  # Z_0, Z_n, real, imaginary
+        fresh.standard_normal(shape)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_cached_circulant_roots_are_read_only():
+    roots = fbm._circulant_sqrt_eigs(64, 0.7)
+    assert roots.shape == (65,) and not roots.flags.writeable
+    assert fbm._circulant_sqrt_eigs(64, 0.7) is roots
+    with pytest.raises(ValueError):
+        roots[0] = 1.0
+
+
+def test_circulant_eigenvalue_check_still_raises(monkeypatch):
+    # a negative tolerance flags every spectrum that is not constant
+    monkeypatch.setattr(fbm, "CIRCULANT_EIG_TOL", -1.0)
+    fbm._circulant_sqrt_eigs.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="circulant embedding produced eigenvalue"):
+            fbm._fgn_unit_circulant(64, 0.7, stream(9, 1), 1, 1.0)
+    finally:
+        fbm._circulant_sqrt_eigs.cache_clear()
+
+
+# ---------------------------------------------------------------------------
 # noise pairs
 
 

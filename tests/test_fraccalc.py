@@ -17,9 +17,11 @@ from mixedsde import (
     young_integral,
 )
 from mixedsde.fraccalc import (
+    _abs_power_inplace,
     _cell_weights,
     _increment_bracket_batch,
     _left_deriv_nodes,
+    _offset_sum,
     _right_deriv_nodes,
     increment_bracket,
 )
@@ -318,6 +320,41 @@ def test_increment_bracket_batch_confines_nan_to_its_row():
     got = _increment_bracket_batch(values.T, 1 / 32, 0.3)
     assert np.array_equal(got[:, [0, 2]], clean[:, [0, 2]])
     assert np.all(np.isfinite(got[:5, 1])) and np.all(np.isnan(got[5:, 1]))
+
+
+def _offset_sum_per_offset(values, weights, first, power=1.0):
+    # the offset loop that adds each node-0 pair inside its own offset's pass
+    values = np.ascontiguousarray(values)
+    n = values.shape[0] - 1
+    out = np.zeros(values.shape)
+    diff_buf = np.empty((n,) + values.shape[1:])
+    term_buf = diff_buf if power == 1.0 else np.empty_like(diff_buf)
+    for m in range(1, n + 1):
+        d = np.subtract(values[m:], values[:-m], out=diff_buf[: n + 1 - m])
+        term = np.abs(d, out=d) if power == 1.0 else _abs_power_inplace(d, power, term_buf[: n + 1 - m])
+        out[m] += first[m - 1] * term[0]
+        term[1:] *= weights[m - 1]
+        out[m + 1 :] += term[1:]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257])
+@pytest.mark.parametrize("power", [1.0, 20.0])
+@pytest.mark.parametrize("paths", [None, 4])
+def test_offset_sum_matches_the_per_offset_loop_bit_for_bit(n, power, paths):
+    rng = np.random.default_rng(n)
+    shape = (n + 1,) if paths is None else (n + 1, paths)
+    values = np.cumsum(rng.normal(size=shape), axis=0)
+    weights, first = rng.random(n), rng.random(n)
+    cases = [values]
+    if paths is not None:
+        with_nan = values.copy()
+        with_nan[n // 2 + 1, 2] = np.nan
+        cases.append(with_nan)
+    for v in cases:
+        got = _offset_sum(v, weights, first, power)
+        assert got.shape == shape
+        assert np.array_equal(got, _offset_sum_per_offset(v, weights, first, power), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The run matrix and the comparison of tools/same_outputs.py."""
 
 import importlib.util
+import math
 from pathlib import Path
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location("same_outputs", Path(__file__).parents[1] / "tools" / "same_outputs.py")
 same_outputs = importlib.util.module_from_spec(_SPEC)
@@ -57,3 +60,33 @@ def test_api_cases_cover_strides_presets_and_noise_past_one_block():
     assert {name for _, _, name, _ in cases} == {"linear", "bounded-smooth", "additive"}
     assert {dep for _, _, _, dep in cases} == {"independent", "volterra"}
     assert all(coarse_n >= 2 and coarse_n * stride > 512 for coarse_n, stride, _, _ in cases)
+
+
+def _report(err: float, retained: int = 300) -> bytes:
+    return (b'{"h": 0.7, "levels": [{"err2_sup": %r, "n": 16, "retained": %d}], "coefficients": "linear"}'
+            % (err, retained))
+
+
+def test_float_summary_takes_the_largest_relative_float_difference():
+    parent = _result(**{"report.json": _report(0.25)})
+    worst, same_rest = same_outputs.float_summary(parent, _result(**{"report.json": _report(0.25 * (1 + 3e-13))}))
+    assert worst == pytest.approx(3e-13, rel=1e-3) and same_rest
+    assert same_outputs.float_summary(parent, dict(parent)) == (0.0, True)
+
+
+def test_float_summary_flags_counts_strings_and_exit_codes():
+    parent = _result(**{"report.json": _report(0.25)})
+    assert not same_outputs.float_summary(parent, _result(**{"report.json": _report(0.25, retained=299)}))[1]
+    assert not same_outputs.float_summary(parent, _result(exit=3, **{"report.json": _report(0.25)}))[1]
+    assert not same_outputs.float_summary(parent, _result(**{"report.json": _report(0.25).replace(b"linear", b"cubic")}))[1]
+    assert not same_outputs.float_summary(parent, _result(**{"report.json": None}))[1]
+
+
+def test_float_summary_reads_the_float_literals_of_the_api_text():
+    parent = {"exit": 0, "stdout": b"linear volterra 3 0.5 PathwiseError(sup=np.float64(2.0e-3), count=7)\n"}
+    change = {"exit": 0, "stdout": b"linear volterra 3 0.5 PathwiseError(sup=np.float64(2.2e-3), count=7)\n"}
+    worst, same_rest = same_outputs.float_summary(parent, change)
+    assert worst == pytest.approx(0.2e-3 / 2.2e-3) and same_rest
+    assert not same_outputs.float_summary(parent, {**change, "stdout": change["stdout"].replace(b"7", b"8")})[1]
+    assert same_outputs.float_summary({"exit": 0, "stdout": b"nan -inf"}, {"exit": 0, "stdout": b"nan -inf"}) == (0.0, True)
+    assert same_outputs.float_summary({"exit": 0, "stdout": b"1.0"}, {"exit": 0, "stdout": b"inf"})[0] == math.inf

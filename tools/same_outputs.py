@@ -10,7 +10,9 @@ paths, levels 16,32,64, m_fine 3 and eval_n 64) the script runs
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
 for byte, prints each run that differs with what differs, and exits 1 if
-any run does.
+any run does. For a run that differs it also prints the largest relative
+difference over the float fields of report.json and whether every other
+field (counts, strings, structure) and the exit code match.
 
 One more run, "single-path-api", prints the repr of the single-path API in
 each tree (print_api_values) and compares the text: `pathwise_error` at
@@ -19,14 +21,19 @@ refinement strides 1, 2, 3, 45, 257 and 384, for the linear,
 bounded-smooth and additive presets under independent and Volterra noise;
 then
 `increment_bracket`, `holder_cumulative`, `norm_inf_alpha`, `norm_2_alpha`
-and `stopping_time` on one pair. It must exit 0 in both trees.
+and `stopping_time` on one pair. It must exit 0 in both trees. When its
+text differs, the float literals in it are compared by relative difference
+and the rest of the text and the exit code for equality.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -121,6 +128,49 @@ def differences(parent: dict, change: dict) -> dict[str, list[str]]:
     return out
 
 
+_FLOAT = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+|nan|inf)(?![\w.])")
+
+
+def _split_floats(result: dict) -> tuple[list[float], object]:
+    """(floats, rest) of one run's result: the float leaves of report.json
+    and the document with each replaced by the marker `float`, or, for the
+    API run, the float literals of stdout and the text around them."""
+    if "report.json" not in result:
+        text = result.get("stdout", b"")
+        return [float(t) for t in _FLOAT.findall(text)], _FLOAT.sub(b"#", text)
+    floats = []
+
+    def walk(node):
+        if isinstance(node, float):
+            floats.append(node)
+            return float
+        if isinstance(node, dict):
+            return {k: walk(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [walk(v) for v in node]
+        return node
+
+    raw = result["report.json"]
+    return floats, walk(json.loads(raw)) if raw is not None else None
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def float_summary(parent: dict, change: dict) -> tuple[float, bool]:
+    """(largest relative float difference, whether all else matches) between
+    the two sides' results of one run; all else is every non-float field
+    (counts, strings, structure) and the exit code."""
+    (pf, prest), (cf, crest) = _split_floats(parent), _split_floats(change)
+    same_rest = prest == crest and parent.get("exit") == change.get("exit")
+    return max((_relative(a, b) for a, b in zip(pf, cf)), default=0.0), same_rest
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -137,7 +187,9 @@ def main(argv=None) -> int:
         results[side][API_RUN] = run_api(tree)
     diff = differences(results["parent"], results["change"])
     for name, outputs in diff.items():
-        print(f"{name}: {', '.join(outputs)} differ")
+        worst, same_rest = float_summary(results["parent"].get(name, {}), results["change"].get(name, {}))
+        print(f"{name}: {', '.join(outputs)} differ; largest float difference {worst:.3g} relative, "
+              f"non-float fields and exit code {'match' if same_rest else 'DIFFER'}")
     failed = [side for side, _ in sides if results[side][API_RUN]["exit"] != 0]
     for side in failed:
         print(f"{API_RUN} failed in the {side} tree")
