@@ -33,6 +33,7 @@ from .coefficients import (
 from .convergence import DEFAULT_R, mc_strong_error
 from .euler import EulerBlowupError, SolverConfig, euler_solve, write_solution_csv
 from .fbm import (
+    _HOLDER_MIN_STEPS,
     generate_fbm,
     generate_noise_pair,
     holder_functional,
@@ -108,6 +109,8 @@ def cmd_fbm(args) -> int:
     for label, path in paths.items():
         if args.n > _FBM_HOLDER_MAX_N:
             k = f" not computed (n > {_FBM_HOLDER_MAX_N}, O(n^2))"
+        elif args.n < _HOLDER_MIN_STEPS:
+            k = f" not computed (n < {_HOLDER_MIN_STEPS}, too few steps)"
         else:
             k = f"={holder_functional(path, args.eta).value:.6g}"
         print(f"{label}: min={path.values.min():.6g} max={path.values.max():.6g} K^({args.eta})_T{k}")
@@ -320,10 +323,10 @@ _FLAGS = {
     "eta": dict(type=float, help="Holder functional exponent"),
     "threshold": dict(type=float, help="localization threshold N"),
     "epsilon": dict(type=float, help="rate slack, in (0, kappa - alpha)"),
-    "r_bound": dict(type=float, help="restriction radius R"),
+    "r_bound": dict(type=float, help="restriction radius R > 0, inf for none"),
     "levels": dict(help="comma-separated coarse level sizes"),
     "m_fine": dict(type=int, help="fine grid is max(levels) * 2^m_fine cells, at most 2^16"),
-    "paths": dict(type=int, help="Monte Carlo paths"),
+    "paths": dict(type=int, help="Monte Carlo paths, at most 2^22 = 4194304"),
     "dependence": dict(
         choices=["independent", "volterra-from-same-wiener", "volterra"], help="pair coupling"
     ),
@@ -391,7 +394,12 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", help="JSON manifest; flags override its entries")
     settings = [k for k in _CONVERGE_DEFAULTS if k != "coefficients"]
     _add_flags(p, *_COEFFICIENT_KEYS, *settings, manifest=True)
-    p.add_argument("--workers", type=int, help="worker threads, one per 256-path chunk at most (default: usable CPUs)")
+    p.add_argument(
+        "--workers",
+        type=int,
+        help="worker threads, one per 256-path chunk at most; 1 runs the chunks on the calling thread, "
+        "with no pool (default: usable CPUs)",
+    )
     p.add_argument("--force", action="store_true", help="skip the hypothesis gate")
     p.add_argument("--outdir", help="output directory (default $MIXEDSDE_OUT or .)")
     p.set_defaults(func=cmd_converge)

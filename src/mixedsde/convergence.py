@@ -21,6 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, field
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +59,9 @@ _BLOCK_NODES = 256
 # larger fine n is refused: W, B^H, X and the fine solve's increments of one
 # chunk take 5 * 8 * _CHUNK bytes (10 KiB) per fine node in each worker
 _FINE_N_MAX = 1 << 16
+# more paths are refused: the result rows take 26 B per path and level, 1.6 GB
+# at 2^22 paths and the most levels (15), and 2^22 paths take over an hour
+_PATHS_MAX = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -352,6 +356,55 @@ def _chunk_noise(
     return np.ascontiguousarray(w.T), np.ascontiguousarray(b.T)
 
 
+def _run_chunk(
+    coeffs: CoefficientSet, h: float, config: SolverConfig, levels: list[int], fine: TimeGrid, eval_n: int,
+    paths: int, r_bound: float, x0: float, seed: int, dep, method: str, ci: int,
+) -> tuple[np.ndarray, ...]:
+    """The rows of chunk ci of a validated mc_strong_error run: sup2,
+    norm2sq, ninf_sq, in_b and aborted as (levels, size), and tau_N < T as
+    (size,), for its paths ci * _CHUNK up to the next chunk or `paths`."""
+    lo = ci * _CHUNK
+    size = min(lo + _CHUNK, paths) - lo
+    eval_stride = fine.n // eval_n
+    delta_eval = fine.horizon / eval_n
+    alpha = config.alpha
+    comparison_sq = norms_comparison_constant(alpha, 0.0, fine.horizon) ** 2
+    eval_cells = _norm2_weight_cells(eval_n, delta_eval, float(alpha), fine.horizon)
+    w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
+    x_fine, ab_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
+    k_eta = _holder_cumulative_batch(
+        w[::eval_stride], delta_eval, config.eta, _holder_exponents("wiener", config.eta, None)
+    ) + _holder_cumulative_batch(bh[::eval_stride], delta_eval, config.eta, _holder_exponents("fbm", config.eta, h))
+    tau_eval = _first_crossing(k_eta, config.threshold)
+    tau_fine = tau_eval * eval_stride
+    fs_eval = _stop_batch(x_fine[::eval_stride], tau_eval)
+    br_fine = np.abs(fs_eval) + _increment_bracket_batch(fs_eval, delta_eval, alpha)
+    ninf_fine = np.max(br_fine, axis=0)
+    rows = []  # per level: sup2, norm2sq, ninf_sq, in_b, aborted
+    for n in levels:
+        stride = fine.n // n
+        coarse_t = fine.nodes[::stride]
+        x_coarse, ab_coarse = _euler_solve_batch(coeffs, coarse_t, w[::stride], bh[::stride], x0)
+        sup2, c_eval = _level_pass(coeffs, coarse_t, x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride)
+        cs_eval = _stop_batch(c_eval, tau_eval)
+        bad = (ab_fine >= 0) | (ab_coarse >= 0)
+        n2, ninf_d_sq = _error_norms(cs_eval, fs_eval, delta_eval, alpha, eval_cells)
+        with np.errstate(invalid="ignore"):
+            violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
+            if np.any(violated):
+                p = int(violated.argmax())
+                with np.errstate(divide="ignore"):
+                    ratio = np.sqrt(n2[p] / (comparison_sq * ninf_d_sq[p]))
+                raise AssertionError(
+                    f"norm comparison ||f||_2 <= C ||f||_inf violated in chunk {ci}, level n={n}, "
+                    f"path {lo + p}: ||f||_2 / (C ||f||_inf) = {ratio:.6g}"
+                )
+            br_c = np.abs(cs_eval) + _increment_bracket_batch(cs_eval, delta_eval, alpha)
+            ninf_coarse = np.max(br_c, axis=0)
+            rows.append((sup2, n2, ninf_coarse**2, (ninf_coarse + ninf_fine) <= r_bound, bad))
+    return (*(np.array(level_rows) for level_rows in zip(*rows)), tau_eval < eval_n)
+
+
 def mc_strong_error(
     coeffs: CoefficientSet,
     h: float,
@@ -376,8 +429,9 @@ def mc_strong_error(
     The fine grid has max(levels) * 2^m_fine cells, at most 2^16. Paths
     outside B^R are reported as discarded instead of entering the
     restricted means; paths whose state explodes are aborted and counted
-    separately. workers (default: the CPUs this process may run on) is
-    capped at one per chunk.
+    separately. paths is at most 2^22. workers (default: the CPUs this
+    process may run on) is capped at one per chunk; one worker runs the
+    chunks on the calling thread, with no pool.
     """
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
@@ -399,6 +453,8 @@ def mc_strong_error(
         if n < 2 or fine_n % n or (ratio & (ratio - 1)):
             raise ValueError(f"level n={n} is not a dyadic coarsening of fine n={fine_n}")
     eval_n = min(_integer("eval_n", eval_n), fine_n)
+    if eval_n < 1:
+        raise ValueError(f"eval_n must be at least 1, got {eval_n}")
     if eval_n > _EVAL_N_MAX:
         raise ValueError(
             f"eval_n={eval_n} exceeds {_EVAL_N_MAX}: the increment bracket and the Holder "
@@ -408,78 +464,31 @@ def mc_strong_error(
         raise ValueError(f"eval_n={eval_n} must be a dyadic divisor of fine n={fine_n}")
     if paths < 1:
         raise ValueError("need at least one path")
+    if paths > _PATHS_MAX:
+        raise ValueError(f"paths={paths} exceeds {_PATHS_MAX}: the result rows take 26 B per path and level")
+    r_bound, x0 = float(r_bound), float(x0)
+    if not r_bound > 0.0:
+        raise ValueError(f"r_bound must be positive (inf for no restriction), got {r_bound}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
     fine = TimeGrid(float(t_horizon), fine_n)
-    eval_stride = fine_n // eval_n
-    delta_eval = fine.horizon / eval_n
     dep = _resolve_dependence(dependence)
     if isinstance(dep, JointGaussian):
         raise ValueError("mc_strong_error has no joint-gaussian sampler; use independent or volterra")
-    alpha = config.alpha
-    q_w = _holder_exponents("wiener", config.eta, None)
-    q_b = _holder_exponents("fbm", config.eta, h)
-    comparison_sq = norms_comparison_constant(alpha, 0.0, fine.horizon) ** 2
-    eval_cells = _norm2_weight_cells(eval_n, delta_eval, float(alpha), fine.horizon)
-    n_levels = len(levels)
 
-    sup2 = np.empty((n_levels, paths))
-    norm2sq = np.empty((n_levels, paths))
-    ninf_sq = np.empty((n_levels, paths))
-    in_b = np.empty((n_levels, paths), dtype=bool)
-    aborted = np.zeros((n_levels, paths), dtype=bool)
-    tau_lt_t = np.empty(paths, dtype=bool)
-
-    def run_chunk(ci: int) -> None:
-        lo = ci * _CHUNK
-        hi = min(lo + _CHUNK, paths)
-        size = hi - lo
-        w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
-        x_fine, ab_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
-        k_eta = _holder_cumulative_batch(
-            w[::eval_stride], delta_eval, config.eta, q_w
-        ) + _holder_cumulative_batch(bh[::eval_stride], delta_eval, config.eta, q_b)
-        tau_eval = _first_crossing(k_eta, config.threshold)
-        tau_lt_t[lo:hi] = tau_eval < eval_n
-        tau_fine = tau_eval * eval_stride
-        fs_eval = _stop_batch(x_fine[::eval_stride], tau_eval)
-        br_fine = np.abs(fs_eval) + _increment_bracket_batch(fs_eval, delta_eval, alpha)
-        ninf_fine = np.max(br_fine, axis=0)
-        for li, n in enumerate(levels):
-            stride = fine_n // n
-            coarse_t = fine.nodes[::stride]
-            x_coarse, ab_coarse = _euler_solve_batch(
-                coeffs, coarse_t, w[::stride], bh[::stride], x0
-            )
-            sup2[li, lo:hi], c_eval = _level_pass(
-                coeffs, coarse_t, x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride
-            )
-            cs_eval = _stop_batch(c_eval, tau_eval)
-            bad = (ab_fine >= 0) | (ab_coarse >= 0)
-            aborted[li, lo:hi] = bad
-            n2, ninf_d_sq = _error_norms(cs_eval, fs_eval, delta_eval, alpha, eval_cells)
-            norm2sq[li, lo:hi] = n2
-            with np.errstate(invalid="ignore"):
-                violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
-                if np.any(violated):
-                    p = int(violated.argmax())
-                    with np.errstate(divide="ignore"):
-                        ratio = np.sqrt(n2[p] / (comparison_sq * ninf_d_sq[p]))
-                    raise AssertionError(
-                        f"norm comparison ||f||_2 <= C ||f||_inf violated in chunk {ci}, level n={n}, "
-                        f"path {lo + p}: ||f||_2 / (C ||f||_inf) = {ratio:.6g}"
-                    )
-                br_c = np.abs(cs_eval) + _increment_bracket_batch(cs_eval, delta_eval, alpha)
-                ninf_coarse = np.max(br_c, axis=0)
-                ninf_sq[li, lo:hi] = ninf_coarse**2
-                in_b[li, lo:hi] = (ninf_coarse + ninf_fine) <= r_bound
-
+    run = partial(_run_chunk, coeffs, h, config, levels, fine, eval_n, paths, r_bound, x0, seed, dep, method)
     chunks = range((paths + _CHUNK - 1) // _CHUNK)
-    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        list(pool.map(run_chunk, chunks))
+    if workers == 1:
+        results = list(map(run, chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            results = list(pool.map(run, chunks))
+    sup2, norm2sq, ninf_sq, in_b, aborted, tau_lt_t = (np.concatenate(rows, axis=-1) for rows in zip(*results))
 
     level_stats = []
     for li, n in enumerate(levels):
@@ -521,19 +530,19 @@ def mc_strong_error(
         coefficients=coeffs.name,
         h=h,
         t_horizon=fine.horizon,
-        x0=float(x0),
+        x0=x0,
         seed=seed,
         paths=paths,
         levels=level_stats,
         fine_n=fine_n,
         eval_n=eval_n,
-        r_bound=float(r_bound),
-        alpha=alpha,
+        r_bound=r_bound,
+        alpha=config.alpha,
         eta=config.eta,
         threshold=config.threshold,
         epsilon=config.epsilon,
         kappa=kap,
-        rate_floor=kap - alpha - config.epsilon,
+        rate_floor=kap - config.alpha - config.epsilon,
         localization_fraction=float(np.mean(tau_lt_t)),
         dependence=dep.name,
         method=method,

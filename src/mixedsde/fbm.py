@@ -42,6 +42,8 @@ CIRCULANT_EIG_TOL = 1e-10
 # larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time),
 # and a larger 2n by the joint-gaussian one
 _CHOLESKY_N_MAX = 4096
+# holder_functional refuses fewer grid steps (nodes - 1) in [0, t]
+_HOLDER_MIN_STEPS = 8
 
 
 def validate_hurst(h: float, allow_brownian: bool = False) -> float:
@@ -454,8 +456,11 @@ def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> Ho
     """GRR Holder-constant functional of a sampled path on [0, t]."""
     t = path.grid.horizon if t is None else float(t)
     k = path.grid.node_index(t)
-    if k < 8:
-        raise ValueError("holder_functional needs at least 8 grid nodes in [0, t]")
+    if k < _HOLDER_MIN_STEPS:
+        raise ValueError(
+            f"holder_functional needs at least {_HOLDER_MIN_STEPS} grid steps "
+            f"({_HOLDER_MIN_STEPS + 1} nodes) in [0, t], got {k}"
+        )
     q = _holder_exponents(path.kind, eta, path.hurst)
     value = holder_cumulative(path.values[: k + 1], path.grid.delta, eta, q)[-1]
     return HolderFunctional(eta=float(eta), horizon=t, kind=path.kind, value=float(value))

@@ -426,3 +426,37 @@ def test_fbm_holder_bound_is_inclusive(capsys, monkeypatch):
     assert "K^(0.1)_T=" in capsys.readouterr().out
     assert main(["fbm", "--h", "0.7", "--n", "128"]) == 0
     assert "not computed (n > 64" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eval-n", "0"], "eval_n must be at least 1, got 0"),
+        (["--r-bound", "-1"], "r_bound must be positive (inf for no restriction), got -1.0"),
+        (["--r-bound", "nan"], "r_bound must be positive (inf for no restriction), got nan"),
+        (["--x0", "nan"], "x0 must be finite, got nan"),
+        (["--paths", "4194305"], "paths=4194305 exceeds 4194304"),
+    ],
+    ids=["eval-n-0", "r-bound-negative", "r-bound-nan", "x0-nan", "paths-above-2-22"],
+)
+def test_converge_refuses_a_bad_setting_before_any_noise(outdir, capsys, monkeypatch, flags, message):
+    drawn = []
+    monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
+    monkeypatch.setattr(convergence, "ThreadPoolExecutor", lambda *args, **kwargs: drawn.append("pool"))
+    rc = main(["converge", "--preset", "linear", "--paths", "4", "--levels", "8,16,32", "--m-fine", "2",
+               "--workers", "2", *flags, "--outdir", str(outdir / "b")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert drawn == []
+    assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("extra", [[], ["--pair"]])
+def test_fbm_below_8_steps_skips_holder_functional(outdir, capsys, extra):
+    assert main(["fbm", "--h", "0.7", "--n", "7", "--seed", "2", *extra]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] and all(line.endswith("K^(0.1)_T not computed (n < 8, too few steps)") for line in lines[:-1])
+    name = f"{'pair' if extra else 'fbm'}_h0.7_n7_seed2.csv"
+    assert len((outdir / name).read_text().splitlines()) == 9
+    assert main(["fbm", "--h", "0.7", "--n", "8"]) == 0
+    assert "K^(0.1)_T=" in capsys.readouterr().out

@@ -1,7 +1,10 @@
+import ast
+import inspect
 import io
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -421,7 +424,7 @@ def test_pool_takes_the_available_parallelism_at_most_one_per_chunk(monkeypatch,
     sizes = _spy_pool_sizes(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, paths, workers=workers)
-    assert sizes == [expected]
+    assert sizes == ([] if workers == 1 else [expected])  # one worker: the calling thread, no pool
 
 
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
@@ -430,7 +433,100 @@ def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch, cpus, ex
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600)
-    assert sizes == [expected]
+    assert sizes == ([expected] if cpus else [])  # no CPU count: one worker, the calling thread
+
+
+def _spy_chunks(monkeypatch) -> list:
+    """(chunk index, thread, rows) of every _run_chunk call of mc_strong_error."""
+    calls, real = [], convergence._run_chunk
+
+    def spy(*args):
+        rows = real(*args)
+        calls.append((args[-1], threading.get_ident(), rows))
+        return rows
+
+    monkeypatch.setattr(convergence, "_run_chunk", spy)
+    return calls
+
+
+def test_one_worker_runs_every_chunk_on_the_calling_thread_with_no_pool(monkeypatch):
+    sizes, calls = _spy_pool_sizes(monkeypatch), _spy_chunks(monkeypatch)
+    mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=1)
+    assert sizes == []
+    assert [(ci, thread) for ci, thread, _ in calls] == [(ci, threading.get_ident()) for ci in range(3)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_chunk_called_alone_returns_the_rows_the_harness_reduced(monkeypatch, workers):
+    coeffs, config, levels = preset("linear"), SolverConfig(alpha=0.35), [8, 16, 32]
+    calls = _spy_chunks(monkeypatch)
+    rep = mc_strong_error(coeffs, 0.7, config, levels, 3, 600, seed=4, eval_n=64, workers=workers)
+    used = {ci: rows for ci, _, rows in calls}
+    assert sorted(used) == [0, 1, 2]
+    alone = convergence._run_chunk(
+        coeffs, 0.7, config, levels, TimeGrid(1.0, 256), 64, 600, convergence.DEFAULT_R, 1.0, 4, Independent(),
+        "circulant-embedding", 1,
+    )
+    assert [r.shape for r in alone] == [(3, 256)] * 5 + [(256,)]  # paths 256..511
+    for got, want in zip(alone, used[1], strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=got.dtype == float)
+    joined = (np.concatenate(rows, axis=-1) for rows in zip(*(used[ci] for ci in range(3))))
+    sup2, norm2sq, _, in_b, aborted, tau_lt_t = joined
+    for li, level in enumerate(rep.levels):
+        keep = ~aborted[li] & in_b[li]
+        assert level.retained == keep.sum()
+        assert level.err2_sup == float(np.sum(sup2[li][keep]) / keep.sum())
+        assert level.err2_norm2 == float(np.sum(norm2sq[li][keep]) / keep.sum())
+    assert rep.localization_fraction == float(np.mean(tau_lt_t))
+
+
+def test_the_harness_shares_no_array_between_chunks():
+    # no nested function, and neither the harness nor a chunk assigns into an array;
+    # the harness's one item assignment fills its dict of rate fits
+    for fn, stored in ((convergence.mc_strong_error, ["fits"]), (convergence._run_chunk, [])):
+        nodes = [n for stmt in ast.parse(inspect.getsource(fn)).body[0].body for n in ast.walk(stmt)]
+        assert not [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.Lambda))], fn.__name__
+        stores = [n.value.id for n in nodes if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)]
+        assert sorted(set(stores)) == stored, fn.__name__
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(paths=(1 << 22) + 1), r"paths=4194305 exceeds 4194304: .* 26 B per path and level"),
+        (dict(eval_n=0), "eval_n must be at least 1, got 0"),
+        (dict(eval_n=-1), "eval_n must be at least 1, got -1"),
+        (dict(r_bound=-1.0), "r_bound must be positive"),
+        (dict(r_bound=0.0), "r_bound must be positive"),
+        (dict(r_bound=math.nan), "r_bound must be positive"),
+        (dict(x0=math.nan), "x0 must be finite"),
+        (dict(x0=-math.inf), "x0 must be finite"),
+    ],
+    ids=["paths-above-2-22", "eval-n-0", "eval-n-negative", "r-bound-negative", "r-bound-0", "r-bound-nan",
+         "x0-nan", "x0-minus-inf"],
+)
+def test_a_bad_setting_is_refused_before_any_noise_or_thread(monkeypatch, kwargs, message):
+    sizes = _spy_pool_sizes(monkeypatch)
+    monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
+    settings = {"paths": 4, "workers": 2, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, **settings)
+    assert sizes == []
+
+
+def test_paths_bound_is_inclusive(monkeypatch):
+    def reached(*args):
+        raise _NoiseReached
+
+    monkeypatch.setattr(convergence, "_chunk_noise", reached)
+    with pytest.raises(_NoiseReached):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, 1 << 22, workers=1)
+
+
+def test_infinite_r_bound_restricts_nothing():
+    rep = mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, 20, math.inf, workers=1)
+    assert rep.r_bound == math.inf
+    assert all(l.discarded == 0 and l.retained + l.aborted == 20 for l in rep.levels)
 
 
 def test_volterra_dependence_supported():

@@ -451,8 +451,9 @@ def test_holder_validation():
         holder_functional(w, 0.6)  # eta >= 1/2 invalid for Wiener
     with pytest.raises(ValueError):
         holder_functional(b, 0.75)  # eta >= H invalid for fBm
-    with pytest.raises(ValueError):
-        holder_functional(w, 0.2, t=grid.nodes[4])  # fewer than 8 nodes
+    with pytest.raises(ValueError, match=r"at least 8 grid steps \(9 nodes\) in \[0, t\], got 7"):
+        holder_functional(w, 0.2, t=grid.nodes[7])
+    assert holder_functional(w, 0.2, t=grid.nodes[8]).value > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def _report(err: float, retained: int = 300) -> bytes:
 def test_float_summary_takes_the_largest_relative_float_difference():
     parent = _result(**{"report.json": _report(0.25)})
     worst, same_rest = same_outputs.float_summary(parent, _result(**{"report.json": _report(0.25 * (1 + 3e-13))}))
-    assert worst == pytest.approx(3e-13, rel=1e-3) and same_rest
+    assert worst == pytest.approx(0.25 * 3e-13 / 0.7, rel=1e-3) and same_rest  # h = 0.7 is the largest float
     assert same_outputs.float_summary(parent, dict(parent)) == (0.0, True)
 
 
@@ -86,7 +86,16 @@ def test_float_summary_reads_the_float_literals_of_the_api_text():
     parent = {"exit": 0, "stdout": b"linear volterra 3 0.5 PathwiseError(sup=np.float64(2.0e-3), count=7)\n"}
     change = {"exit": 0, "stdout": b"linear volterra 3 0.5 PathwiseError(sup=np.float64(2.2e-3), count=7)\n"}
     worst, same_rest = same_outputs.float_summary(parent, change)
-    assert worst == pytest.approx(0.2e-3 / 2.2e-3) and same_rest
+    assert worst == pytest.approx(0.2e-3 / 0.5) and same_rest
     assert not same_outputs.float_summary(parent, {**change, "stdout": change["stdout"].replace(b"7", b"8")})[1]
     assert same_outputs.float_summary({"exit": 0, "stdout": b"nan -inf"}, {"exit": 0, "stdout": b"nan -inf"}) == (0.0, True)
     assert same_outputs.float_summary({"exit": 0, "stdout": b"1.0"}, {"exit": 0, "stdout": b"inf"})[0] == math.inf
+
+
+def test_float_summary_keeps_a_last_bit_change_at_roundoff_level_at_roundoff():
+    # the additive preset's pathwise error is about 1e-15; a last-bit sampler change moved
+    # one such value from 1.55e-15 to 2.44e-15 (0.364 of itself) and a value near 1 by 5.7e-13
+    parent = {"exit": 0, "stdout": b"additive (1.55e-15, 2.0e-15)\nlinear (0.5, 1.0)\n"}
+    change = {"exit": 0, "stdout": b"additive (2.44e-15, 2.0e-15)\nlinear (0.500000000000285, 1.0)\n"}
+    worst, same_rest = same_outputs.float_summary(parent, change)
+    assert worst == pytest.approx(2.85e-13, rel=1e-3) and same_rest

@@ -10,9 +10,10 @@ paths, levels 16,32,64, m_fine 3 and eval_n 64) the script runs
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
 for byte, prints each run that differs with what differs, and exits 1 if
-any run does. For a run that differs it also prints the largest relative
-difference over the float fields of report.json and whether every other
-field (counts, strings, structure) and the exit code match.
+any run does. For a run that differs it also prints the largest float
+difference of report.json, relative to the largest magnitude among the
+run's floats, and whether every other field (counts, strings, structure)
+and the exit code match.
 
 One more run, "single-path-api", prints the repr of the single-path API in
 each tree (print_api_values) and compares the text: `pathwise_error` at
@@ -22,8 +23,11 @@ bounded-smooth and additive presets under independent and Volterra noise;
 then
 `increment_bracket`, `holder_cumulative`, `norm_inf_alpha`, `norm_2_alpha`
 and `stopping_time` on one pair. It must exit 0 in both trees. When its
-text differs, the float literals in it are compared by relative difference
-and the rest of the text and the exit code for equality.
+text differs, the float literals in it are compared in the same way, and
+the rest of the text and the exit code for equality. Measured against the
+run's largest magnitude, a last-bit change of a value at roundoff level
+(such as the additive preset's pathwise errors, about 1e-15) stays at
+roundoff instead of reading as a large relative change.
 """
 
 from __future__ import annotations
@@ -154,21 +158,23 @@ def _split_floats(result: dict) -> tuple[list[float], object]:
     return floats, walk(json.loads(raw)) if raw is not None else None
 
 
-def _relative(a: float, b: float) -> float:
+def _difference(a: float, b: float, scale: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / scale
 
 
 def float_summary(parent: dict, change: dict) -> tuple[float, bool]:
-    """(largest relative float difference, whether all else matches) between
-    the two sides' results of one run; all else is every non-float field
-    (counts, strings, structure) and the exit code."""
+    """(largest float difference relative to the largest finite magnitude
+    on either side, whether all else matches) between the two sides'
+    results of one run; all else is every non-float field (counts, strings,
+    structure) and the exit code."""
     (pf, prest), (cf, crest) = _split_floats(parent), _split_floats(change)
     same_rest = prest == crest and parent.get("exit") == change.get("exit")
-    return max((_relative(a, b) for a, b in zip(pf, cf)), default=0.0), same_rest
+    scale = max((abs(x) for x in pf + cf if math.isfinite(x)), default=0.0)
+    return max((_difference(a, b, scale) for a, b in zip(pf, cf)), default=0.0), same_rest
 
 
 def main(argv=None) -> int:
