@@ -56,8 +56,9 @@ _CHUNK = 256  # fixed path chunk; results never depend on worker count
 _EVAL_N_MAX = 4096
 # fine nodes per block of the per-level pass (at most, plus the last node)
 _BLOCK_NODES = 256
-# larger fine n is refused: W, B^H, X and the fine solve's increments of one
-# chunk take 5 * 8 * _CHUNK bytes (10 KiB) per fine node in each worker
+# larger fine n is refused: a chunk peaks while it draws its noise, at 40 B per
+# fine node and path with independent noise and 96 B with Volterra noise (its
+# FFT convolution), 0.67 GB and 1.6 GB in each worker at 2^16
 _FINE_N_MAX = 1 << 16
 # more paths are refused: the result rows take 26 B per path and level, 1.6 GB
 # at 2^22 paths and the most levels (15), and 2^22 paths take over an hour
@@ -245,8 +246,8 @@ def pathwise_error(
     """(sup over fine nodes, ||.||_{2,alpha}) of X^{delta,N} - X^{mu,N}.
 
     Both solutions must be driven by the same noise pair, share tau, and
-    the fine grid must refine the coarse one. The coarse solution is
-    evaluated at fine nodes through its continuous interpolation.
+    the fine grid must refine the coarse one. The coarse solution's values
+    are evaluated at fine nodes through their continuous interpolation.
     """
     csol, fsol = coarse.base, fine.base
     if csol.noise.provenance != fsol.noise.provenance or csol.noise is not fsol.noise:
@@ -275,29 +276,25 @@ def pathwise_error(
 
 
 def _level_pass(
-    coeffs: CoefficientSet,
-    coarse_t: np.ndarray,
-    x_coarse: np.ndarray,
-    fine_t: np.ndarray,
-    w: np.ndarray,
-    bh: np.ndarray,
-    x_fine: np.ndarray,
-    tau_fine: np.ndarray,
-    eval_stride: int,
+    coeffs: CoefficientSet, coarse_t: np.ndarray, x_coarse: np.ndarray, fine_t: np.ndarray, w: np.ndarray,
+    bh: np.ndarray, x_fine: np.ndarray, tau_fine: np.ndarray, eval_stride: int, advance: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One blocked pass over the fine nodes of one level.
 
     x_coarse is (n+1, paths); w, bh and x_fine are (fine_n+1, paths), and
-    the fine grid must refine the coarse one (any integer stride). Per path
-    it gives the squared sup error over every fine node up to tau_fine, and
-    the coarse interpolation at every eval_stride-th fine node (not
-    stopped), as an (eval_n+1, paths) array. Both stopped solutions are
-    frozen after tau, so later nodes cannot raise the sup: they are zeroed
-    (node 0's error is exactly 0), while a nan up to tau still propagates.
-    The interpolation of _BLOCK_NODES fine nodes at a time (the last block
-    also takes the last fine node) goes into one reused buffer; each block
-    walks the coarse cells it meets, so a cell cut by a block edge has its
-    coefficients evaluated once in each of the two blocks.
+    the fine grid must refine coarse_t at any integer stride. With advance,
+    x_coarse[0] holds x0 and the pass writes the coarse Euler values into
+    the rest of x_coarse as it goes (nan from a path's abort step on, so a
+    path aborted iff its last value is nan); else it interpolates the
+    values given. _interpolate_on_fine writes _BLOCK_NODES fine nodes at a
+    time (the last block also takes node fine_n) into one reused buffer; a
+    cell cut by a block edge evaluates its coefficients in both blocks. Per
+    path the pass gives the squared sup error over every fine node up to
+    tau_fine, and the coarse interpolation (not stopped) at every
+    eval_stride-th fine node as (eval_n+1, paths). Both stopped solutions
+    are frozen after tau, so later nodes cannot raise the sup: they are
+    zeroed (node 0's error is exactly 0), while a nan up to tau still
+    propagates.
     """
     nf = fine_t.size - 1
     stride = nf // (coarse_t.size - 1)
@@ -309,7 +306,7 @@ def _level_pass(
     for lo in range(0, nf, _BLOCK_NODES):
         hi = lo + _BLOCK_NODES if lo + _BLOCK_NODES < nf else nf + 1  # the last block takes node nf
         d = buf[: hi - lo]
-        _interpolate_on_fine(coeffs, coarse_t, x_coarse, fine_t, w, bh, stride, d, lo)
+        _interpolate_on_fine(coeffs, coarse_t, x_coarse, fine_t, w, bh, stride, lo, hi, d, advance)
         first = -lo % eval_stride
         coarse_eval[(lo + first) // eval_stride : (hi - 1) // eval_stride + 1] = d[first::eval_stride]
         with np.errstate(invalid="ignore"):
@@ -383,11 +380,12 @@ def _run_chunk(
     rows = []  # per level: sup2, norm2sq, ninf_sq, in_b, aborted
     for n in levels:
         stride = fine.n // n
-        coarse_t = fine.nodes[::stride]
-        x_coarse, ab_coarse = _euler_solve_batch(coeffs, coarse_t, w[::stride], bh[::stride], x0)
-        sup2, c_eval = _level_pass(coeffs, coarse_t, x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride)
+        x_coarse = np.full((n + 1, size), x0)  # the pass runs the recursion from x0 in it
+        sup2, c_eval = _level_pass(
+            coeffs, fine.nodes[::stride], x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride, True
+        )
         cs_eval = _stop_batch(c_eval, tau_eval)
-        bad = (ab_fine >= 0) | (ab_coarse >= 0)
+        bad = (ab_fine >= 0) | np.isnan(x_coarse[-1])
         n2, ninf_d_sq = _error_norms(cs_eval, fs_eval, delta_eval, alpha, eval_cells)
         with np.errstate(invalid="ignore"):
             violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
@@ -444,8 +442,8 @@ def mc_strong_error(
         raise ValueError("m_fine must be at least 1")
     if m_fine > 16 or max(levels) << m_fine > _FINE_N_MAX:  # m_fine first: no huge shift
         raise ValueError(
-            f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: W, B^H, X and the fine solve's "
-            f"increments of one chunk take 10 KiB per fine node in each worker, 0.67 GB at {_FINE_N_MAX}"
+            f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: one chunk takes 40 B per fine node and "
+            f"path with independent noise and 96 B with Volterra noise, 0.67 GB and 1.6 GB per worker at {_FINE_N_MAX}"
         )
     fine_n = max(levels) << m_fine
     for n in levels:

@@ -26,7 +26,7 @@ __all__ = [
 
 # abort a path once |X| passes this; user coefficients may violate hypotheses
 STATE_CAP = 1e12
-# steps between checks that stop the recursion when every path has blown up
+# steps per block of the stride-1 recursion, which stops once every path has blown up
 _BLOWUP_CHECK_EVERY = 256
 
 
@@ -123,72 +123,71 @@ def _euler_solve_batch(
     bh: np.ndarray,
     x0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The Euler recursion for one path or many: w, bh are (n+1, ...).
+    """The Euler recursion for one path or many: w, bh are (n+1, ...) on the grid t.
 
-    Returns (values, aborted_step): values (n+1, ...), C-contiguous, and
-    aborted_step (...), the first step at which a path blew up (non-finite
-    or above STATE_CAP), or -1; a blown path holds nan from that step on.
-    The recursion stops early once every path is past the cap. Paths are
+    _interpolate_on_fine's loop at stride 1, _BLOWUP_CHECK_EVERY steps at a
+    time until every path is nan. Returns values (n+1, ...), C-contiguous,
+    and the first step (...) at which each path blew up, or -1. Paths are
     independent, so a path's values do not depend on its batch.
     """
-    delta = t[1] - t[0]
-    dw = np.diff(w, axis=0)
-    dbh = np.diff(bh, axis=0)
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
     x = np.empty(w.shape)
     x[0] = x0
-    # a blow-up only poisons its own path, found below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (tk, xk, dwk, dbk) in enumerate(zip(t, x, dw, dbh)):
-            x[k + 1] = xk + a(tk, xk) * delta + b(tk, xk) * dwk + c(tk, xk) * dbk
-            # once every path is past the cap, each abort step is known
-            if (k + 1) % _BLOWUP_CHECK_EVERY == 0 and not np.any(np.abs(x[k + 1]) <= STATE_CAP):
-                x[k + 2 :] = np.nan
-                break
-        bad = ~(np.abs(x[1:]) <= STATE_CAP)
-    aborted = np.where(bad.any(axis=0), bad.argmax(axis=0) + 1, -1)
-    if np.any(aborted >= 0):
-        x[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
-    return x, aborted
+    for lo in range(0, t.size - 1, _BLOWUP_CHECK_EVERY):
+        hi = min(lo + _BLOWUP_CHECK_EVERY, t.size - 1)
+        _interpolate_on_fine(coeffs, t, x, t, w, bh, 1, lo, hi, None, True)
+        if np.isnan(x[hi]).all():  # each abort step is known
+            x[hi + 1 :] = np.nan
+            break
+    dead = np.isnan(x[-1])
+    first = np.isnan(x[1:]).argmax(axis=0) + 1 if dead.any() else 0
+    return x, np.where(dead, first, -1)
 
 
 def _interpolate_on_fine(
-    coeffs: CoefficientSet,
-    coarse_t: np.ndarray,
-    coarse_x: np.ndarray,
-    fine_t: np.ndarray,
-    fine_w: np.ndarray,
-    fine_bh: np.ndarray,
-    stride: int,
-    out: np.ndarray | None = None,
-    lo: int = 0,
-) -> np.ndarray:
-    """Continuous interpolation of a coarse solution at fine nodes lo, lo+1, ...
+    coeffs: CoefficientSet, coarse_t: np.ndarray, coarse_x: np.ndarray, fine_t: np.ndarray, fine_w: np.ndarray,
+    fine_bh: np.ndarray, stride: int, lo: int, hi: int, out: np.ndarray | None = None, advance: bool = False,
+) -> np.ndarray | None:
+    """The Euler recursion and its continuous interpolation: one loop over coarse cells.
 
-    coarse_x is (n+1, ...) and fine_w, fine_bh are (stride*n+1, ...); the
-    result, written into out (m, ...) when given, holds fine nodes
-    lo..lo+m-1 (default: lo to the end). Fine node j uses the coarse node
-    k = j // stride: ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k),
-    so at coarse nodes the recursion is reproduced exactly, the last fine
-    node included. One pass per coarse cell k that meets the range: a, b, c
-    are evaluated once at (t_k, x_k), as in the recursion, and applied to
-    the cell's fine nodes in the range.
+    Coarse node k is fine node k*stride of fine_w, fine_bh (stride*n+1, ...);
+    coarse_x is (n+1, ...). Each cell k that meets fine nodes lo..hi-1
+    evaluates a, b, c once at (t_k, x_k). Into out (hi-lo, ...), when given,
+    through one reused scratch buffer, its fine nodes j in the range get
+    ((x_k + a_k (t_j - t_k)) + b_k (W_j - W_k)) + c_k (B_j - B_k): at coarse
+    nodes, the last fine node included, the recursion's value (or nan where
+    a coefficient is not finite). With advance, once the range reaches the
+    end of cell k < n, x_{k+1} = ((x_k + a_k delta) + b_k dW_k) + c_k dB_k,
+    delta = coarse_t[1] - coarse_t[0], goes into coarse_x (which must hold
+    the range's first cell; one np.diff gives the increments of the cells
+    advanced). One cap rule makes a non-finite value or one above STATE_CAP
+    nan, so a blown path holds nan from there on.
     """
-    if out is None:
-        out = np.empty((fine_t.size - lo,) + fine_w.shape[1:])
-    hi = lo + out.shape[0]
-    tmp = np.empty((min(stride, out.shape[0]),) + out.shape[1:])
-    column = (-1,) + (1,) * (out.ndim - 1)
-    for k in range(lo // stride, -(-hi // stride)):
-        j0, j1 = max(lo, k * stride), min(hi, (k + 1) * stride)
-        tk, xk = coarse_t[k], coarse_x[k]
-        blk, d = out[j0 - lo : j1 - lo], tmp[: j1 - j0]
-        np.multiply(coeffs.a(tk, xk), (fine_t[j0:j1] - tk).reshape(column), out=blk)
-        blk += xk
-        for fn, v in ((coeffs.b, fine_w), (coeffs.c, fine_bh)):
-            np.subtract(v[j0:j1], v[k * stride], out=d)
-            d *= fn(tk, xk)
-            blk += d
+    c0, c1 = lo // stride, min(hi // stride, coarse_x.shape[0] - 1) if advance else lo // stride
+    dw, db = (np.diff(v[c0 * stride : c1 * stride + 1 : stride], axis=0) for v in (fine_w, fine_bh))
+    if out is not None:
+        tmp = np.empty((min(stride, out.shape[0]),) + out.shape[1:])
+        column = (-1,) + (1,) * (out.ndim - 1)
+    delta = coarse_t[1] - coarse_t[0]
+    # a blow-up only poisons its own path, capped below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(c0, -(-hi // stride)):
+            tk, xk = coarse_t[k], coarse_x[k]
+            ak, bk, ck = coeffs.a(tk, xk), coeffs.b(tk, xk), coeffs.c(tk, xk)
+            if out is not None:
+                j0, j1 = max(lo, k * stride), min(hi, (k + 1) * stride)
+                blk, d = out[j0 - lo : j1 - lo], tmp[: j1 - j0]
+                np.multiply(ak, (fine_t[j0:j1] - tk).reshape(column), out=blk)
+                blk += xk
+                for coef, v in ((bk, fine_w), (ck, fine_bh)):
+                    np.subtract(v[j0:j1], v[k * stride], out=d)
+                    d *= coef
+                    blk += d
+            if k < c1:
+                x1 = xk + ak * delta + bk * dw[k - c0] + ck * db[k - c0]
+                coarse_x[k + 1] = x1
+                # a sum of squares within STATE_CAP^2 clears every path; nan and overflow fail it
+                if not np.vdot(x1, x1) <= STATE_CAP**2:
+                    coarse_x[k + 1] = np.where(np.abs(x1) <= STATE_CAP, x1, np.nan)
     return out
 
 
@@ -204,7 +203,7 @@ def interpolate(sol: EulerSolution, u: float) -> float:
     j = noise.grid.node_index(float(u))
     stride = sol.grid.refinement_stride(noise.grid)
     fine = (noise.grid.nodes, noise.w.values, noise.bh.values)
-    return float(_interpolate_on_fine(sol.coeffs, sol.grid.nodes, sol.values, *fine, stride, out, j)[0])
+    return float(_interpolate_on_fine(sol.coeffs, sol.grid.nodes, sol.values, *fine, stride, j, j + 1, out)[0])
 
 
 def write_solution_csv(sol: EulerSolution, file) -> None:

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from mixedsde import (
 )
 from mixedsde.coefficients import coefficients_from_expressions
 from mixedsde.convergence import _chunk_noise, _stop_batch
-from mixedsde.fbm import Independent
+from mixedsde.fbm import Independent, _resolve_dependence
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +354,24 @@ def test_fine_n_above_2_16_refused_before_any_noise(monkeypatch, levels, m_fine)
     monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
     with pytest.raises(ValueError, match=rf"fine n = {levels[-1]} \* 2\^{m_fine} exceeds 65536:.*0\.67 GB"):
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), levels, m_fine, 1, workers=1)
+
+
+@pytest.mark.parametrize("fine_n", [2048, 4096])
+@pytest.mark.parametrize("dependence, per_node", [("independent", 40), ("volterra", 96)])
+def test_chunk_peak_memory_per_fine_node_and_path(dependence, per_node, fine_n):
+    # the figures convergence._FINE_N_MAX states: the noise draw and its
+    # transpose for independent noise, the FFT convolution for Volterra noise
+    dep = _resolve_dependence(dependence)
+    args = (preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], TimeGrid(1.0, fine_n), 256, 256,
+            1000.0, 1.0, 3, dep, "circulant-embedding", 0)
+    convergence._run_chunk(*args)  # fills the spectrum and weight caches
+    tracemalloc.start()
+    try:
+        convergence._run_chunk(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert per_node - 0.1 < peak / ((fine_n + 1) * 256) <= per_node
 
 
 class _NoiseReached(Exception):

@@ -43,6 +43,19 @@ def test_pure_drift_exact(pair):
     assert np.array_equal(sol.values, grid.nodes)
 
 
+@pytest.mark.parametrize("horizon, n", [(1.0, 600), (0.3, 96)])
+def test_recursion_steps_by_the_first_cell_width(horizon, n):
+    # delta = t[1] - t[0] for every step: on these grids t[k+1] - t[k]
+    # differs from it in the last bit at some k
+    grid = TimeGrid(horizon, n)
+    assert np.any(np.diff(grid.nodes) != grid.nodes[1] - grid.nodes[0])
+    pair = NoisePair(NoisePath(grid, np.zeros(n + 1), "wiener"), NoisePath(grid, np.zeros(n + 1), "fbm", 0.7), "independent", 0)
+    want = [0.0]
+    for _ in range(n):
+        want.append(want[-1] + (grid.nodes[1] - grid.nodes[0]))
+    assert np.array_equal(euler_solve(_drift_one(), pair, 0.0).values, want)
+
+
 def test_interpolate_anchors_at_nodes(pair):
     grid = TimeGrid(1.0, 32)
     sol = euler_solve(preset("linear"), pair, 1.0, grid)
@@ -251,6 +264,9 @@ def test_increment_bound_monitor():
                 pair.w.values[:, None],
                 pair.bh.values[:, None],
                 stride,
+                0,
+                fine.n + 1,
+                np.empty((fine.n + 1, 1)),
             )[:, 0]
             base = np.arange(fine.n + 1) // stride
             off = np.arange(fine.n + 1) % stride != 0
@@ -285,15 +301,27 @@ def test_interpolate_on_fine_matches_per_node_formula(name):
                 + coeffs.b(tk, xk) * (w[:, j] - w[:, k * stride])
                 + coeffs.c(tk, xk) * (bh[:, j] - bh[:, k * stride])
             )
-        got = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride)
-        assert np.array_equal(got, want.T)
         nf, s = n * stride, stride
+        got = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride, 0, nf + 1, np.empty((nf + 1, 5)))
+        assert np.array_equal(got, want.T)
         # ranges that start or end inside a cell, lie inside one, or end at the last fine node
         ranges = [(1, nf - 1), (s - 1, 2 * s + 1), (0, s + 1), (s + 1, s + 2), (s + 1, 2 * s), (s, s + 1),
                   (s // 2, nf + 1), (nf - 1, nf + 1), (nf, nf + 1)]
         for lo, hi in ranges:
-            part = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride, np.empty((hi - lo, 5)), lo)
+            part = _interpolate_on_fine(coeffs, coarse_t, x, fine_t, w.T, bh.T, stride, lo, hi, np.empty((hi - lo, 5)))
             assert np.array_equal(part, want.T[lo:hi]), (stride, lo, hi)
+        # advancing from x0 over consecutive ranges cut anywhere, the loop
+        # runs the recursion itself and writes the same fine nodes
+        for cuts in ((), (1,), (s - 1, 2 * s + 1), (s, nf), (s // 2, s + 1, nf - 1)):
+            bounds = sorted({0, nf + 1, *(c for c in cuts if 0 < c <= nf)})
+            adv = np.full(x.shape, np.nan)
+            adv[0] = 1.0
+            parts = [
+                _interpolate_on_fine(coeffs, coarse_t, adv, fine_t, w.T, bh.T, stride, lo, hi, np.empty((hi - lo, 5)), True)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            assert np.array_equal(adv, x), (stride, bounds)
+            assert np.array_equal(np.concatenate(parts), want.T), (stride, bounds)
 
 
 def test_solution_csv(pair):

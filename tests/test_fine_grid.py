@@ -3,6 +3,7 @@ full-width formula it replaced, the dyadic coupling invariants of the
 harness (observed by spying on its own kernel calls), and the public
 localization API against the harness on each path."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 import mixedsde.convergence as convergence
 from mixedsde import (
+    EulerBlowupError,
+    EulerSolution,
     NoisePair,
     NoisePath,
     SolverConfig,
@@ -93,41 +96,53 @@ def test_blocked_pass_matches_full_width(monkeypatch, name, fine_n, coarse_n, ev
     w, bh = _node_major_noise(7, fine_n, 11)
     with np.errstate(all="ignore"):
         x_f, _ = _euler_solve_batch(coeffs, fine_t, w, bh, 1.0)
-        x_c, _ = _euler_solve_batch(coeffs, coarse_t, w[::stride], bh[::stride], 1.0)
-    # aborted rows: nan before tau propagates, nan after tau is frozen away
+    # aborted rows: nan before tau propagates, nan after tau is frozen away;
+    # on the fine side given as nan, on the coarse side by W jumps at coarse
+    # nodes that take the recursion past the cap (2e299) and to inf
     x_f[fine_n // 4 :, 3] = np.nan
-    x_c[-1:, 4] = np.nan
     x_f[-1, 5] = np.nan
+    w[coarse_n // 2 * stride :, 2] += 1e300
+    w[-1, 4] = np.inf
     tau_eval = np.array([0, eval_n // 2, eval_n, eval_n, eval_n // 2, eval_n - 1, 1])
     tau_fine = tau_eval * eval_stride
     delta_eval = 1.0 / eval_n
     cells = _norm2_weight_cells(eval_n, delta_eval, ALPHA, 1.0)
 
     with np.errstate(all="ignore"):
+        x_c, ab_c = _euler_solve_batch(coeffs, coarse_t, w[::stride], bh[::stride], 1.0)
         want = _full_width(
             coeffs, coarse_t, x_c.T, fine_t, w.T, bh.T, stride, x_f.T, tau_fine, eval_stride, delta_eval, cells
         )
-        sup2, c_eval = _level_pass(coeffs, coarse_t, x_c, fine_t, w, bh, x_f, tau_fine, eval_stride)
+        x_coarse = np.full(x_c.shape, 1.0)
+        sup2, c_eval = _level_pass(coeffs, coarse_t, x_coarse, fine_t, w, bh, x_f, tau_fine, eval_stride, True)
+        given = _level_pass(coeffs, coarse_t, x_c, fine_t, w, bh, x_f, tau_fine, eval_stride)
         fs_eval = _stop_batch(x_f[::eval_stride], tau_eval)
         got = (sup2, *_error_norms(_stop_batch(c_eval, tau_eval), fs_eval, delta_eval, ALPHA, cells))
+    assert np.array_equal(x_coarse, x_c, equal_nan=True)
+    assert all(np.array_equal(g, v, equal_nan=True) for g, v in zip(given, (sup2, c_eval)))
+    assert np.array_equal(np.isnan(x_coarse[-1]), ab_c >= 0)
+    assert ab_c[2] == coarse_n // 2 and ab_c[4] == coarse_n
     for g, v in zip(got, want):
         assert np.array_equal(g, v, equal_nan=True)
-    assert np.isnan(sup2[3]) and sup2[0] == 0.0
+    assert np.isnan(sup2[[2, 3]]).all() and sup2[0] == 0.0
     if name != "spiky":
-        assert np.isfinite(sup2[[0, 1, 2, 4, 5, 6]]).all()
+        assert np.isfinite(sup2[[0, 1, 4, 5, 6]]).all()
+        assert np.flatnonzero(ab_c >= 0).tolist() == [2, 4]
 
 
 def test_blocked_pass_keeps_the_last_node_formula():
-    # a(x) is nan at the last coarse state: the last fine node is nan, as
-    # x_n + a*0 is, not a copy of x_n
+    # a(t, x) is nan at t = 1, the last coarse node, where the recursion
+    # never evaluates it: the coarse values stay finite, but the last fine
+    # node is nan, as x_n + a*0 is, not a copy of x_n
     coeffs = coefficients_from_expressions("edge", "0 / (t - 1)", "0.2", "0.3", "0.0", 1.0, 0.75)
     fine_t = np.linspace(0.0, 1.0, 17)
     w, bh = _node_major_noise(3, 16, 2)
-    x_f = np.ones((17, 3))
-    x_c = np.ones((5, 3))
+    x_f, x_c = np.ones((17, 3)), np.ones((5, 3))
     with np.errstate(all="ignore"):
-        sup2, c_eval = _level_pass(coeffs, fine_t[::4], x_c, fine_t, w, bh, x_f, np.full(3, 16), 4)
-    assert np.isnan(c_eval[-1]).all() and np.isfinite(c_eval[:-1]).all()
+        sup2, c_eval = _level_pass(coeffs, fine_t[::4], x_c, fine_t, w, bh, x_f, np.full(3, 16), 4, True)
+        want, _ = _euler_solve_batch(coeffs, fine_t[::4], w[::4], bh[::4], 1.0)
+    assert np.isfinite(x_c).all() and np.array_equal(x_c, want)
+    assert np.isnan(c_eval[-1]).all() and np.array_equal(c_eval[:-1], x_c[:-1])
     assert np.isnan(sup2).all()
 
 
@@ -159,6 +174,25 @@ def test_pathwise_error_matches_full_width_at_any_stride(coarse_n, fine_n, noise
     )
     assert sup > 0.0
     assert (sup, n2) == (np.sqrt(sup2[0]), np.sqrt(norm2sq[0]))
+
+
+def test_pathwise_error_interpolates_the_coarse_values_it_is_given():
+    # one interior coarse value off the recursion: the error is that of the given values
+    coeffs, fine_grid = preset("bounded-smooth"), TimeGrid(1.0, 300)
+    pair = generate_noise_pair(fine_grid, 0.7, 4)
+    coarse = euler_solve(coeffs, pair, 1.0, TimeGrid(1.0, 100))
+    fine = stop(euler_solve(coeffs, pair, 1.0), 1.0)
+    values = coarse.values.copy()
+    values[37] += 1e-3
+    tampered = EulerSolution(grid=coarse.grid, values=values, noise=pair, coeffs=coeffs, x0=1.0)
+    sup, n2 = pathwise_error(stop(tampered, 1.0), fine, ALPHA)
+    cells = _norm2_weight_cells(300, fine_grid.delta, ALPHA, 1.0)
+    sup2, norm2sq, _ = _full_width(
+        coeffs, coarse.grid.nodes, values[None, :], fine_grid.nodes, pair.w.values[None, :], pair.bh.values[None, :],
+        3, fine.base.values[None, :], np.array([300]), 1, fine_grid.delta, cells,
+    )
+    assert (sup, n2) == (np.sqrt(sup2[0]), np.sqrt(norm2sq[0]))
+    assert (sup, n2) != pathwise_error(stop(coarse, 1.0), fine, ALPHA)
 
 
 def test_pathwise_error_refuses_grids_that_are_not_nested():
@@ -198,11 +232,13 @@ def test_coarse_solves_equal_euler_solve_on_subsampled_noise(harness_calls):
     _, calls = harness_calls
     fine = TimeGrid(1.0, 128)
     w, bh = _chunk_noise(Independent(), fine, 0.7, 5, 0, 20, "circulant-embedding")
-    coarse = [(args, out) for args, out in calls["_euler_solve_batch"] if len(args[1]) < fine.n + 1]
-    assert sorted(len(args[1]) - 1 for args, _ in coarse) == [8, 16, 32]
-    for args, (values, aborted) in coarse:
-        grid = TimeGrid(1.0, len(args[1]) - 1)
-        assert np.all(aborted == -1)
+    # the one Euler solve is the fine one; each level's pass runs its own recursion from x0
+    assert [len(args[1]) - 1 for args, _ in calls["_euler_solve_batch"]] == [fine.n]
+    passes = calls["_level_pass"]
+    assert sorted(len(args[1]) - 1 for args, _ in passes) == [8, 16, 32]
+    for args, _ in passes:
+        grid, values = TimeGrid(1.0, len(args[1]) - 1), args[2]  # the values the pass advanced from x0
+        assert args[9] is True and values[0].tolist() == [1.0] * 20 and not np.isnan(values).any()
         for p in range(20):
             pair = NoisePair(NoisePath(fine, w[:, p], "wiener"), NoisePath(fine, bh[:, p], "fbm", 0.7), "independent", 5)
             assert np.array_equal(values[:, p], euler_solve(preset("linear"), pair, 1.0, grid).values)
@@ -210,16 +246,75 @@ def test_coarse_solves_equal_euler_solve_on_subsampled_noise(harness_calls):
 
 def test_interpolation_reproduces_the_recursion_at_coarse_nodes(harness_calls):
     _, calls = harness_calls
-    solves = {len(args[1]) - 1: values for args, (values, _) in calls["_euler_solve_batch"]}
+    solves = {len(args[1]) - 1: args[2] for args, _ in calls["_level_pass"]}
     seen = set()
     for args, out in calls["_interpolate_on_fine"]:
-        coarse_t, x_coarse, stride, lo = args[1], args[2], args[6], args[8]
+        coarse_t, x_coarse, stride, lo = args[1], args[2], args[6], args[7]
         assert x_coarse is solves[len(coarse_t) - 1]
         nodes = np.arange(lo, lo + out.shape[0])
         at_coarse = nodes % stride == 0
         assert np.array_equal(out[at_coarse], x_coarse[nodes[at_coarse] // stride])
         seen.update((stride, int(j)) for j in nodes[at_coarse])
     assert seen == {(s, j) for s in (16, 8, 4) for j in range(0, 129, s)}
+
+
+def test_one_chunk_evaluates_each_coefficient_once_per_cell(monkeypatch):
+    counts = {"a": 0, "b": 0, "c": 0}
+    linear = preset("linear")
+
+    def counted(key):
+        def fn(t, x):
+            counts[key] += 1
+            return getattr(linear, key)(t, x)
+
+        return fn
+
+    solves = []
+    _spy(monkeypatch, "_euler_solve_batch", solves)
+    coeffs = dataclasses.replace(linear, **{key: counted(key) for key in counts})
+    config = SolverConfig(alpha=ALPHA, threshold=4.0)
+    mc_strong_error(coeffs, 0.7, config, [8, 16, 32], 2, 20, seed=5, eval_n=32, workers=1)
+    # the fine solve's 128 cells, then n + 1 cells per level: the last holds only the last fine node
+    assert counts == dict.fromkeys(counts, 128 + 9 + 17 + 33) == dict.fromkeys(counts, 187)
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize(
+    "a, b, x0",
+    [
+        # x * x * x, not x**3: numpy's power of an array and of a scalar can differ in the last bit
+        ("x * x * x", "1.0", 0.5),  # the fine recursion blows up first: some paths abort on the fine side only
+        ("-x * x * x", "6.0", 0.0),  # explicit Euler is unstable on the coarsest grid only
+    ],
+    ids=["fine-blows-up-first", "coarse-unstable"],
+)
+def test_level_values_equal_euler_solve_on_paths_that_blow_up(monkeypatch, a, b, x0):
+    passes, solves = [], []
+    _spy(monkeypatch, "_level_pass", passes)
+    _spy(monkeypatch, "_euler_solve_batch", solves)
+    coeffs = coefficients_from_expressions("cubic", a, b, "0.3", "0.0", 1.0, 0.75)
+    with np.errstate(all="ignore"):
+        rep = mc_strong_error(coeffs, 0.7, SolverConfig(alpha=ALPHA), [8, 16, 32], 2, 20, seed=5, x0=x0, eval_n=32,
+                              workers=1)
+    fine = TimeGrid(1.0, 128)
+    w, bh = _chunk_noise(Independent(), fine, 0.7, 5, 0, 20, "circulant-embedding")
+    ((_, (_, ab_fine)),) = solves
+    one_side = 0
+    for (args, _), level in zip(passes, rep.levels):
+        grid, values = TimeGrid(1.0, len(args[1]) - 1), args[2]
+        dead = np.isnan(values[-1])
+        assert level.aborted == np.count_nonzero(dead | (ab_fine >= 0))
+        one_side += np.count_nonzero(dead != (ab_fine >= 0))
+        for p in range(20):
+            pair = NoisePair(NoisePath(fine, w[:, p], "wiener"), NoisePath(fine, bh[:, p], "fbm", 0.7), "independent", 5)
+            if not dead[p]:
+                assert np.array_equal(values[:, p], euler_solve(coeffs, pair, x0, grid).values)
+                continue
+            with np.errstate(all="ignore"), pytest.raises(EulerBlowupError) as err:
+                euler_solve(coeffs, pair, x0, grid)
+            step = err.value.step
+            assert np.isnan(values[step:, p]).all() and np.isfinite(values[:step, p]).all()
+    assert one_side > 0 and 0 < sum(level.aborted for level in rep.levels) < 60
 
 
 def test_one_tau_stops_every_level(harness_calls):

@@ -37,10 +37,18 @@ def _kernel_calls(w, bh):
     x_f, x_c = _read_only(x_f), _read_only(x_c)
     tau = _read_only(np.arange(PATHS) * 3)
     cells = _norm2_weight_cells(n, 1 / n, 0.35, 1.0)
+    advanced, level_x = np.full((n // 4 + 1, PATHS), np.nan), np.full((n // 4 + 1, PATHS), 1.0)
+    advanced[0] = 1.0
+    level = _level_pass(coeffs, t[::4], level_x, t, w, bh, x_f, tau, 2, True)
+    assert np.array_equal(level_x, x_c)  # advancing, the pass runs the coarse recursion itself
     return {
         "_euler_solve_batch": (x_f, ab_f, x_c, ab_c),
-        "_interpolate_on_fine": (_interpolate_on_fine(coeffs, t[::4], x_c, t, w, bh, 4),),
-        "_level_pass": _level_pass(coeffs, t[::4], x_c, t, w, bh, x_f, tau, 2),
+        "_interpolate_on_fine": (
+            _interpolate_on_fine(coeffs, t[::4], x_c, t, w, bh, 4, 0, n + 1, np.empty(w.shape)),
+            _interpolate_on_fine(coeffs, t[::4], advanced, t, w, bh, 4, 0, n + 1, np.empty(w.shape), True),
+            advanced,
+        ),
+        "_level_pass": (*level, level_x, *_level_pass(coeffs, t[::4], x_c, t, w, bh, x_f, tau, 2)),
         "_stop_batch": (_stop_batch(w, tau),),
         "_first_crossing": (_first_crossing(bh, 0.2),),
         "_error_norms": _error_norms(w, bh, 1 / n, 0.35, cells),

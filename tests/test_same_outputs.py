@@ -18,10 +18,18 @@ def _result(**changes):
 
 
 def test_matrix_covers_presets_noise_thresholds_and_workers():
-    runs = same_outputs.matrix()
+    everything = same_outputs.matrix()
+    off_grid = {name: args for name, args in everything.items() if "--threshold" not in args}
+    runs = {name: args for name, args in everything.items() if name not in off_grid}
     assert len(runs) == 24
     assert all(args[-8:] == ["--paths", "300", "--levels", "16,32,64", "--m-fine", "3", "--eval-n", "64"]
                for args in runs.values())
+    assert sorted(off_grid) == [f"linear-{dep}-{label}-workers1" for dep in ("independent", "volterra")
+                                for label in ("levels2-8-mfine9", "t0.3")]
+    for name, args in off_grid.items():
+        assert args[:6] == ["--preset", "linear", "--dependence", name.split("-")[1], "--workers", "1"]
+        assert args[6:] == (["--t", "0.3", *runs["linear-independent-threshold50-workers1"][-8:]] if "t0.3" in name
+                            else ["--paths", "300", "--levels", "2,4,8", "--m-fine", "9", "--eval-n", "64"])
     forced = [name for name, args in runs.items() if "--force" in args]
     assert len(forced) == 8 and all(name.startswith("unbounded-b-") for name in forced)
     for flag, values in (("--preset", {"linear", "bounded-smooth", "unbounded-b"}),

@@ -5,7 +5,11 @@
 Each DIR is a checkout of the program. For every run of a fixed matrix
 (presets linear, bounded-smooth and unbounded-b with --force; independent
 and Volterra noise; threshold 50 and 2; workers 1 and 2; each with 300
-paths, levels 16,32,64, m_fine 3 and eval_n 64) the script runs
+paths, levels 16,32,64, m_fine 3 and eval_n 64), and for four runs of
+the linear preset at workers 1 under independent and Volterra noise, two
+at the non-dyadic horizon --t 0.3 and two at levels 2,4,8 with m_fine 9
+(coarse strides of 2048, 1024 and 512 fine nodes, so the 256-node blocks
+of the per-level pass cut the coarse cells), the script runs
 `python -m mixedsde.cli converge` once in each tree, with that tree's src/
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
@@ -46,6 +50,12 @@ from pathlib import Path
 FILES = ("report.json", "report.csv", "report_loglog.csv", "manifest.json")
 COMMON = ["--paths", "300", "--levels", "16,32,64", "--m-fine", "3", "--eval-n", "64"]
 PRESETS = {"linear": [], "bounded-smooth": [], "unbounded-b": ["--force"]}
+# linear-preset runs off the main grid, by label: a horizon that is not
+# dyadic, and coarse cells longer than the per-level pass's 256-node block
+OFF_GRID = {
+    "t0.3": ["--t", "0.3", *COMMON],
+    "levels2-8-mfine9": ["--paths", "300", "--levels", "2,4,8", "--m-fine", "9", "--eval-n", "64"],
+}
 
 
 def matrix() -> dict[str, list[str]]:
@@ -57,6 +67,8 @@ def matrix() -> dict[str, list[str]]:
         name = f"{preset}-{dep}-threshold{threshold}-workers{workers}"
         runs[name] = ["--preset", preset, *extra, "--dependence", dep, "--threshold", threshold,
                       "--workers", workers, *COMMON]
+    for (label, args), dep in itertools.product(OFF_GRID.items(), ("independent", "volterra")):
+        runs[f"linear-{dep}-{label}-workers1"] = ["--preset", "linear", "--dependence", dep, "--workers", "1", *args]
     return runs
 
 
