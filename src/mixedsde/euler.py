@@ -130,13 +130,12 @@ def _euler_solve_batch(
     and the first step (...) at which each path blew up, or -1. Paths are
     independent, so a path's values do not depend on its batch.
     """
-    x = np.empty(w.shape)
+    x = np.full(w.shape, np.nan)
     x[0] = x0
     for lo in range(0, t.size - 1, _BLOWUP_CHECK_EVERY):
         hi = min(lo + _BLOWUP_CHECK_EVERY, t.size - 1)
         _interpolate_on_fine(coeffs, t, x, t, w, bh, 1, lo, hi, None, True)
-        if np.isnan(x[hi]).all():  # each abort step is known
-            x[hi + 1 :] = np.nan
+        if np.isnan(x[hi]).all():  # each abort step is known; the rest stays nan
             break
     dead = np.isnan(x[-1])
     first = np.isnan(x[1:]).argmax(axis=0) + 1 if dead.any() else 0
@@ -157,10 +156,10 @@ def _interpolate_on_fine(
     nodes, the last fine node included, the recursion's value (or nan where
     a coefficient is not finite). With advance, once the range reaches the
     end of cell k < n, x_{k+1} = ((x_k + a_k delta) + b_k dW_k) + c_k dB_k,
-    delta = coarse_t[1] - coarse_t[0], goes into coarse_x (which must hold
-    the range's first cell; one np.diff gives the increments of the cells
-    advanced). One cap rule makes a non-finite value or one above STATE_CAP
-    nan, so a blown path holds nan from there on.
+    delta = coarse_t[1] - coarse_t[0] and the increments from one np.diff,
+    goes into coarse_x (which must hold the range's first cell). After the
+    loop one cap rule makes each value nan, in coarse_x and out, from a
+    path's first non-finite value or one above STATE_CAP on.
     """
     c0, c1 = lo // stride, min(hi // stride, coarse_x.shape[0] - 1) if advance else lo // stride
     dw, db = (np.diff(v[c0 * stride : c1 * stride + 1 : stride], axis=0) for v in (fine_w, fine_bh))
@@ -168,7 +167,7 @@ def _interpolate_on_fine(
         tmp = np.empty((min(stride, out.shape[0]),) + out.shape[1:])
         column = (-1,) + (1,) * (out.ndim - 1)
     delta = coarse_t[1] - coarse_t[0]
-    # a blow-up only poisons its own path, capped below
+    # a blow-up only poisons its own path, capped after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(c0, -(-hi // stride)):
             tk, xk = coarse_t[k], coarse_x[k]
@@ -183,11 +182,13 @@ def _interpolate_on_fine(
                     d *= coef
                     blk += d
             if k < c1:
-                x1 = xk + ak * delta + bk * dw[k - c0] + ck * db[k - c0]
-                coarse_x[k + 1] = x1
-                # a sum of squares within STATE_CAP^2 clears every path; nan and overflow fail it
-                if not np.vdot(x1, x1) <= STATE_CAP**2:
-                    coarse_x[k + 1] = np.where(np.abs(x1) <= STATE_CAP, x1, np.nan)
+                coarse_x[k + 1] = xk + ak * delta + bk * dw[k - c0] + ck * db[k - c0]
+        if c1 > c0:  # one cap rule: nan from a path's first non-finite value or one above STATE_CAP on
+            bad = np.logical_or.accumulate(~(np.abs(coarse_x[c0 + 1 : c1 + 1]) <= STATE_CAP), axis=0)
+            coarse_x[c0 + 1 : c1 + 1][bad] = np.nan
+            if out is not None:  # the fine nodes of cells that start from a capped value
+                j0 = max(lo, (c0 + 1) * stride)
+                out[j0 - lo :][bad[np.arange(j0, hi) // stride - c0 - 1]] = np.nan
     return out
 
 

@@ -97,11 +97,12 @@ def test_blocked_pass_matches_full_width(monkeypatch, name, fine_n, coarse_n, ev
     with np.errstate(all="ignore"):
         x_f, _ = _euler_solve_batch(coeffs, fine_t, w, bh, 1.0)
     # aborted rows: nan before tau propagates, nan after tau is frozen away;
-    # on the fine side given as nan, on the coarse side by W jumps at coarse
-    # nodes that take the recursion past the cap (2e299) and to inf
+    # on the fine side given as nan, on the coarse side by W at coarse nodes:
+    # a one-node spike takes the recursion past the cap (2e299) and, for the
+    # additive preset, back below it (the path stays aborted), and inf
     x_f[fine_n // 4 :, 3] = np.nan
     x_f[-1, 5] = np.nan
-    w[coarse_n // 2 * stride :, 2] += 1e300
+    w[coarse_n // 2 * stride, 2] += 1e300
     w[-1, 4] = np.inf
     tau_eval = np.array([0, eval_n // 2, eval_n, eval_n, eval_n // 2, eval_n - 1, 1])
     tau_fine = tau_eval * eval_stride
