@@ -183,7 +183,8 @@ def _interpolate_on_fine(
                     blk += d
             if k < c1:
                 coarse_x[k + 1] = xk + ak * delta + bk * dw[k - c0] + ck * db[k - c0]
-        if c1 > c0:  # one cap rule: nan from a path's first non-finite value or one above STATE_CAP on
+        # one cap rule: nan from a path's first non-finite value or one above STATE_CAP on (nan fails max <= cap)
+        if c1 > c0 and not np.abs(coarse_x[c0 + 1 : c1 + 1]).max() <= STATE_CAP:
             bad = np.logical_or.accumulate(~(np.abs(coarse_x[c0 + 1 : c1 + 1]) <= STATE_CAP), axis=0)
             coarse_x[c0 + 1 : c1 + 1][bad] = np.nan
             if out is not None:  # the fine nodes of cells that start from a capped value
