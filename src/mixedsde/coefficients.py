@@ -93,6 +93,33 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
+def _int_power(base, k: int):
+    """base**k for an integer k >= 1 as products (repeated squaring). A
+    product rounds the same on a scalar and on every array shape, while
+    `**` goes through libm pow on numpy scalars and a SIMD pow on arrays
+    (x**2 of an array is already x*x)."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
+class _IntPowers(ast.NodeTransformer):
+    """Rewrites `base ** k` for an int literal k >= 2 into _int_power(base, k);
+    pow is exact for k = 0 and 1, and other exponents keep `**`."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        k = node.right
+        if isinstance(node.op, ast.Pow) and isinstance(k, ast.Constant) and type(k.value) is int and k.value >= 2:
+            return ast.Call(ast.Name("_int_power", ast.Load()), [node.left, k], [])
+        return node
+
+
 def compile_expression(src: str, variables: tuple[str, ...] = ("t", "x")):
     """Compile an expression in the given variables to a vectorized callable."""
     try:
@@ -131,8 +158,10 @@ def compile_expression(src: str, variables: tuple[str, ...] = ("t", "x")):
     # compiled once as `lambda t, x=None: <expression>`; functions and
     # constants are its globals, so a call runs only the expression
     lam = ast.parse("lambda t, x=None: 0", mode="eval")
-    lam.body.body = tree.body
-    fn = eval(compile(lam, "<coefficient>", "eval"), {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS})
+    lam.body.body = _IntPowers().visit(tree.body)
+    ast.fix_missing_locations(lam)
+    names = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, "_int_power": _int_power}
+    fn = eval(compile(lam, "<coefficient>", "eval"), names)
     fn.source = src
     return fn
 

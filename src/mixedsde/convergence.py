@@ -56,9 +56,10 @@ _CHUNK = 256  # fixed path chunk; results never depend on worker count
 _EVAL_N_MAX = 4096
 # fine nodes per block of the per-level pass (at most, plus the last node)
 _BLOCK_NODES = 256
-# larger fine n is refused: a chunk peaks while it draws its noise, at 40 B per
-# fine node and path with independent noise and 96 B with Volterra noise (its
-# FFT convolution), 0.67 GB and 1.6 GB in each worker at 2^16
+# larger fine n is refused: a chunk peaks at 40 B per fine node and path with
+# independent noise (its circulant draw) and at 35.5 B at fine n 2048, 29 B
+# from 8192 on, with Volterra noise (its 16-path FFT groups; at small fine n
+# the per-level passes): at most 0.67 GB in each worker at 2^16
 _FINE_N_MAX = 1 << 16
 # more paths are refused: the result rows take 26 B per path and level, 1.6 GB
 # at 2^22 paths and the most levels (15), and 2^22 paths take over an hour
@@ -342,15 +343,16 @@ def _chunk_noise(
     dep, grid: TimeGrid, h: float, seed: int, chunk_idx: int, size: int, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(W, B^H) values for one chunk of paths, node-major (n+1, size) each.
-    The samplers draw path-major rows (the stream order, and the Volterra
-    FFT runs along rows); this is their one transpose."""
+    The samplers draw path-major rows (the stream order), transposed here
+    for W and circulant B^H; Volterra B^H is written node-major by the FFT
+    convolution, which runs along the path-major increments of W."""
     w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
     if isinstance(dep, VolterraFromWiener):
-        b = np.zeros_like(w)
-        b[:, 1:] = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.diff(w, axis=1))
+        b = np.zeros((grid.n + 1, size))
+        _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.diff(w, axis=1), out=b[1:].T)
     else:
-        b = _fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method)
-    return np.ascontiguousarray(w.T), np.ascontiguousarray(b.T)
+        b = np.ascontiguousarray(_fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method).T)
+    return np.ascontiguousarray(w.T), b
 
 
 def _run_chunk(
@@ -442,8 +444,9 @@ def mc_strong_error(
         raise ValueError("m_fine must be at least 1")
     if m_fine > 16 or max(levels) << m_fine > _FINE_N_MAX:  # m_fine first: no huge shift
         raise ValueError(
-            f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: one chunk takes 40 B per fine node and "
-            f"path with independent noise and 96 B with Volterra noise, 0.67 GB and 1.6 GB per worker at {_FINE_N_MAX}"
+            f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: one chunk takes up to 40 B per fine node "
+            f"and path with independent noise and 35.5 B with Volterra noise, at most 0.67 GB per worker at "
+            f"{_FINE_N_MAX}"
         )
     fine_n = max(levels) << m_fine
     for n in levels:

@@ -137,3 +137,25 @@ def test_expression_time_only_variable():
     assert fn(3.0) == 9.0
     with pytest.raises(ValueError):
         compile_expression("x", variables=("t",))
+
+
+@pytest.mark.parametrize("src", ["x**2", "-x**3", "x**4 - 2 * x**5", "(x + t)**7", "x**12 / 3"])
+def test_integer_powers_round_the_same_on_scalars_and_arrays(src):
+    # scalar ** goes through libm pow and an array's through a SIMD pow;
+    # products round the same at every shape
+    fn = compile_expression(src)
+    x = np.random.default_rng(0).normal(size=20000) * 3.0
+    rows = fn(0.4, x)
+    assert np.array_equal(np.array([fn(0.4, v) for v in x]), rows)
+    assert np.array_equal(fn(0.4, x[:, None])[:, 0], rows)
+
+
+def test_integer_powers_are_repeated_products():
+    x = np.random.default_rng(1).normal(size=500)
+    assert np.array_equal(compile_expression("x**2")(0.0, x), x * x)
+    assert np.array_equal(compile_expression("x**3")(0.0, x), x * (x * x))
+    assert np.array_equal(compile_expression("x**6")(0.0, x), (x * x) * ((x * x) * (x * x)))
+    # k = 0 and 1 keep pow, which is exact there; other exponents keep pow too
+    assert np.array_equal(compile_expression("x**0 + x**1")(0.0, x), 1.0 + x)
+    assert np.array_equal(compile_expression("x**2.5")(0.0, np.abs(x)), np.abs(x) ** 2.5)
+    assert compile_expression("2**3 + t**2", variables=("t",))(3.0) == 17.0

@@ -30,7 +30,15 @@ from mixedsde import (
 )
 from mixedsde.coefficients import coefficients_from_expressions
 from mixedsde.convergence import _chunk_noise, _stop_batch
-from mixedsde.fbm import Independent, _resolve_dependence
+from mixedsde.fbm import (
+    Independent,
+    VolterraFromWiener,
+    _resolve_dependence,
+    _volterra_fbm,
+    _volterra_weights,
+    _wiener_values_batch,
+)
+from mixedsde.rng import stream
 
 
 @pytest.fixture(scope="module")
@@ -356,11 +364,14 @@ def test_fine_n_above_2_16_refused_before_any_noise(monkeypatch, levels, m_fine)
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), levels, m_fine, 1, workers=1)
 
 
-@pytest.mark.parametrize("fine_n", [2048, 4096])
-@pytest.mark.parametrize("dependence, per_node", [("independent", 40), ("volterra", 96)])
+@pytest.mark.parametrize(
+    "dependence, per_node, fine_n",
+    [("independent", 40, 2048), ("independent", 40, 4096), ("volterra", 35.5, 2048), ("volterra", 29.8, 4096)],
+)
 def test_chunk_peak_memory_per_fine_node_and_path(dependence, per_node, fine_n):
     # the figures convergence._FINE_N_MAX states: the noise draw and its
-    # transpose for independent noise, the FFT convolution for Volterra noise
+    # transpose for independent noise; for Volterra noise the grouped FFT
+    # convolution (29 B) or, at the smaller fine n, the per-level passes
     dep = _resolve_dependence(dependence)
     args = (preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], TimeGrid(1.0, fine_n), 256, 256,
             1000.0, 1.0, 3, dep, "circulant-embedding", 0)
@@ -372,6 +383,35 @@ def test_chunk_peak_memory_per_fine_node_and_path(dependence, per_node, fine_n):
     finally:
         tracemalloc.stop()
     assert per_node - 0.1 < peak / ((fine_n + 1) * 256) <= per_node
+
+
+@pytest.mark.parametrize("size", [1, 37])
+def test_volterra_chunk_noise_is_node_major(size):
+    grid = TimeGrid(1.0, 300)
+    w, bh = _chunk_noise(VolterraFromWiener(), grid, 0.7, 3, 2, size, "circulant-embedding")
+    # the path-major arrays the harness transposed before it wrote B^H node-major
+    w_rows = _wiener_values_batch(grid, stream(3, 0, 2), size)
+    b_rows = np.zeros_like(w_rows)
+    b_rows[:, 1:] = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, 0.7), np.diff(w_rows, axis=1))
+    for got, rows in ((w, w_rows), (bh, b_rows)):
+        assert got.shape == (301, size) and got.flags.c_contiguous
+        assert np.array_equal(got, np.ascontiguousarray(rows.T))
+    assert np.all(bh[0] == 0.0)
+
+
+def test_volterra_chunk_noise_peak_memory():
+    # W path-major, its increments and B^H node-major take 8 B per node and
+    # path each, one 16-row group of the FFT convolution about 5 B more;
+    # convolving all 256 rows at once took 96 B
+    grid, paths = TimeGrid(1.0, 8192), 256
+    _chunk_noise(VolterraFromWiener(), grid, 0.7, 3, 0, paths, "circulant-embedding")  # fills the weight cache
+    tracemalloc.start()
+    try:
+        _chunk_noise(VolterraFromWiener(), grid, 0.7, 3, 0, paths, "circulant-embedding")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * (grid.n + 1) * paths
 
 
 class _NoiseReached(Exception):

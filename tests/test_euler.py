@@ -19,8 +19,9 @@ from mixedsde import (
     stopping_time,
 )
 from mixedsde.coefficients import coefficients_from_expressions
+from mixedsde.convergence import _chunk_noise
 from mixedsde.euler import _BLOWUP_CHECK_EVERY, _euler_solve_batch, _interpolate_on_fine, write_solution_csv
-from mixedsde.fbm import pair_holder_cumulative
+from mixedsde.fbm import Independent, pair_holder_cumulative
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,26 @@ def test_kernel_row_equals_batch_row(name):
         assert row.shape == (65,)
         assert np.array_equal(row, vals[:, p])
         assert ab == aborted[p] == -1
+
+
+@pytest.mark.parametrize(
+    "coeffs, fine_n, coarse_n, paths",
+    [
+        (preset("quadratic-c"), 4096, 4096, 256),
+        (coefficients_from_expressions("cubic", "-x**3", "6.0", "0.3", "0.0", 1.0, 0.75), 128, 8, 20),
+    ],
+    ids=["quadratic-c", "cubic"],
+)
+def test_integer_power_rows_equal_one_row_solves(coeffs, fine_n, coarse_n, paths):
+    # a one-row solve evaluates the coefficients on numpy scalars, the batch on rows
+    w, bh = _chunk_noise(Independent(), TimeGrid(1.0, fine_n), 0.7, 5, 0, paths, "circulant-embedding")
+    stride = fine_n // coarse_n
+    t = TimeGrid(1.0, coarse_n).nodes
+    vals, aborted = _euler_solve_batch(coeffs, t, w[::stride], bh[::stride], 1.0)
+    for p in range(paths):
+        row, ab = _euler_solve_batch(coeffs, t, w[::stride, p], bh[::stride, p], 1.0)
+        assert ab == aborted[p]
+        assert np.array_equal(row, vals[:, p], equal_nan=True)
 
 
 def test_kernel_blowup_confined_to_its_row():

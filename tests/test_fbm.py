@@ -288,6 +288,24 @@ def test_volterra_fbm_rows_equal_single_calls_and_half_is_the_running_sum():
     assert np.array_equal(_volterra_fbm(None, dw), np.cumsum(dw, axis=1))
 
 
+def test_volterra_fbm_groups_equal_row_calls_and_write_into_any_view():
+    # 37 rows: two full groups of 16 and a part group
+    assert 2 * fbm._VOLTERRA_GROUP < 37 < 3 * fbm._VOLTERRA_GROUP
+    dw = np.random.default_rng(4).normal(size=(37, 200)) / 14.0
+    weights = _volterra_weights(200, 1.0, 0.7)
+    rows = _volterra_fbm(weights, dw)
+    assert rows.shape == dw.shape
+    for p in range(37):
+        assert np.array_equal(_volterra_fbm(weights, dw[p]), rows[p])
+    b = np.full((201, 37), np.nan)
+    node_major = b[1:].T
+    assert _volterra_fbm(weights, dw, out=node_major) is node_major
+    assert np.array_equal(b[1:].T, rows) and np.all(np.isnan(b[0]))
+    into = np.zeros((37, 200))
+    assert _volterra_fbm(None, dw, out=into) is into
+    assert np.array_equal(into, np.cumsum(dw, axis=1))
+
+
 def test_volterra_pair_at_large_n_has_a_linear_size_cache():
     grid = TimeGrid(1.0, 2**16)
     pair = generate_noise_pair(grid, 0.7, 5, "volterra")
