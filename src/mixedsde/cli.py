@@ -33,7 +33,9 @@ from .coefficients import (
 from .convergence import DEFAULT_R, mc_strong_error
 from .euler import EulerBlowupError, SolverConfig, euler_solve, write_solution_csv
 from .fbm import (
+    _DEPENDENCE_ALIASES,
     _HOLDER_MIN_STEPS,
+    _METHODS,
     generate_fbm,
     generate_noise_pair,
     holder_functional,
@@ -54,16 +56,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _out_path(given: str | None, default_name: str) -> Path:
-    path = Path(given) if given is not None else Path(os.environ.get("MIXEDSDE_OUT", ".")) / default_name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _out_dir(given: str | None) -> Path:
     d = Path(given) if given is not None else Path(os.environ.get("MIXEDSDE_OUT", "."))
     d.mkdir(parents=True, exist_ok=True)
     return d
+
+
+def _out_path(given: str | None, default_name: str) -> Path:
+    path = Path(given) if given is not None else _out_dir(None) / default_name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 # a preset name, or else every custom key (in coefficients_from_expressions order)
@@ -327,12 +329,8 @@ _FLAGS = {
     "levels": dict(help="comma-separated coarse level sizes"),
     "m_fine": dict(type=int, help="fine grid is max(levels) * 2^m_fine cells, at most 2^16"),
     "paths": dict(type=int, help="Monte Carlo paths, at most 2^22 = 4194304"),
-    "dependence": dict(
-        choices=["independent", "volterra-from-same-wiener", "volterra"], help="pair coupling"
-    ),
-    "method": dict(
-        choices=["cholesky", "circulant-embedding", "circulant"], help="exact sampling method"
-    ),
+    "dependence": dict(choices=list(_DEPENDENCE_ALIASES), help="pair coupling"),
+    "method": dict(choices=_METHODS, help="exact sampling method"),
     "eval_n": dict(type=int, help="norm/functional evaluation subgrid"),
     "out": dict(help="output CSV path (default derived, in $MIXEDSDE_OUT)"),
 }

@@ -27,11 +27,12 @@ import numpy as np
 
 from . import __version__ as _version
 from .coefficients import CoefficientSet
-from .euler import EulerSolution, SolverConfig, _euler_solve_batch, _interpolate_on_fine
+from .euler import _BLOCK_NODES, EulerSolution, SolverConfig, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
     JointGaussian,
     NoisePair,
     VolterraFromWiener,
+    _check_method,
     _fbm_values_batch,
     _holder_cumulative_batch,
     _holder_exponents,
@@ -54,8 +55,6 @@ DEFAULT_R = 1000.0
 _CHUNK = 256  # fixed path chunk; results never depend on worker count
 # larger eval_n is refused: the bracket and Holder kernels cost O(paths * eval_n^2)
 _EVAL_N_MAX = 4096
-# fine nodes per block of the per-level pass (at most, plus the last node)
-_BLOCK_NODES = 256
 # larger fine n is refused: a chunk peaks at 40 B per fine node and path with
 # independent noise (its circulant draw) and at 35.5 B at fine n 2048, 29 B
 # from 8192 on, with Volterra noise (its 16-path FFT groups; at small fine n
@@ -140,23 +139,8 @@ class ErrorReport:
         )
 
 
-def _ols_loglog(deltas: np.ndarray, err2: np.ndarray) -> tuple[float, float, float]:
-    """Slope, slope standard error, and intercept of log err2 on log delta."""
-    x = np.log(deltas)
-    y = np.log(err2)
-    m = x.size
-    xbar = x.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    if sxx == 0.0:
-        raise ValueError("cannot fit a rate from a single distinct level")
-    slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * xbar)
-    resid = y - (intercept + slope * x)
-    se = math.sqrt(float(np.sum(resid**2)) / max(m - 2, 1) / sxx)
-    return slope, se, intercept
-
-
 def _fit_from_levels(levels: list, functional: str) -> tuple[float, float, float]:
+    """Slope, slope standard error, and intercept of log err2 on log delta over the usable levels."""
     if functional not in ("norm2", "sup"):
         raise ValueError("functional must be 'norm2' or 'sup'")
     pick = [
@@ -167,9 +151,17 @@ def _fit_from_levels(levels: list, functional: str) -> tuple[float, float, float
     pick = [(d, e) for d, e in pick if e > 0.0]
     if len(pick) < 3:
         raise ValueError("fewer than 3 usable levels; cannot fit a rate")
-    deltas = np.array([d for d, _ in pick])
-    err2 = np.array([e for _, e in pick])
-    return _ols_loglog(deltas, err2)
+    x = np.log(np.array([d for d, _ in pick]))
+    y = np.log(np.array([e for _, e in pick]))
+    xbar = x.mean()
+    sxx = float(np.sum((x - xbar) ** 2))
+    if sxx == 0.0:
+        raise ValueError("cannot fit a rate from a single distinct level")
+    slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
+    intercept = float(y.mean() - slope * xbar)
+    resid = y - (intercept + slope * x)
+    se = math.sqrt(float(np.sum(resid**2)) / max(x.size - 2, 1) / sxx)
+    return slope, se, intercept
 
 
 def fit_rate(report: ErrorReport, functional: str = "norm2") -> tuple[float, float]:
@@ -251,7 +243,7 @@ def pathwise_error(
     are evaluated at fine nodes through their continuous interpolation.
     """
     csol, fsol = coarse.base, fine.base
-    if csol.noise.provenance != fsol.noise.provenance or csol.noise is not fsol.noise:
+    if csol.noise is not fsol.noise:
         raise ValueError("solutions are not driven by the same noise (coupling violated)")
     if coarse.tau != fine.tau:
         raise ValueError("stopped solutions must share one stopping time")
@@ -370,7 +362,7 @@ def _run_chunk(
     comparison_sq = norms_comparison_constant(alpha, 0.0, fine.horizon) ** 2
     eval_cells = _norm2_weight_cells(eval_n, delta_eval, float(alpha), fine.horizon)
     w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
-    x_fine, ab_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
+    x_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
     k_eta = _holder_cumulative_batch(
         w[::eval_stride], delta_eval, config.eta, _holder_exponents("wiener", config.eta, None)
     ) + _holder_cumulative_batch(bh[::eval_stride], delta_eval, config.eta, _holder_exponents("fbm", config.eta, h))
@@ -387,7 +379,7 @@ def _run_chunk(
             coeffs, fine.nodes[::stride], x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride, True
         )
         cs_eval = _stop_batch(c_eval, tau_eval)
-        bad = (ab_fine >= 0) | np.isnan(x_coarse[-1])
+        bad = np.isnan(x_fine[-1]) | np.isnan(x_coarse[-1])
         n2, ninf_d_sq = _error_norms(cs_eval, fs_eval, delta_eval, alpha, eval_cells)
         with np.errstate(invalid="ignore"):
             violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
@@ -403,6 +395,14 @@ def _run_chunk(
             ninf_coarse = np.max(br_c, axis=0)
             rows.append((sup2, n2, ninf_coarse**2, (ninf_coarse + ninf_fine) <= r_bound, bad))
     return (*(np.array(level_rows) for level_rows in zip(*rows)), tau_eval < eval_n)
+
+
+def _mean_se(rows: np.ndarray) -> tuple[float, float]:
+    """Mean and Monte Carlo standard error of 1-d rows: nan for none, an error of 0 for one."""
+    if not rows.size:
+        return float("nan"), float("nan")
+    se = float(np.std(rows, ddof=1) / math.sqrt(rows.size)) if rows.size > 1 else 0.0
+    return float(np.sum(rows) / rows.size), se
 
 
 def mc_strong_error(
@@ -481,6 +481,7 @@ def mc_strong_error(
     dep = _resolve_dependence(dependence)
     if isinstance(dep, JointGaussian):
         raise ValueError("mc_strong_error has no joint-gaussian sampler; use independent or volterra")
+    _check_method(method)
 
     run = partial(_run_chunk, coeffs, h, config, levels, fine, eval_n, paths, r_bound, x0, seed, dep, method)
     chunks = range((paths + _CHUNK - 1) // _CHUNK)
@@ -497,14 +498,7 @@ def mc_strong_error(
         retained = int(keep.sum())
         discarded = int((~aborted[li] & ~in_b[li]).sum())
         n_aborted = int(aborted[li].sum())
-        if retained:
-            e_n2 = float(np.sum(norm2sq[li][keep]) / retained)
-            e_sup = float(np.sum(sup2[li][keep]) / retained)
-            se_n2 = float(np.std(norm2sq[li][keep], ddof=1) / math.sqrt(retained)) if retained > 1 else 0.0
-            se_sup = float(np.std(sup2[li][keep], ddof=1) / math.sqrt(retained)) if retained > 1 else 0.0
-            m_inf = float(np.sum(ninf_sq[li][keep]) / retained)
-        else:
-            e_n2 = e_sup = se_n2 = se_sup = m_inf = float("nan")
+        (e_n2, se_n2), (e_sup, se_sup), (m_inf, _) = (_mean_se(v[li][keep]) for v in (norm2sq, sup2, ninf_sq))
         level_stats.append(
             LevelStats(
                 n=n,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, kappa
 from .fbm import NoisePair
 from .grid import TimeGrid
 
@@ -26,8 +26,8 @@ __all__ = [
 
 # abort a path once |X| passes this; user coefficients may violate hypotheses
 STATE_CAP = 1e12
-# steps per block of the stride-1 recursion, which stops once every path has blown up
-_BLOWUP_CHECK_EVERY = 256
+# fine nodes per _interpolate_on_fine call in the stride-1 recursion and the per-level pass
+_BLOCK_NODES = 256
 
 
 class EulerBlowupError(RuntimeError):
@@ -58,7 +58,7 @@ class SolverConfig:
 
     def validate(self, h: float, beta: float) -> None:
         """Check the admissible windows against the model's H and beta."""
-        kap = min(0.5, beta)
+        kap = kappa(beta)
         if not (1.0 - h < self.alpha < kap):
             raise ValueError(
                 f"alpha={self.alpha} outside (1-H, kappa) = ({1.0 - h:.3f}, {kap:.3f})"
@@ -67,8 +67,6 @@ class SolverConfig:
             raise ValueError(
                 f"eta={self.eta} must be below kappa - alpha = {kap - self.alpha:.3f}"
             )
-        if not (self.eta < h):
-            raise ValueError(f"eta={self.eta} must be below H={h}")
         if not (self.epsilon < kap - self.alpha):
             raise ValueError(
                 f"epsilon={self.epsilon} must be below kappa - alpha = {kap - self.alpha:.3f}"
@@ -110,9 +108,9 @@ def euler_solve(
     """
     grid = noise.grid if grid is None else grid
     stride = grid.refinement_stride(noise.grid)
-    x, aborted = _euler_solve_batch(coeffs, grid.nodes, noise.w.values[::stride], noise.bh.values[::stride], x0)
-    if aborted >= 0:
-        raise EulerBlowupError(int(aborted))
+    x = _euler_solve_batch(coeffs, grid.nodes, noise.w.values[::stride], noise.bh.values[::stride], x0)
+    if np.isnan(x[-1]):
+        raise EulerBlowupError(int(np.isnan(x[1:]).argmax()) + 1)
     return EulerSolution(grid=grid, values=x, noise=noise, coeffs=coeffs, x0=float(x0))
 
 
@@ -122,24 +120,22 @@ def _euler_solve_batch(
     w: np.ndarray,
     bh: np.ndarray,
     x0: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The Euler recursion for one path or many: w, bh are (n+1, ...) on the grid t.
 
-    _interpolate_on_fine's loop at stride 1, _BLOWUP_CHECK_EVERY steps at a
-    time until every path is nan. Returns values (n+1, ...), C-contiguous,
-    and the first step (...) at which each path blew up, or -1. Paths are
-    independent, so a path's values do not depend on its batch.
+    _interpolate_on_fine's loop at stride 1, _BLOCK_NODES steps at a time
+    until every path is nan. Returns values (n+1, ...), C-contiguous, nan
+    from a path's abort step on. Paths are independent, so a path's values
+    do not depend on its batch.
     """
     x = np.full(w.shape, np.nan)
     x[0] = x0
-    for lo in range(0, t.size - 1, _BLOWUP_CHECK_EVERY):
-        hi = min(lo + _BLOWUP_CHECK_EVERY, t.size - 1)
+    for lo in range(0, t.size - 1, _BLOCK_NODES):
+        hi = min(lo + _BLOCK_NODES, t.size - 1)
         _interpolate_on_fine(coeffs, t, x, t, w, bh, 1, lo, hi, None, True)
-        if np.isnan(x[hi]).all():  # each abort step is known; the rest stays nan
+        if np.isnan(x[hi]).all():  # the rest stays nan
             break
-    dead = np.isnan(x[-1])
-    first = np.isnan(x[1:]).argmax(axis=0) + 1 if dead.any() else 0
-    return x, np.where(dead, first, -1)
+    return x
 
 
 def _interpolate_on_fine(

@@ -39,9 +39,11 @@ __all__ = [
 # Relative tolerance on circulant eigenvalues; anything more negative than
 # -CIRCULANT_EIG_TOL * max(eig) signals a covariance bug, not roundoff.
 CIRCULANT_EIG_TOL = 1e-10
-# larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time),
-# and a larger 2n by the joint-gaussian one
+# larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time), and a larger 2n
+# by the joint-gaussian one. Its cached factor takes 8n^2 B (128 MiB at 4096), the build peaks
+# at about 384 MiB, and chunks that start together may each build it once
 _CHOLESKY_N_MAX = 4096
+_METHODS = ("cholesky", "circulant-embedding", "circulant")  # independent B^H only; others ignore it
 # holder_functional refuses fewer grid steps (nodes - 1) in [0, t]
 _HOLDER_MIN_STEPS = 8
 # rows per FFT group of _volterra_fbm: one 256-path Volterra chunk's noise at
@@ -135,8 +137,8 @@ class JointGaussian:
 
 _DEPENDENCE_ALIASES = {
     "independent": Independent(),
-    "volterra": VolterraFromWiener(),
     "volterra-from-same-wiener": VolterraFromWiener(),
+    "volterra": VolterraFromWiener(),
 }
 
 
@@ -144,13 +146,10 @@ def _resolve_dependence(spec) -> Independent | VolterraFromWiener | JointGaussia
     if isinstance(spec, (Independent, VolterraFromWiener, JointGaussian)):
         return spec
     if isinstance(spec, str):
-        try:
-            return _DEPENDENCE_ALIASES[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown dependence {spec!r}; use 'independent', 'volterra-from-same-wiener' "
-                "or a JointGaussian spec"
-            ) from None
+        if spec not in _DEPENDENCE_ALIASES:
+            names = ", ".join(_DEPENDENCE_ALIASES)
+            raise ValueError(f"unknown dependence {spec!r}; use one of {names} or a JointGaussian spec")
+        return _DEPENDENCE_ALIASES[spec]
     raise TypeError(f"cannot interpret dependence spec {spec!r}")
 
 
@@ -221,32 +220,43 @@ def _fgn_unit_circulant(n: int, h: float, rng: np.random.Generator, size: int, s
     return np.fft.irfft(y, 2 * n, axis=1)[:, :n]
 
 
+def _check_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {', '.join(_METHODS)}")
+
+
+@lru_cache(maxsize=1)
+def _cholesky_factor(grid: TimeGrid, h: float) -> np.ndarray:
+    """Lower Cholesky factor of the fBm node covariance on grid, read-only."""
+    try:
+        chol = np.linalg.cholesky(_fbm_node_covariance(grid, h))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("fBm node covariance is not positive definite") from exc
+    chol.setflags(write=False)
+    return chol
+
+
 def _fbm_values_batch(
     grid: TimeGrid, h: float, rng: np.random.Generator, size: int, method: str
 ) -> np.ndarray:
     """(size, n+1) fBm node values, exact in distribution for both methods."""
+    _check_method(method)
     n = grid.n
-    if method in ("circulant", "circulant-embedding"):
-        fgn = _fgn_unit_circulant(n, h, rng, size, grid.delta**h)
-        out = np.zeros((size, n + 1))
-        np.cumsum(fgn, axis=1, out=out[:, 1:])
-        return out
     if method == "cholesky":
         if n > _CHOLESKY_N_MAX:
             raise ValueError(
                 f"cholesky sampling of n={n} > {_CHOLESKY_N_MAX} steps refused: the n x n covariance needs "
                 "O(n^2) memory and its factorisation O(n^3) time; use circulant-embedding"
             )
-        cov = _fbm_node_covariance(grid, h)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("fBm node covariance is not positive definite") from exc
+        chol = _cholesky_factor(grid, h)
         z = rng.standard_normal((size, n))
         out = np.zeros((size, n + 1))
         out[:, 1:] = z @ chol.T
         return out
-    raise ValueError(f"unknown method {method!r}; use 'cholesky' or 'circulant-embedding'")
+    fgn = _fgn_unit_circulant(n, h, rng, size, grid.delta**h)
+    out = np.zeros((size, n + 1))
+    np.cumsum(fgn, axis=1, out=out[:, 1:])
+    return out
 
 
 def generate_fbm(
@@ -374,6 +384,7 @@ def generate_noise_pair(
     """
     h = validate_hurst(h, allow_brownian=allow_brownian)
     dep = _resolve_dependence(dependence)
+    _check_method(method)
     n = grid.n
     if isinstance(dep, Independent):
         w_vals = _wiener_values_batch(grid, stream(seed, 0), 1)[0]
@@ -410,8 +421,6 @@ def generate_noise_pair(
         b_vals = np.zeros(n + 1)
         w_vals[1:] = joint[:n]
         b_vals[1:] = joint[n:]
-    else:  # pragma: no cover
-        raise TypeError(f"unhandled dependence {dep!r}")
     return NoisePair(
         NoisePath(grid, w_vals, "wiener"),
         NoisePath(grid, b_vals, "fbm", h),

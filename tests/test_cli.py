@@ -115,6 +115,18 @@ def test_integrate_expression_integrand(outdir, capsys):
     assert printed == pytest.approx(2.0 / 3.0, rel=1e-4)
 
 
+def test_integrate_csv_integrand(outdir, capsys):
+    # int_0^1 g dg = g(1)^2 / 2 = 1/2 for g(t) = t^2; f must share g's nodes
+    for name, n in (("g.csv", 1024), ("f.csv", 512)):
+        t = np.arange(n + 1) / n
+        np.savetxt(outdir / name, np.column_stack([t, t * t]), fmt="%.17g", delimiter=",", header="t,value",
+                   comments="")
+    assert main(["integrate", "--f", str(outdir / "g.csv"), "--g", str(outdir / "g.csv"), "--alpha", "0.3"]) == 0
+    assert float(capsys.readouterr().out.strip()) == pytest.approx(0.5, rel=1e-4)
+    assert main(["integrate", "--f", str(outdir / "f.csv"), "--g", str(outdir / "g.csv"), "--alpha", "0.3"]) == 1
+    assert "error: f and g must be sampled on the same nodes" in capsys.readouterr().err
+
+
 def test_solve_writes_path(outdir, capsys):
     assert main(["solve", "--preset", "linear", "--h", "0.7", "--n", "128", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -449,6 +461,19 @@ def test_converge_refuses_a_bad_setting_before_any_noise(outdir, capsys, monkeyp
     assert f"error: {message}" in capsys.readouterr().err
     assert drawn == []
     assert not any(outdir.iterdir())
+
+
+@pytest.mark.parametrize("dependence", ["independent", "volterra"])
+def test_converge_refuses_an_unknown_method_before_any_noise(outdir, capsys, monkeypatch, dependence):
+    # argparse refuses --method bogus; a manifest reaches mc_strong_error
+    drawn = []
+    monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
+    (outdir / "m.json").write_text(json.dumps({"method": "bogus", "dependence": dependence}))
+    rc = main(["converge", "--manifest", str(outdir / "m.json"), "--preset", "linear", "--paths", "4", "--levels",
+               "8,16,32", "--m-fine", "2", "--workers", "1", "--outdir", str(outdir / "r")])
+    assert rc == 1
+    assert "error: unknown method 'bogus'" in capsys.readouterr().err
+    assert drawn == [] and [p.name for p in outdir.iterdir()] == ["m.json"]
 
 
 @pytest.mark.parametrize("extra", [[], ["--pair"]])

@@ -217,6 +217,8 @@ def test_fit_rate_excludes_zero_levels():
     assert math.isfinite(slope)
     with pytest.raises(ValueError, match="fewer than 3"):
         fit_rate(_synthetic_report(deltas, np.array([0.0, 0.0, 1e-3, 1e-4])))
+    with pytest.raises(ValueError, match="functional must be 'norm2' or 'sup'"):
+        fit_rate(_synthetic_report(deltas, err2), "holder")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +416,21 @@ def test_volterra_chunk_noise_peak_memory():
     assert peak <= 30 * (grid.n + 1) * paths
 
 
+def test_cholesky_chunk_noise_peak_memory():
+    # with the factor cached, the draw, its product with the factor, the
+    # node values and the two transposes: 32 B per node and path (392 B at
+    # fine n 4096 when each chunk built and factored the covariance)
+    grid, paths = TimeGrid(1.0, 2048), 256
+    _chunk_noise(Independent(), grid, 0.7, 3, 0, paths, "cholesky")  # builds the factor
+    tracemalloc.start()
+    try:
+        _chunk_noise(Independent(), grid, 0.7, 3, 0, paths, "cholesky")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * (grid.n + 1) * paths
+
+
 class _NoiseReached(Exception):
     pass
 
@@ -560,16 +577,22 @@ def test_the_harness_shares_no_array_between_chunks():
         (dict(r_bound=math.nan), "r_bound must be positive"),
         (dict(x0=math.nan), "x0 must be finite"),
         (dict(x0=-math.inf), "x0 must be finite"),
+        (dict(m_fine=0), "m_fine must be at least 1"),
+        (dict(eval_n=24), "eval_n=24 must be a dyadic divisor of fine n=128"),
+        (dict(paths=0), "need at least one path"),
+        (dict(method="bogus"), "unknown method 'bogus'"),
+        (dict(method="bogus", dependence="volterra"), "unknown method 'bogus'"),
     ],
     ids=["paths-above-2-22", "eval-n-0", "eval-n-negative", "r-bound-negative", "r-bound-0", "r-bound-nan",
-         "x0-nan", "x0-minus-inf"],
+         "x0-nan", "x0-minus-inf", "m-fine-0", "eval-n-not-dyadic", "paths-0", "method-unknown",
+         "method-unknown-volterra"],
 )
 def test_a_bad_setting_is_refused_before_any_noise_or_thread(monkeypatch, kwargs, message):
     sizes = _spy_pool_sizes(monkeypatch)
     monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
-    settings = {"paths": 4, "workers": 2, **kwargs}
+    settings = {"m_fine": 2, "paths": 4, "workers": 2, **kwargs}
     with pytest.raises(ValueError, match=message):
-        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, **settings)
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], **settings)
     assert sizes == []
 
 

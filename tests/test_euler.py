@@ -20,7 +20,7 @@ from mixedsde import (
 )
 from mixedsde.coefficients import coefficients_from_expressions
 from mixedsde.convergence import _chunk_noise
-from mixedsde.euler import _BLOWUP_CHECK_EVERY, _euler_solve_batch, _interpolate_on_fine, write_solution_csv
+from mixedsde.euler import _BLOCK_NODES, _euler_solve_batch, _interpolate_on_fine, write_solution_csv
 from mixedsde.fbm import Independent, pair_holder_cumulative
 
 
@@ -125,6 +125,16 @@ def test_stopping_time_trivials(pair):
     assert stopping_time(pair, 0.1, 1e-12) == pair.grid.nodes[1]
 
 
+def test_stopping_time_and_stop_refuse_arguments_out_of_range(pair):
+    for threshold in (0.0, -1.0):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            stopping_time(pair, 0.1, threshold)
+    sol = euler_solve(preset("linear"), pair, 1.0)
+    for tau in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, T\]"):
+            stop(sol, tau)
+
+
 def test_stopping_time_monotone_in_threshold(pair):
     taus = [stopping_time(pair, 0.1, n) for n in (2.0, 3.0, 5.0, 1e9)]
     assert all(a <= b for a, b in zip(taus, taus[1:]))
@@ -170,7 +180,7 @@ def test_blowup_stops_the_recursion_early():
     with pytest.raises(EulerBlowupError) as err:
         euler_solve(cubic, noise, 8.0)
     assert err.value.step == 44
-    assert len(calls) == _BLOWUP_CHECK_EVERY
+    assert len(calls) == _BLOCK_NODES
 
 
 def test_batch_solver_matches_single(pair):
@@ -180,9 +190,9 @@ def test_batch_solver_matches_single(pair):
     stride = pair.grid.n // grid.n
     w = np.stack([pair.w.values[::stride]] * 3)
     bh = np.stack([pair.bh.values[::stride]] * 3)
-    vals, aborted = _euler_solve_batch(lin, grid.nodes, w.T, bh.T, 1.0)
+    vals = _euler_solve_batch(lin, grid.nodes, w.T, bh.T, 1.0)
     assert np.array_equal(vals[:, 1], sol.values)
-    assert np.all(aborted == -1)
+    assert np.all(_abort_steps(vals) == -1)
 
 
 def test_batch_solver_flags_blowup(pair):
@@ -191,9 +201,15 @@ def test_batch_solver_flags_blowup(pair):
     stride = pair.grid.n // grid.n
     w = np.stack([pair.w.values[::stride]] * 2)
     bh = np.stack([pair.bh.values[::stride]] * 2)
-    vals, aborted = _euler_solve_batch(cubic, grid.nodes, w.T, bh.T, 8.0)
-    assert np.all(aborted >= 1)
+    vals = _euler_solve_batch(cubic, grid.nodes, w.T, bh.T, 8.0)
+    assert np.all(_abort_steps(vals) >= 1)
     assert np.all(np.isnan(vals[-1]))
+
+
+def _abort_steps(vals):
+    """Per path of Euler values (n+1, ...), the first nan node (its abort step), or -1."""
+    dead = np.isnan(vals)
+    return np.where(dead[-1], dead.argmax(axis=0), -1)
 
 
 def _noise_rows(rows, n, seed):
@@ -209,13 +225,13 @@ def _noise_rows(rows, n, seed):
 def test_kernel_row_equals_batch_row(name):
     coeffs = preset(name)
     t, w, bh = _noise_rows(5, 64, 7)
-    vals, aborted = _euler_solve_batch(coeffs, t, w.T, bh.T, 1.0)
+    vals = _euler_solve_batch(coeffs, t, w.T, bh.T, 1.0)
     assert vals.shape == w.T.shape and vals.flags.c_contiguous
     for p in range(5):
-        row, ab = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
+        row = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
         assert row.shape == (65,)
         assert np.array_equal(row, vals[:, p])
-        assert ab == aborted[p] == -1
+        assert _abort_steps(row) == _abort_steps(vals)[p] == -1
 
 
 @pytest.mark.parametrize(
@@ -231,10 +247,10 @@ def test_integer_power_rows_equal_one_row_solves(coeffs, fine_n, coarse_n, paths
     w, bh = _chunk_noise(Independent(), TimeGrid(1.0, fine_n), 0.7, 5, 0, paths, "circulant-embedding")
     stride = fine_n // coarse_n
     t = TimeGrid(1.0, coarse_n).nodes
-    vals, aborted = _euler_solve_batch(coeffs, t, w[::stride], bh[::stride], 1.0)
+    vals = _euler_solve_batch(coeffs, t, w[::stride], bh[::stride], 1.0)
     for p in range(paths):
-        row, ab = _euler_solve_batch(coeffs, t, w[::stride, p], bh[::stride, p], 1.0)
-        assert ab == aborted[p]
+        row = _euler_solve_batch(coeffs, t, w[::stride, p], bh[::stride, p], 1.0)
+        assert _abort_steps(row) == _abort_steps(vals)[p]
         assert np.array_equal(row, vals[:, p], equal_nan=True)
 
 
@@ -244,13 +260,14 @@ def test_kernel_blowup_confined_to_its_row():
     w[2] *= 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, aborted = _euler_solve_batch(coeffs, t, w.T, bh.T, 1.0)
+        vals = _euler_solve_batch(coeffs, t, w.T, bh.T, 1.0)
+        aborted = _abort_steps(vals)
         step = int(aborted[2])
         assert step >= 1
         assert np.all(np.isnan(vals[step:, 2])) and np.all(np.isfinite(vals[:step, 2]))
         for p in (0, 1, 3):
-            row, ab = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
-            assert ab == aborted[p] == -1
+            row = _euler_solve_batch(coeffs, t, w[p], bh[p], 1.0)
+            assert _abort_steps(row) == aborted[p] == -1
             assert np.array_equal(vals[:, p], row)
         grid = TimeGrid(1.0, 64)
         pair = NoisePair(
@@ -311,7 +328,7 @@ def test_interpolate_on_fine_matches_per_node_formula(name):
         w = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
         bh = np.cumsum(rng.normal(size=(5, fine_t.size)), axis=1) / 6
         coarse_t = fine_t[::stride]
-        x, _ = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride].T, bh[:, ::stride].T, 1.0)
+        x = _euler_solve_batch(coeffs, coarse_t, w[:, ::stride].T, bh[:, ::stride].T, 1.0)
         want = np.empty_like(w)
         for j in range(fine_t.size):
             k = j // stride
@@ -370,3 +387,7 @@ def test_solver_config_windows():
         SolverConfig(alpha=0.0)
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.35, threshold=0.0)
+    with pytest.raises(ValueError, match=r"eta must lie in \(0, 1/2\)"):
+        SolverConfig(alpha=0.35, eta=0.5)
+    with pytest.raises(ValueError, match="rate slack epsilon must be positive"):
+        SolverConfig(alpha=0.35, epsilon=0.0)

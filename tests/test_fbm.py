@@ -7,12 +7,15 @@ import pytest
 from mixedsde import (
     JointGaussian,
     NoisePath,
+    SolverConfig,
     TimeGrid,
     fbm_covariance,
     generate_fbm,
     generate_noise_pair,
     generate_wiener,
     holder_functional,
+    mc_strong_error,
+    preset,
 )
 from mixedsde import fbm
 from mixedsde.fbm import (
@@ -118,6 +121,37 @@ def test_cholesky_accepts_n_at_its_bound(monkeypatch):
     monkeypatch.setattr(fbm, "_fbm_node_covariance", reached)
     with pytest.raises(Reached):
         _fbm_values_batch(TimeGrid(1.0, 4096), 0.7, stream(1, 1), 1, "cholesky")
+
+
+def test_cholesky_factor_is_built_once_per_grid(monkeypatch):
+    calls, factor = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda cov: calls.append(cov.shape) or factor(cov))
+    fbm._cholesky_factor.cache_clear()
+    # 600 paths: three chunks on the 64-step fine grid
+    mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 2, 600, method="cholesky",
+                    eval_n=32, workers=1)
+    assert calls == [(64, 64)]
+
+
+def test_cholesky_draw_equals_a_fresh_factor():
+    grid = TimeGrid(1.0, 64)
+    want = stream(3, 1).standard_normal((5, 64)) @ np.linalg.cholesky(_fbm_node_covariance(grid, 0.7)).T
+    fbm._cholesky_factor.cache_clear()
+    for _ in range(2):  # the build, then the cached factor
+        got = _fbm_values_batch(grid, 0.7, stream(3, 1), 5, "cholesky")
+        assert np.array_equal(got[:, 1:], want) and np.all(got[:, 0] == 0.0)
+    assert not fbm._cholesky_factor(grid, 0.7).flags.writeable
+
+
+@pytest.mark.parametrize("dependence", ["independent", "volterra", JointGaussian(lambda s, t: 0.0 * s * t)],
+                         ids=["independent", "volterra", "joint-gaussian"])
+def test_unknown_method_refused_before_any_noise(monkeypatch, dependence):
+    def drawn(*args):
+        raise AssertionError("noise drawn before the method was checked")
+
+    monkeypatch.setattr(fbm, "stream", drawn)
+    with pytest.raises(ValueError, match="unknown method 'bogus'; use one of cholesky, circulant-embedding, circulant"):
+        generate_noise_pair(TimeGrid(1.0, 16), 0.7, 0, dependence, "bogus")
 
 
 def test_generation_methods_agree():

@@ -32,8 +32,8 @@ def _kernel_calls(w, bh):
     coeffs = preset("bounded-smooth")
     n = w.shape[0] - 1
     t = np.linspace(0.0, 1.0, n + 1)
-    x_f, ab_f = _euler_solve_batch(coeffs, t, w, bh, 1.0)
-    x_c, ab_c = _euler_solve_batch(coeffs, t[::4], w[::4], bh[::4], 1.0)
+    x_f = _euler_solve_batch(coeffs, t, w, bh, 1.0)
+    x_c = _euler_solve_batch(coeffs, t[::4], w[::4], bh[::4], 1.0)
     x_f, x_c = _read_only(x_f), _read_only(x_c)
     tau = _read_only(np.arange(PATHS) * 3)
     cells = _norm2_weight_cells(n, 1 / n, 0.35, 1.0)
@@ -42,7 +42,7 @@ def _kernel_calls(w, bh):
     level = _level_pass(coeffs, t[::4], level_x, t, w, bh, x_f, tau, 2, True)
     assert np.array_equal(level_x, x_c)  # advancing, the pass runs the coarse recursion itself
     return {
-        "_euler_solve_batch": (x_f, ab_f, x_c, ab_c),
+        "_euler_solve_batch": (x_f, x_c),
         "_interpolate_on_fine": (
             _interpolate_on_fine(coeffs, t[::4], x_c, t, w, bh, 4, 0, n + 1, np.empty(w.shape)),
             _interpolate_on_fine(coeffs, t[::4], advanced, t, w, bh, 4, 0, n + 1, np.empty(w.shape), True),

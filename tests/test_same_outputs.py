@@ -19,9 +19,17 @@ def _result(**changes):
 
 def test_matrix_covers_presets_noise_thresholds_and_workers():
     everything = same_outputs.matrix()
-    off_grid = {name: args for name, args in everything.items() if "--threshold" not in args}
-    runs = {name: args for name, args in everything.items() if name not in off_grid}
-    assert len(runs) == 24
+    cholesky = {name: args for name, args in everything.items() if "--method" in args}
+    off_grid = {name: args for name, args in everything.items() if "--threshold" not in args and name not in cholesky}
+    runs = {name: args for name, args in everything.items() if name not in off_grid and name not in cholesky}
+    assert len(runs) == 24 and len(everything) == 30
+    assert cholesky == {
+        f"linear-independent-cholesky-workers{workers}": [
+            "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers,
+            *same_outputs.COMMON,
+        ]
+        for workers in ("1", "2")
+    }
     assert all(args[-8:] == ["--paths", "300", "--levels", "16,32,64", "--m-fine", "3", "--eval-n", "64"]
                for args in runs.values())
     assert sorted(off_grid) == [f"linear-{dep}-{label}-workers1" for dep in ("independent", "volterra")

@@ -5,11 +5,14 @@
 Each DIR is a checkout of the program. For every run of a fixed matrix
 (presets linear, bounded-smooth and unbounded-b with --force; independent
 and Volterra noise; threshold 50 and 2; workers 1 and 2; each with 300
-paths, levels 16,32,64, m_fine 3 and eval_n 64), and for four runs of
-the linear preset at workers 1 under independent and Volterra noise, two
-at the non-dyadic horizon --t 0.3 and two at levels 2,4,8 with m_fine 9
+paths, levels 16,32,64, m_fine 3 and eval_n 64), for four runs of the
+linear preset at workers 1 under independent and Volterra noise, two at
+the non-dyadic horizon --t 0.3 and two at levels 2,4,8 with m_fine 9
 (coarse strides of 2048, 1024 and 512 fine nodes, so the 256-node blocks
-of the per-level pass cut the coarse cells), the script runs
+of the per-level pass cut the coarse cells), and for two runs of the
+linear preset with --method cholesky under independent noise on the same
+grid at workers 1 and 2 (its two chunks may each build the factor at
+workers 2), the script runs
 `python -m mixedsde.cli converge` once in each tree, with that tree's src/
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
@@ -69,6 +72,10 @@ def matrix() -> dict[str, list[str]]:
                       "--workers", workers, *COMMON]
     for (label, args), dep in itertools.product(OFF_GRID.items(), ("independent", "volterra")):
         runs[f"linear-{dep}-{label}-workers1"] = ["--preset", "linear", "--dependence", dep, "--workers", "1", *args]
+    for workers in ("1", "2"):
+        runs[f"linear-independent-cholesky-workers{workers}"] = [
+            "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers, *COMMON
+        ]
     return runs
 
 
