@@ -51,8 +51,7 @@ class CoefficientSet:
     expressions: dict | None = field(default=None)
 
     def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        kappa(self.beta)  # refuses a beta outside kappa's window
         if not (self.K > 0.0 and np.isfinite(self.K)):
             raise ValueError(f"K must be positive and finite, got {self.K}")
 

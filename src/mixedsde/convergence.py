@@ -44,7 +44,7 @@ from .fbm import (
     validate_hurst,
 )
 from .fraccalc import _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, norms_comparison_constant
-from .grid import TimeGrid
+from .grid import TimeGrid, _integer, _write_csv
 from .rng import stream
 
 __all__ = [
@@ -114,29 +114,24 @@ class ErrorReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
     def write_csv(self, file) -> None:
-        file.write("level_n,delta,err2_norm2,err2_sup,se_norm2,se_sup,discarded,aborted\n")
-        for l in self.levels:
-            file.write(
-                f"{l.n},{l.delta:.17g},{l.err2_norm2:.17g},{l.err2_sup:.17g},"
-                f"{l.se_norm2:.17g},{l.se_sup:.17g},{l.discarded},{l.aborted}\n"
-            )
+        rows = [
+            (l.n, l.delta, l.err2_norm2, l.err2_sup, l.se_norm2, l.se_sup, l.discarded, l.aborted) for l in self.levels
+        ]
+        _write_csv(file, "level_n,delta,err2_norm2,err2_sup,se_norm2,se_sup,discarded,aborted", *zip(*rows))
 
     def write_loglog_csv(self, file) -> None:
-        file.write("level_n,log10_delta,log10_err2_norm2,log10_err2_sup\n")
-        for l in self.levels:
-            ln2 = math.log10(l.err2_norm2) if l.err2_norm2 > 0 else float("nan")
-            lsup = math.log10(l.err2_sup) if l.err2_sup > 0 else float("nan")
-            file.write(f"{l.n},{math.log10(l.delta):.17g},{ln2:.17g},{lsup:.17g}\n")
+        def log10(v: float) -> float:
+            return math.log10(v) if v > 0 else math.nan
+
+        rows = [(l.n, log10(l.delta), log10(l.err2_norm2), log10(l.err2_sup)) for l in self.levels]
+        _write_csv(file, "level_n,log10_delta,log10_err2_norm2,log10_err2_sup", *zip(*rows))
+
+    def fit_passes(self, fit: tuple | None) -> bool:
+        """The verdict on one fit: its rate, slope / 2, reaches rate_floor; a missing fit fails."""
+        return fit is not None and fit[0] / 2.0 >= self.rate_floor
 
     def passes_rate_floor(self) -> bool:
-        if self.degenerate:
-            return True
-        if self.fit_norm2 is None or self.fit_sup is None:
-            return False
-        return (
-            self.fit_norm2[0] / 2.0 >= self.rate_floor
-            and self.fit_sup[0] / 2.0 >= self.rate_floor
-        )
+        return self.degenerate or (self.fit_passes(self.fit_norm2) and self.fit_passes(self.fit_sup))
 
 
 def _fit_from_levels(levels: list, functional: str) -> tuple[float, float, float]:
@@ -170,13 +165,6 @@ def fit_rate(report: ErrorReport, functional: str = "norm2") -> tuple[float, flo
     excluded; at least 3 levels must remain."""
     slope, se, _ = _fit_from_levels(report.levels, functional)
     return slope, se
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; all but Python and numpy integers (bool, 64.0, "20") raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +210,7 @@ class StoppedSolution:
 def stop(sol: EulerSolution, tau: float) -> StoppedSolution:
     if not (0.0 <= tau <= sol.grid.horizon * (1.0 + 1e-12)):
         raise ValueError(f"tau must lie in [0, T], got {tau}")
-    k = sol.grid.floor_index(min(tau, sol.grid.horizon))
+    k = sol.grid.floor_index(tau)
     return StoppedSolution(base=sol, tau=float(tau), values=_stop_batch(sol.values[:, None], np.array([k]))[:, 0])
 
 

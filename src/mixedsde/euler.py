@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, kappa
-from .fbm import NoisePair
-from .grid import TimeGrid
+from .fbm import NoisePair, _holder_exponents
+from .grid import TimeGrid, _write_csv
 
 __all__ = [
     "SolverConfig",
@@ -49,8 +49,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if not (0.0 < self.eta < 0.5):
-            raise ValueError(f"eta must lie in (0, 1/2), got {self.eta}")
+        _holder_exponents("wiener", self.eta, None)  # refuses an eta outside the Wiener functional's window
         if not self.threshold > 0.0:
             raise ValueError("localization threshold N must be positive")
         if not self.epsilon > 0.0:
@@ -205,6 +204,4 @@ def interpolate(sol: EulerSolution, u: float) -> float:
 
 
 def write_solution_csv(sol: EulerSolution, file) -> None:
-    file.write("t,x\n")
-    for t, x in zip(sol.grid.nodes, sol.values):
-        file.write(f"{t:.17g},{x:.17g}\n")
+    _write_csv(file, "t,x", sol.grid.nodes, sol.values)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fraccalc import _offset_sum, _power_moments
-from .grid import TimeGrid
+from .grid import TimeGrid, _write_csv
 from .rng import stream
 
 __all__ = [
@@ -503,16 +503,12 @@ def pair_holder_cumulative(pair: NoisePair, eta: float, kind: str = "sum") -> np
 
 
 # ---------------------------------------------------------------------------
-# CSV export (17 significant digits, round-trip safe)
+# CSV export (grid._write_csv's format)
 
 
 def write_path_csv(path: NoisePath, file) -> None:
-    file.write("t,value\n")
-    for t, v in zip(path.grid.nodes, path.values):
-        file.write(f"{t:.17g},{v:.17g}\n")
+    _write_csv(file, "t,value", path.grid.nodes, path.values)
 
 
 def write_pair_csv(pair: NoisePair, file) -> None:
-    file.write("t,w,bh\n")
-    for t, w, b in zip(pair.grid.nodes, pair.w.values, pair.bh.values):
-        file.write(f"{t:.17g},{w:.17g},{b:.17g}\n")
+    _write_csv(file, "t,w,bh", pair.grid.nodes, pair.w.values, pair.bh.values)

@@ -15,6 +15,25 @@ class GridResourceError(RuntimeError):
     """Requested grid exceeds MAX_STEPS."""
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; all but Python and numpy integers (bool, 64.0, "20") raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _write_csv(file, header: str, *columns) -> None:
+    """The header line, then one row per entry of the columns, every value
+    at 17 significant digits (round-trip safe; an integral value prints as
+    an integer). Rows are formatted 4096 at a time, so the text in memory
+    stays small at any length."""
+    file.write(header + "\n")
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(columns[0]), 4096):
+        block = np.column_stack([c[lo : lo + 4096] for c in columns])
+        file.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition {k*T/n, k=0..n} of [0, T].
@@ -30,7 +49,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if _integer("step count", self.n) < 1:
             raise ValueError(f"step count must be a positive integer, got {self.n}")
         if self.n > MAX_STEPS:
             raise GridResourceError(f"n={self.n} exceeds MAX_STEPS={MAX_STEPS}")
@@ -48,7 +67,7 @@ class TimeGrid:
     def floor_index(self, u: float | np.ndarray) -> int | np.ndarray:
         """Index of t^delta_u = max{node <= u}; u must lie in [0, T]."""
         u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0) or np.any(u > self.horizon * (1.0 + 1e-12)):
+        if not np.all((u >= 0.0) & (u <= self.horizon * (1.0 + 1e-12))):  # nan fails too
             raise ValueError("query time outside [0, T]")
         idx = np.minimum((u / self.delta).astype(np.int64), self.n)
         # guard against float rounding placing u just below its own node
@@ -58,8 +77,9 @@ class TimeGrid:
 
     def node_index(self, u: float) -> int:
         """Exact node index of u, or raise if u is not resolvable on this grid."""
-        j = int(round(u / self.delta))
-        if j < 0 or j > self.n or abs(self.nodes[min(j, self.n)] - u) > 1e-9 * max(1.0, self.horizon):
+        x = u / self.delta
+        j = int(round(x)) if -0.5 < x < self.n + 0.5 else -1  # nan and inf fail the window
+        if j < 0 or abs(self.nodes[j] - u) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"time {u!r} is not a node of this grid (n={self.n}, T={self.horizon})")
         return j
 
@@ -75,7 +95,7 @@ class TimeGrid:
 
 def refine_dyadic(grid: TimeGrid, m: int) -> TimeGrid:
     """Fine grid {j*T/(n*2^m)}; contains the coarse nodes exactly."""
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if _integer("refinement exponent m", m) < 1:
         raise ValueError(f"refinement exponent m must be a positive integer, got {m}")
     fine_n = grid.n * (1 << int(m))
     if fine_n > MAX_STEPS:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +87,23 @@ def test_converge_norm_comparison_failure_exits_3_naming_the_path(outdir, capsys
     assert err.startswith("numerical failure: norm comparison ||f||_2 <= C ||f||_inf violated")
     assert "in chunk 0, level n=8, path 0: ||f||_2 / (C ||f||_inf) = " in err
     assert not (outdir / "c" / "report.json").exists()
+
+
+def test_converge_prints_the_verdicts_its_exit_code_gives(outdir, capsys, monkeypatch):
+    reports = []
+
+    def norm2_passes_sup_fails(*args, **kwargs):
+        rep = convergence.mc_strong_error(*args, **kwargs)
+        slope = 2.0 * rep.rate_floor
+        reports.append(dataclasses.replace(rep, fit_norm2=(slope, 0.01, 0.0), fit_sup=(slope - 0.1, 0.01, 0.0)))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "mc_strong_error", norm2_passes_sup_fails)
+    assert main(["converge", "--preset", "linear", *_SMALL_RUN, "--outdir", str(outdir / "v")]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"^norm2: .* -> pass$", out, re.M) and re.search(r"^sup: .* -> FAIL$", out, re.M)
+    assert not reports[0].degenerate and not reports[0].passes_rate_floor()
+    assert not reports[0].fit_passes(None)
 
 
 def test_fbm_pair_output(outdir):

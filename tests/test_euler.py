@@ -99,6 +99,9 @@ def test_interpolate_rejects_off_grid_queries(pair):
     sol = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
     with pytest.raises(ValueError):
         interpolate(sol, 0.3337)  # not resolvable on the noise grid
+    for u in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="is not a node of this grid"):
+            interpolate(sol, u)
 
 
 def test_geometric_fbm_converges_to_exponential():

@@ -506,6 +506,9 @@ def test_holder_validation():
     with pytest.raises(ValueError, match=r"at least 8 grid steps \(9 nodes\) in \[0, t\], got 7"):
         holder_functional(w, 0.2, t=grid.nodes[7])
     assert holder_functional(w, 0.2, t=grid.nodes[8]).value > 0.0
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="is not a node of this grid"):
+            holder_functional(w, 0.2, t=t)
 
 
 # ---------------------------------------------------------------------------

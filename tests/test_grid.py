@@ -30,6 +30,8 @@ def test_refine_composition():
 def test_refine_rejects_m_zero():
     with pytest.raises(ValueError):
         refine_dyadic(TimeGrid(1.0, 4), 0)
+    with pytest.raises(ValueError, match="must be an integer, got True"):
+        refine_dyadic(TimeGrid(1.0, 4), True)
 
 
 def test_refine_resource_error():
@@ -52,11 +54,22 @@ def test_floor_index_at_nodes():
         assert g.floor_index(t) == k
 
 
+@pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+def test_floor_index_rejects_times_outside_the_horizon(u):
+    g = TimeGrid(1.0, 8)
+    with pytest.raises(ValueError, match=r"query time outside \[0, T\]"):
+        g.floor_index(u)
+    with pytest.raises(ValueError, match=r"query time outside \[0, T\]"):
+        g.floor_index(np.array([0.5, u]))
+
+
 def test_invalid_grids():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    with pytest.raises(ValueError, match="step count must be an integer, got True"):
+        TimeGrid(1.0, True)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 8).refinement_stride(TimeGrid(1.0, 12))
 
@@ -66,3 +79,6 @@ def test_node_index_resolves_and_rejects():
     assert g.node_index(g.nodes[3]) == 3
     with pytest.raises(ValueError):
         g.node_index(0.3)
+    for u in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="is not a node of this grid"):
+            g.node_index(u)

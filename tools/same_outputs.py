@@ -29,7 +29,10 @@ refinement strides 1, 2, 3, 45, 257 and 384, for the linear,
 bounded-smooth and additive presets under independent and Volterra noise;
 then
 `increment_bracket`, `holder_cumulative`, `norm_inf_alpha`, `norm_2_alpha`
-and `stopping_time` on one pair. It must exit 0 in both trees. When its
+and `stopping_time` on one pair; then the text that `write_path_csv`,
+`write_pair_csv` (independent and Volterra noise) and `write_solution_csv`
+write on a 64-step grid, the files `converge` does not write. It must exit
+0 in both trees. When its
 text differs, the float literals in it are compared in the same way, and
 the rest of the text and the exit code for equality. Measured against the
 run's largest magnitude, a last-bit change of a value at roundoff level
@@ -98,10 +101,11 @@ def api_cases() -> list[tuple[int, int, str, str]]:
 def print_api_values() -> None:
     """Print the single-path values of API_RUN with the mixedsde first on sys.path."""
     from mixedsde import (
-        SampledFunction, TimeGrid, euler_solve, generate_noise_pair, interpolate, norm_2_alpha, norm_inf_alpha,
-        pathwise_error, preset, stop, stopping_time,
+        SampledFunction, TimeGrid, euler_solve, generate_fbm, generate_noise_pair, interpolate, norm_2_alpha,
+        norm_inf_alpha, pathwise_error, preset, stop, stopping_time,
     )
-    from mixedsde.fbm import holder_cumulative
+    from mixedsde.euler import write_solution_csv
+    from mixedsde.fbm import holder_cumulative, write_pair_csv, write_path_csv
     from mixedsde.fraccalc import increment_bracket
 
     for coarse_n, stride, name, dep in api_cases():
@@ -119,6 +123,12 @@ def print_api_values() -> None:
     print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35))))
     kinds = ("wiener", "fbm", "sum")
     print(repr([stopping_time(pair, 0.1, threshold, kind) for threshold in (2.0, 50.0) for kind in kinds]))
+    grid = TimeGrid(1.0, 64)
+    pairs = [generate_noise_pair(grid, 0.7, 7, dep) for dep in ("independent", "volterra")]
+    write_path_csv(generate_fbm(grid, 0.7, 7), sys.stdout)
+    for pair in pairs:
+        write_pair_csv(pair, sys.stdout)
+    write_solution_csv(euler_solve(preset("linear"), pairs[1], 1.0), sys.stdout)
 
 
 def run(tree: Path, args: list[str], outdir: Path) -> dict:
