@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import _real
 from .rng import stream
 
 __all__ = [
@@ -51,8 +52,8 @@ class CoefficientSet:
     expressions: dict | None = field(default=None)
 
     def __post_init__(self):
-        kappa(self.beta)  # refuses a beta outside kappa's window
-        if not (self.K > 0.0 and np.isfinite(self.K)):
+        kappa(_real("beta", self.beta))  # refuses a beta outside kappa's window
+        if not (_real("K", self.K) > 0.0 and np.isfinite(self.K)):
             raise ValueError(f"K must be positive and finite, got {self.K}")
 
     def validate_for_hurst(self, h: float) -> None:
@@ -160,9 +161,7 @@ def compile_expression(src: str, variables: tuple[str, ...] = ("t", "x")):
     lam.body.body = _IntPowers().visit(tree.body)
     ast.fix_missing_locations(lam)
     names = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, "_int_power": _int_power}
-    fn = eval(compile(lam, "<coefficient>", "eval"), names)
-    fn.source = src
-    return fn
+    return eval(compile(lam, "<coefficient>", "eval"), names)
 
 
 def coefficients_from_expressions(

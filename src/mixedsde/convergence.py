@@ -40,7 +40,6 @@ from .fbm import (
     _volterra_fbm,
     _volterra_weights,
     _wiener_values_batch,
-    pair_holder_cumulative,
     validate_hurst,
 )
 from .fraccalc import _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, norms_comparison_constant
@@ -56,8 +55,8 @@ _CHUNK = 256  # fixed path chunk; results never depend on worker count
 # larger eval_n is refused: the bracket and Holder kernels cost O(paths * eval_n^2)
 _EVAL_N_MAX = 4096
 # larger fine n is refused: a chunk peaks at 40 B per fine node and path with
-# independent noise (its circulant draw) and at 35.5 B at fine n 2048, 29 B
-# from 8192 on, with Volterra noise (its 16-path FFT groups; at small fine n
+# independent noise (its circulant draw) and at 31.5 B at fine n 2048, 29 B
+# from 4096 on, with Volterra noise (its 16-path FFT groups; at small fine n
 # the per-level passes): at most 0.67 GB in each worker at 2^16
 _FINE_N_MAX = 1 << 16
 # more paths are refused: the result rows take 26 B per path and level, 1.6 GB
@@ -109,9 +108,7 @@ class ErrorReport:
     version: str = field(default=_version)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["levels"] = [asdict(l) for l in self.levels]
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def write_csv(self, file) -> None:
         rows = [
@@ -183,12 +180,24 @@ def _stop_batch(values: np.ndarray, tau_idx: np.ndarray) -> np.ndarray:
     return np.where(np.arange(values.shape[0])[:, None] > tau_idx, frozen, values)
 
 
+def _pair_holder_cumulative(
+    w: np.ndarray, bh: np.ndarray, delta: float, eta: float, h: float, kind: str = "sum"
+) -> np.ndarray:
+    """Cumulative K^eta at every node of node-major (n+1, ...) noise: K^W
+    (kind wiener), K^B of fBm with Hurst index h (fbm) or their sum (sum)."""
+    parts = {"wiener": ((w, "wiener"),), "fbm": ((bh, "fbm"),), "sum": ((w, "wiener"), (bh, "fbm"))}.get(kind)
+    if parts is None:
+        raise ValueError(f"unknown functional kind {kind!r}")
+    k = [_holder_cumulative_batch(v, delta, eta, _holder_exponents(path_kind, eta, h)) for v, path_kind in parts]
+    return k[0] if len(k) == 1 else k[0] + k[1]
+
+
 def stopping_time(noise: NoisePair, eta: float, threshold: float, kind: str = "sum") -> float:
     """First grid node where the cumulative Holder functional reaches the
     threshold N, else the horizon. kind selects K^W, K^B or their sum."""
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    k_cum = pair_holder_cumulative(noise, eta, kind)
+    k_cum = _pair_holder_cumulative(noise.w.values, noise.bh.values, noise.grid.delta, eta, noise.bh.hurst, kind)
     k = _first_crossing(k_cum, threshold)
     # no crossing gives T itself: nodes[n] = n*T/n can differ from T in the last bit
     return float(noise.grid.nodes[k] if k_cum[k] >= threshold else noise.grid.horizon)
@@ -299,6 +308,12 @@ def _level_pass(
     return sup2, coarse_eval
 
 
+def _value_bracket(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:
+    """|f| + the increment bracket at every node of node-major (n+1, ...)
+    values: the integrand of ||f||_{inf,alpha} (its max) and ||f||_{2,alpha}."""
+    return np.abs(values) + _increment_bracket_batch(values, delta, alpha)
+
+
 def _error_norms(
     coarse_eval: np.ndarray,
     fine_eval: np.ndarray,
@@ -310,8 +325,7 @@ def _error_norms(
     between two stopped (eval_n+1, paths) solutions (cells: the 2-norm cell
     weights). Paths holding nan (aborted paths) give nan."""
     with np.errstate(invalid="ignore"):
-        de = coarse_eval - fine_eval
-        br = np.abs(de) + _increment_bracket_batch(de, delta_eval, alpha)
+        br = _value_bracket(coarse_eval - fine_eval, delta_eval, alpha)
         return _norm_2_sq(br, cells), np.max(br, axis=0) ** 2
 
 
@@ -351,14 +365,12 @@ def _run_chunk(
     eval_cells = _norm2_weight_cells(eval_n, delta_eval, float(alpha), fine.horizon)
     w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
     x_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
-    k_eta = _holder_cumulative_batch(
-        w[::eval_stride], delta_eval, config.eta, _holder_exponents("wiener", config.eta, None)
-    ) + _holder_cumulative_batch(bh[::eval_stride], delta_eval, config.eta, _holder_exponents("fbm", config.eta, h))
-    tau_eval = _first_crossing(k_eta, config.threshold)
+    tau_eval = _first_crossing(
+        _pair_holder_cumulative(w[::eval_stride], bh[::eval_stride], delta_eval, config.eta, h), config.threshold
+    )
     tau_fine = tau_eval * eval_stride
     fs_eval = _stop_batch(x_fine[::eval_stride], tau_eval)
-    br_fine = np.abs(fs_eval) + _increment_bracket_batch(fs_eval, delta_eval, alpha)
-    ninf_fine = np.max(br_fine, axis=0)
+    ninf_fine = np.max(_value_bracket(fs_eval, delta_eval, alpha), axis=0)
     rows = []  # per level: sup2, norm2sq, ninf_sq, in_b, aborted
     for n in levels:
         stride = fine.n // n
@@ -379,8 +391,7 @@ def _run_chunk(
                     f"norm comparison ||f||_2 <= C ||f||_inf violated in chunk {ci}, level n={n}, "
                     f"path {lo + p}: ||f||_2 / (C ||f||_inf) = {ratio:.6g}"
                 )
-            br_c = np.abs(cs_eval) + _increment_bracket_batch(cs_eval, delta_eval, alpha)
-            ninf_coarse = np.max(br_c, axis=0)
+            ninf_coarse = np.max(_value_bracket(cs_eval, delta_eval, alpha), axis=0)
             rows.append((sup2, n2, ninf_coarse**2, (ninf_coarse + ninf_fine) <= r_bound, bad))
     return (*(np.array(level_rows) for level_rows in zip(*rows)), tau_eval < eval_n)
 
@@ -425,6 +436,8 @@ def mc_strong_error(
     coeffs.validate_for_hurst(h)
     config.validate(h, coeffs.beta)
     levels = sorted(_integer("levels entry", n) for n in levels)
+    if not levels:
+        raise ValueError("levels must name at least one coarse level")
     m_fine, paths, seed = _integer("m_fine", m_fine), _integer("paths", paths), _integer("seed", seed)
     if len(set(levels)) != len(levels):
         raise ValueError("levels must be distinct")
@@ -433,7 +446,7 @@ def mc_strong_error(
     if m_fine > 16 or max(levels) << m_fine > _FINE_N_MAX:  # m_fine first: no huge shift
         raise ValueError(
             f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: one chunk takes up to 40 B per fine node "
-            f"and path with independent noise and 35.5 B with Volterra noise, at most 0.67 GB per worker at "
+            f"and path with independent noise and 31.5 B with Volterra noise, at most 0.67 GB per worker at "
             f"{_FINE_N_MAX}"
         )
     fine_n = max(levels) << m_fine

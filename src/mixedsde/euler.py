@@ -13,7 +13,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, kappa
 from .fbm import NoisePair, _holder_exponents
-from .grid import TimeGrid, _write_csv
+from .grid import TimeGrid, _real, _write_csv
 
 __all__ = [
     "SolverConfig",
@@ -47,6 +47,8 @@ class SolverConfig:
     epsilon: float = 0.05
 
     def __post_init__(self):
+        for name in ("alpha", "eta", "threshold", "epsilon"):
+            _real(name, getattr(self, name))
         if not (0.0 < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         _holder_exponents("wiener", self.eta, None)  # refuses an eta outside the Wiener functional's window

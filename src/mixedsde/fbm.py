@@ -165,6 +165,8 @@ class NoisePair:
     def __post_init__(self):
         if self.w.grid != self.bh.grid:
             raise ValueError("paths of a pair share one grid")
+        if (self.w.kind, self.bh.kind) != ("wiener", "fbm"):
+            raise ValueError(f"a pair holds a wiener path w and an fbm path bh, got {self.w.kind} and {self.bh.kind}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -385,48 +387,39 @@ def generate_noise_pair(
     h = validate_hurst(h, allow_brownian=allow_brownian)
     dep = _resolve_dependence(dependence)
     _check_method(method)
-    n = grid.n
     if isinstance(dep, Independent):
-        w_vals = _wiener_values_batch(grid, stream(seed, 0), 1)[0]
-        b_vals = _fbm_values_batch(grid, h, stream(seed, 1), 1, method)[0]
-    elif isinstance(dep, VolterraFromWiener):
-        w_vals = _wiener_values_batch(grid, stream(seed, 0), 1)[0]
+        b = generate_fbm(grid, h, seed, method, allow_brownian)
+        return NoisePair(generate_wiener(grid, seed), b, dep, int(seed))
+    n = grid.n
+    if isinstance(dep, VolterraFromWiener):
+        w = generate_wiener(grid, seed)
         b_vals = np.zeros(n + 1)
-        _volterra_fbm(_volterra_weights(n, grid.horizon, h), np.diff(w_vals), out=b_vals[1:])
-    elif isinstance(dep, JointGaussian):
-        if 2 * n > _CHOLESKY_N_MAX:
-            raise ValueError(
-                f"joint-gaussian sampling of n={n} steps refused: the 2n x 2n joint covariance needs "
-                f"O(n^2) memory and its factorisation O(n^3) time (2n <= {_CHOLESKY_N_MAX})"
-            )
-        t = grid.nodes[1:]
-        cov = np.empty((2 * n, 2 * n))
-        cov[:n, :n] = np.minimum(t[:, None], t[None, :])
-        cov[n:, n:] = _fbm_node_covariance(grid, h)
-        cross = np.asarray(dep.cross_covariance(t[:, None], t[None, :]), dtype=float)
-        if cross.shape != (n, n):
-            raise ValueError("cross covariance must evaluate on the full node mesh")
-        cov[:n, n:] = cross
-        cov[n:, :n] = cross.T
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(cov)[0])
-            raise ValueError(
-                f"joint covariance is not positive semidefinite (smallest eigenvalue {smallest:.6e})"
-            ) from None
-        z = stream(seed, 2).standard_normal(2 * n)
-        joint = chol @ z
-        w_vals = np.zeros(n + 1)
-        b_vals = np.zeros(n + 1)
-        w_vals[1:] = joint[:n]
-        b_vals[1:] = joint[n:]
-    return NoisePair(
-        NoisePath(grid, w_vals, "wiener"),
-        NoisePath(grid, b_vals, "fbm", h),
-        dep,
-        int(seed),
-    )
+        _volterra_fbm(_volterra_weights(n, grid.horizon, h), np.diff(w.values), out=b_vals[1:])
+        return NoisePair(w, NoisePath(grid, b_vals, "fbm", h), dep, int(seed))
+    if 2 * n > _CHOLESKY_N_MAX:
+        raise ValueError(
+            f"joint-gaussian sampling of n={n} steps refused: the 2n x 2n joint covariance needs "
+            f"O(n^2) memory and its factorisation O(n^3) time (2n <= {_CHOLESKY_N_MAX})"
+        )
+    t = grid.nodes[1:]
+    cov = np.empty((2 * n, 2 * n))
+    cov[:n, :n] = np.minimum(t[:, None], t[None, :])
+    cov[n:, n:] = _fbm_node_covariance(grid, h)
+    cross = np.asarray(dep.cross_covariance(t[:, None], t[None, :]), dtype=float)
+    if cross.shape != (n, n):
+        raise ValueError("cross covariance must evaluate on the full node mesh")
+    cov[:n, n:] = cross
+    cov[n:, :n] = cross.T
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(cov)[0])
+        raise ValueError(
+            f"joint covariance is not positive semidefinite (smallest eigenvalue {smallest:.6e})"
+        ) from None
+    joint = chol @ stream(seed, 2).standard_normal(2 * n)
+    w_vals, b_vals = np.pad(joint.reshape(2, n), ((0, 0), (1, 0)))  # each path starts at 0
+    return NoisePair(NoisePath(grid, w_vals, "wiener"), NoisePath(grid, b_vals, "fbm", h), dep, int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +484,6 @@ def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> Ho
     q = _holder_exponents(path.kind, eta, path.hurst)
     value = holder_cumulative(path.values[: k + 1], path.grid.delta, eta, q)[-1]
     return HolderFunctional(eta=float(eta), horizon=t, kind=path.kind, value=float(value))
-
-
-def pair_holder_cumulative(pair: NoisePair, eta: float, kind: str = "sum") -> np.ndarray:
-    """Cumulative K^eta at the pair's grid nodes; kind in {wiener, fbm, sum}."""
-    paths = {"wiener": (pair.w,), "fbm": (pair.bh,), "sum": (pair.w, pair.bh)}.get(kind)
-    if paths is None:
-        raise ValueError(f"unknown functional kind {kind!r}")
-    k = [holder_cumulative(p.values, pair.grid.delta, eta, _holder_exponents(p.kind, eta, p.hurst)) for p in paths]
-    return k[0] if len(k) == 1 else k[0] + k[1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, _integer, _node_of
 
 __all__ = [
     "SampledFunction",
@@ -79,19 +79,10 @@ class SampledFunction:
         return np.interp(u, self.t, self.y)
 
     def restrict(self, a: float, b: float) -> "SampledFunction":
-        i = _node_of(self.t, a)
-        j = _node_of(self.t, b)
+        i, j = (_node_of(self.t, u, self.b - self.a) for u in (a, b))
         if j - i < 1:
             raise ValueError("restriction interval contains fewer than two nodes")
         return SampledFunction(self.t[i : j + 1], self.y[i : j + 1])
-
-
-def _node_of(t: np.ndarray, u: float) -> int:
-    delta = t[1] - t[0]
-    j = int(round((u - t[0]) / delta))
-    if j < 0 or j >= t.size or abs(t[j] - u) > 1e-9 * max(1.0, abs(t[-1] - t[0])):
-        raise ValueError(f"{u!r} is not a grid node")
-    return j
 
 
 def _validate_order(alpha: float) -> float:
@@ -222,11 +213,15 @@ def young_integral(
     The f(a) (x-a)^{-alpha} singularity is split off and integrated against
     analytic cell moments; the remainder is trapezoidal.
 
-    refine resamples the piecewise-linear interpolants on a mesh that many
-    times finer before quadrature (same function, better resolution of the
-    product of the two derivatives; rough integrands need it).
+    refine, a positive integer, resamples the piecewise-linear interpolants
+    on a mesh that many times finer before quadrature (same function,
+    better resolution of the product of the two derivatives; rough
+    integrands need it).
     """
     alpha = _validate_order(alpha)
+    refine = _integer("refine", refine)
+    if refine < 1:
+        raise ValueError(f"refine must be a positive integer, got {refine}")
     if alpha > 0.5:
         warnings.warn(
             "alpha > 1/2: the Young construction is only guaranteed for "
@@ -243,10 +238,8 @@ def young_integral(
     if f.t.size - 1 < 4:
         raise ValueError("Young quadrature needs at least 4 cells")
     if refine > 1:
-        nf = (f.t.size - 1) * int(refine)
-        tf = f.a + (f.b - f.a) * np.arange(nf + 1) / nf
-        f = SampledFunction(tf, np.interp(tf, f.t, f.y))
-        g = SampledFunction(tf, np.interp(tf, g.t, g.y))
+        nf = (f.t.size - 1) * refine
+        f, g = (SampledFunction.from_callable(s, s.a, s.b, nf) for s in (f, g))
     n = f.t.size - 1
     delta = f.delta
     phi = _left_deriv_nodes(f.y, delta, alpha)

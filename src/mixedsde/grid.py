@@ -22,6 +22,25 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """value as a float; all but Python and numpy ints and floats (bool, "0.5") raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _node_of(nodes: np.ndarray, u: float, span: float) -> int:
+    """Index of the uniform node that u equals to within 1e-9 x max(1, span),
+    span being the nodes' length as their owner states it (a TimeGrid's T,
+    which its last node n*T/n can miss in the last bit); any other u raises."""
+    n = nodes.size - 1
+    x = (u - nodes[0]) / (nodes[1] - nodes[0])
+    j = int(round(x)) if -0.5 < x < n + 0.5 else -1  # nan and inf fail the window
+    if j < 0 or abs(nodes[j] - u) > 1e-9 * max(1.0, span):
+        raise ValueError(f"time {u!r} is not a node of this grid (n={n}, T={span})")
+    return j
+
+
 def _write_csv(file, header: str, *columns) -> None:
     """The header line, then one row per entry of the columns, every value
     at 17 significant digits (round-trip safe; an integral value prints as
@@ -47,7 +66,7 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
+        if not (_real("horizon", self.horizon) > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if _integer("step count", self.n) < 1:
             raise ValueError(f"step count must be a positive integer, got {self.n}")
@@ -77,11 +96,7 @@ class TimeGrid:
 
     def node_index(self, u: float) -> int:
         """Exact node index of u, or raise if u is not resolvable on this grid."""
-        x = u / self.delta
-        j = int(round(x)) if -0.5 < x < self.n + 0.5 else -1  # nan and inf fail the window
-        if j < 0 or abs(self.nodes[j] - u) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"time {u!r} is not a node of this grid (n={self.n}, T={self.horizon})")
-        return j
+        return _node_of(self.nodes, u, self.horizon)
 
     def refine(self, m: int) -> "TimeGrid":
         return refine_dyadic(self, m)

@@ -146,6 +146,31 @@ def test_integrate_csv_integrand(outdir, capsys):
     assert "error: f and g must be sampled on the same nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0\n", "need matching 1-d node and value arrays with >= 2 nodes"),
+        ("0,0\n0.5,1\n0.25,2\n1,3\n", "nodes must be strictly increasing"),
+        ("0,0\n0.1,1\n0.3,2\n0.6,3\n", "nodes must be uniformly spaced"),
+        ("0,0\n0.25,nan\n0.5,2\n0.75,3\n1,4\n", "non-finite samples"),
+    ],
+)
+def test_integrate_refuses_a_bad_sample_csv(outdir, capsys, rows, message):
+    (outdir / "g.csv").write_text("t,value\n" + rows)
+    assert main(["integrate", "--f", "one", "--g", str(outdir / "g.csv"), "--alpha", "0.3"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [("x +", "cannot parse expression 'x +'"), ("exp(x=1)", "keyword arguments not allowed in expressions")],
+)
+def test_coefficient_flag_refuses_a_bad_expression(capsys, expression, message):
+    coefficients = ["--a", expression, "--b", "0", "--c", "0", "--dc", "0", "--k", "1", "--beta", "0.75"]
+    assert main(["check", *coefficients]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_solve_writes_path(outdir, capsys):
     assert main(["solve", "--preset", "linear", "--h", "0.7", "--n", "128", "--seed", "7"]) == 0
     out = capsys.readouterr().out

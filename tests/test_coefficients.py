@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ def test_beta_windows():
     low_beta.validate_for_hurst(0.8)  # 1 - H = 0.2 < beta
     with pytest.raises(ValueError):
         low_beta.validate_for_hurst(0.7)  # 1 - H = 0.3 >= beta
+
+
+@pytest.mark.parametrize("key, value", [("beta", "0.75"), ("beta", None), ("K", True), ("K", "1")])
+def test_coefficient_constants_must_be_numbers(key, value):
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be a number, got {value!r}")):
+        dataclasses.replace(preset("linear"), **{key: value})
 
 
 def test_preset_names_and_unknown():

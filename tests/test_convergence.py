@@ -366,14 +366,21 @@ def test_fine_n_above_2_16_refused_before_any_noise(monkeypatch, levels, m_fine)
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), levels, m_fine, 1, workers=1)
 
 
+def test_empty_levels_refused_by_name_before_any_noise(monkeypatch):
+    monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
+    with pytest.raises(ValueError, match="levels must name at least one coarse level"):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [], 3, 4, workers=1)
+
+
 @pytest.mark.parametrize(
     "dependence, per_node, fine_n",
-    [("independent", 40, 2048), ("independent", 40, 4096), ("volterra", 35.5, 2048), ("volterra", 29.8, 4096)],
+    [("independent", 40, 2048), ("independent", 40, 4096), ("volterra", 31.5, 2048), ("volterra", 29.05, 4096)],
 )
 def test_chunk_peak_memory_per_fine_node_and_path(dependence, per_node, fine_n):
     # the figures convergence._FINE_N_MAX states: the noise draw and its
     # transpose for independent noise; for Volterra noise the grouped FFT
-    # convolution (29 B) or, at the smaller fine n, the per-level passes
+    # convolution and the per-level passes, both 29.0 B at fine n 4096, or
+    # at fine n 2048 the per-level passes
     dep = _resolve_dependence(dependence)
     args = (preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], TimeGrid(1.0, fine_n), 256, 256,
             1000.0, 1.0, 3, dep, "circulant-embedding", 0)

@@ -19,9 +19,9 @@ from mixedsde import (
     stopping_time,
 )
 from mixedsde.coefficients import coefficients_from_expressions
-from mixedsde.convergence import _chunk_noise
+from mixedsde.convergence import _chunk_noise, _pair_holder_cumulative
 from mixedsde.euler import _BLOCK_NODES, _euler_solve_batch, _interpolate_on_fine, write_solution_csv
-from mixedsde.fbm import Independent, pair_holder_cumulative
+from mixedsde.fbm import Independent
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +295,7 @@ def test_increment_bound_monitor():
         stride = fine.n // n
         for seed in range(25):
             pair = generate_noise_pair(fine, 0.7, seed)
-            k_cum = pair_holder_cumulative(pair, eta, "sum")
+            k_cum = _pair_holder_cumulative(pair.w.values, pair.bh.values, fine.delta, eta, 0.7)
             sol = euler_solve(lin, pair, 1.0, grid)
             interp = _interpolate_on_fine(
                 lin,
@@ -374,6 +374,21 @@ def test_solution_csv(pair):
     assert len(lines) == 18
     data = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], sol.values)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(alpha="0.35"), "alpha"),
+        (dict(alpha=0.35, threshold="5"), "threshold"),
+        (dict(alpha=0.35, eta=True), "eta"),
+        (dict(alpha=0.35, epsilon=None), "epsilon"),
+    ],
+)
+def test_solver_config_numbers_must_be_numbers(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be a number, got {kwargs[name]!r}"):
+        SolverConfig(**kwargs)
+    assert SolverConfig(alpha=np.float64(0.35), threshold=np.int64(5)).threshold == 5
 
 
 def test_solver_config_windows():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from mixedsde import (
+    Independent,
     JointGaussian,
+    NoisePair,
     NoisePath,
     SolverConfig,
     TimeGrid,
@@ -538,3 +540,29 @@ def test_pair_csv_roundtrip():
     data = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 1], pair.w.values)
     assert np.array_equal(data[:, 2], pair.bh.values)
+
+
+def test_unknown_dependence_refused_at_the_api():
+    grid = TimeGrid(1.0, 8)
+    with pytest.raises(ValueError, match="unknown dependence 'nope'; use one of independent"):
+        generate_noise_pair(grid, 0.7, 0, "nope")
+    with pytest.raises(TypeError, match="cannot interpret dependence spec 3"):
+        generate_noise_pair(grid, 0.7, 0, 3)
+
+
+def test_pair_refuses_paths_on_two_grids_or_in_the_wrong_places():
+    w = generate_wiener(TimeGrid(1.0, 8), 0)
+    with pytest.raises(ValueError, match="paths of a pair share one grid"):
+        NoisePair(w, generate_fbm(TimeGrid(1.0, 16), 0.7, 0), Independent(), 0)
+    bh = generate_fbm(TimeGrid(1.0, 8), 0.7, 0)
+    with pytest.raises(ValueError, match="a pair holds a wiener path w and an fbm path bh, got fbm and wiener"):
+        NoisePair(bh, w, Independent(), 0)
+
+
+@pytest.mark.parametrize("dependence", ["independent", "volterra"])
+def test_pair_is_built_from_the_public_generators(dependence):
+    grid = TimeGrid(1.0, 64)
+    pair = generate_noise_pair(grid, 0.7, 9, dependence)
+    assert np.array_equal(pair.w.values, generate_wiener(grid, 9).values)
+    if dependence == "independent":
+        assert np.array_equal(pair.bh.values, generate_fbm(grid, 0.7, 9).values)

@@ -393,3 +393,31 @@ def test_node_arrays_match_single_point():
     psi = _right_deriv_nodes(f.y, f.delta, 0.65)
     for i in (0, 40, 255):
         assert psi[i] == pytest.approx(right_derivative(f, 0.35, f.t[i]), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# refusals of young_integral's input
+
+
+@pytest.mark.parametrize("refine", [0, -2, True, 2.5])
+def test_young_refine_must_be_a_positive_integer(refine):
+    f = _sf(lambda u: u, n=64)
+    with pytest.raises(ValueError, match=rf"refine must be (a positive integer|an integer), got {refine!r}"):
+        young_integral(f, f, 0.3, refine=refine)
+    assert young_integral(f, f, 0.3, refine=1) == pytest.approx(0.5, rel=1e-2)  # int_0^1 u du, unrefined
+
+
+def test_young_refuses_fewer_than_4_cells():
+    f = _sf(lambda u: u, n=3)
+    with pytest.raises(ValueError, match="Young quadrature needs at least 4 cells"):
+        young_integral(f, f, 0.3)
+    f = _sf(lambda u: u, n=64)
+    with pytest.raises(ValueError, match="Young quadrature needs at least 4 cells"):
+        young_integral(f, f, 0.3, 0.0, 3 / 64)
+
+
+@pytest.mark.parametrize("b", [float("inf"), float("nan"), 0.3])
+def test_young_refuses_an_interval_end_off_the_nodes(b):
+    f = _sf(lambda u: u, n=64)
+    with pytest.raises(ValueError, match=r"time .* is not a node of this grid \(n=64, T=1.0\)"):
+        young_integral(f, f, 0.3, 0.0, b)

@@ -82,3 +82,13 @@ def test_node_index_resolves_and_rejects():
     for u in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="is not a node of this grid"):
             g.node_index(u)
+
+
+@pytest.mark.parametrize("horizon", [True, "1", None])
+def test_horizon_must_be_a_number(horizon):
+    with pytest.raises(ValueError, match=rf"horizon must be a number, got {horizon!r}"):
+        TimeGrid(horizon, 4)
+
+
+def test_python_and_numpy_numbers_are_horizons():
+    assert TimeGrid(1, 4) == TimeGrid(np.float64(1.0), 4) == TimeGrid(np.int64(1), 4) == TimeGrid(1.0, 4)

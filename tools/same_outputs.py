@@ -28,11 +28,14 @@ three taus on fine nodes and `interpolate` at every 7th fine node, at
 refinement strides 1, 2, 3, 45, 257 and 384, for the linear,
 bounded-smooth and additive presets under independent and Volterra noise;
 then
-`increment_bracket`, `holder_cumulative`, `norm_inf_alpha`, `norm_2_alpha`
-and `stopping_time` on one pair; then the text that `write_path_csv`,
-`write_pair_csv` (independent and Volterra noise) and `write_solution_csv`
-write on a 64-step grid, the files `converge` does not write. It must exit
-0 in both trees. When its
+`increment_bracket`, `holder_cumulative`, `holder_functional` (on [0, T]
+and on [0, t] for one node t), `norm_inf_alpha`, `norm_2_alpha`,
+`integral_bound`, `young_integral` (on the whole grid and on a
+sub-interval (a, b)) and `stopping_time` on one pair; then the text that
+`write_path_csv`, `write_pair_csv` (independent, Volterra and
+joint-Gaussian noise) and `write_solution_csv` write on a 64-step grid,
+the files `converge` does not write, and the values of `generate_wiener`
+on that grid. It must exit 0 in both trees. When its
 text differs, the float literals in it are compared in the same way, and
 the rest of the text and the exit code for equality. Measured against the
 run's largest magnitude, a last-bit change of a value at roundoff level
@@ -100,9 +103,11 @@ def api_cases() -> list[tuple[int, int, str, str]]:
 
 def print_api_values() -> None:
     """Print the single-path values of API_RUN with the mixedsde first on sys.path."""
+    import numpy as np
     from mixedsde import (
-        SampledFunction, TimeGrid, euler_solve, generate_fbm, generate_noise_pair, interpolate, norm_2_alpha,
-        norm_inf_alpha, pathwise_error, preset, stop, stopping_time,
+        JointGaussian, SampledFunction, TimeGrid, euler_solve, generate_fbm, generate_noise_pair, generate_wiener,
+        holder_functional, integral_bound, interpolate, norm_2_alpha, norm_inf_alpha, pathwise_error, preset, stop,
+        stopping_time, young_integral,
     )
     from mixedsde.euler import write_solution_csv
     from mixedsde.fbm import holder_cumulative, write_pair_csv, write_path_csv
@@ -120,15 +125,20 @@ def print_api_values() -> None:
     f = SampledFunction(pair.grid.nodes, pair.bh.values)
     print(repr(increment_bracket(f.y, f.delta, 0.35).tolist()))
     print(repr(holder_cumulative(pair.w.values, f.delta, 0.1, 10.0).tolist()))
-    print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35))))
+    print(repr([holder_functional(path, 0.1, t).value for path in (pair.w, pair.bh) for t in (None, f.t[300])]))
+    print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35), integral_bound(f, 0.35, 1.0))))
+    w = SampledFunction(f.t, pair.w.values)
+    print(repr((young_integral(w, f, 0.35), young_integral(w, f, 0.35, f.t[100], f.t[400]))))
     kinds = ("wiener", "fbm", "sum")
     print(repr([stopping_time(pair, 0.1, threshold, kind) for threshold in (2.0, 50.0) for kind in kinds]))
     grid = TimeGrid(1.0, 64)
-    pairs = [generate_noise_pair(grid, 0.7, 7, dep) for dep in ("independent", "volterra")]
+    joint = JointGaussian(lambda s, t: 0.3 * np.minimum(s, t))
+    pairs = [generate_noise_pair(grid, 0.7, 7, dep) for dep in ("independent", "volterra", joint)]
     write_path_csv(generate_fbm(grid, 0.7, 7), sys.stdout)
     for pair in pairs:
         write_pair_csv(pair, sys.stdout)
     write_solution_csv(euler_solve(preset("linear"), pairs[1], 1.0), sys.stdout)
+    print(repr(generate_wiener(grid, 7).values.tolist()))
 
 
 def run(tree: Path, args: list[str], outdir: Path) -> dict:
