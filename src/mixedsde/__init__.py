@@ -44,9 +44,10 @@ from .coefficients import (
     preset_names,
     compile_expression,
 )
-from .euler import SolverConfig, EulerSolution, EulerBlowupError, euler_solve, interpolate
+from .euler import EulerSolution, EulerBlowupError, euler_solve, interpolate
 from .convergence import (
-    StoppedSolution, stopping_time, stop, ErrorReport, LevelStats, pathwise_error, mc_strong_error, fit_rate
+    SolverConfig, StoppedSolution, stopping_time, stop, ErrorReport, LevelStats, pathwise_error, mc_strong_error,
+    fit_rate,
 )
 
 __all__ = [

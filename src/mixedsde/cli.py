@@ -30,8 +30,8 @@ from .coefficients import (
     preset,
     preset_names,
 )
-from .convergence import DEFAULT_R, mc_strong_error
-from .euler import EulerBlowupError, SolverConfig, euler_solve, write_solution_csv
+from .convergence import DEFAULT_R, SolverConfig, mc_strong_error
+from .euler import EulerBlowupError, euler_solve, write_solution_csv
 from .fbm import (
     _DEPENDENCE_ALIASES,
     _HOLDER_MIN_STEPS,
@@ -43,7 +43,7 @@ from .fbm import (
     write_path_csv,
 )
 from .fraccalc import SampledFunction, young_integral
-from .grid import GridResourceError, TimeGrid
+from .grid import GridResourceError, TimeGrid, _real
 
 
 class HypothesisRefusal(RuntimeError):
@@ -205,14 +205,15 @@ _CONVERGE_DEFAULTS = {
 }
 
 
-# what a setting of each default type must hold (never a bool); mc_strong_error checks integers
-_KINDS = {float: ((int, float), "a number"), str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
+# what a setting of each default type must hold; a float one is a number (grid._real); mc_strong_error checks integers
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
 
 
 def _check_kind(name: str, value, kind: type) -> None:
-    types, want = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{name} must be {want}, got {value!r}")
+    if kind is float:
+        _real(name, value)
+    elif not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_KINDS[kind]}, got {value!r}")
 
 
 def _resolve_converge_settings(args) -> dict:
@@ -240,7 +241,7 @@ def _resolve_converge_settings(args) -> dict:
     elif coefficient_flags:
         settings["coefficients"] = {k: given.get(k) for k in _COEFFICIENT_KEYS}
     for key, default in _CONVERGE_DEFAULTS.items():
-        if type(default) in _KINDS:
+        if type(default) is float or type(default) in _KINDS:
             _check_kind(key, settings[key], type(default))
     for key, value in settings["coefficients"].items():  # None: not given
         if value is not None:

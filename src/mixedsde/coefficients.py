@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _real
+from .grid import _integer, _real
 from .rng import stream
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 
 def kappa(beta: float) -> float:
     """Rate-limiting exponent min(1/2, beta)."""
-    beta = float(beta)
+    beta = _real("beta", beta)
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     return min(0.5, beta)
@@ -52,8 +52,10 @@ class CoefficientSet:
     expressions: dict | None = field(default=None)
 
     def __post_init__(self):
-        kappa(_real("beta", self.beta))  # refuses a beta outside kappa's window
-        if not (_real("K", self.K) > 0.0 and np.isfinite(self.K)):
+        for name in ("beta", "K"):  # stored as the floats grid._real returns
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        kappa(self.beta)  # refuses a beta outside kappa's window
+        if not (self.K > 0.0 and np.isfinite(self.K)):
             raise ValueError(f"K must be positive and finite, got {self.K}")
 
     def validate_for_hurst(self, h: float) -> None:
@@ -168,16 +170,7 @@ def coefficients_from_expressions(
     name: str, a: str, b: str, c: str, dc: str, K: float, beta: float
 ) -> CoefficientSet:
     exprs = {"a": a, "b": b, "c": c, "dc": dc}
-    return CoefficientSet(
-        name=name,
-        a=compile_expression(a),
-        b=compile_expression(b),
-        c=compile_expression(c),
-        dc=compile_expression(dc),
-        K=float(K),
-        beta=float(beta),
-        expressions=exprs,
-    )
+    return CoefficientSet(name, *map(compile_expression, exprs.values()), K, beta, exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +284,11 @@ def check_hypotheses(
     Pair separations are log-uniform down to 1e-6 so small-scale violations
     are probed. Deterministic given (coeffs, ranges, samples, seed).
     """
-    if samples < 100:
+    if _integer("samples", samples) < 100:
         raise ValueError("at least 100 samples per axis are required")
     rng = stream(seed, 900)
-    t0, t1 = map(float, t_range)
-    x0, x1 = map(float, x_range)
+    t0, t1 = (_real("t_range entry", v) for v in t_range)
+    x0, x1 = (_real("x_range entry", v) for v in x_range)
     t = rng.uniform(t0, t1, samples)
     x = rng.uniform(x0, x1, samples)
     tt, xx = np.meshgrid(t, x, indexing="ij")

@@ -26,28 +26,21 @@ from functools import partial
 import numpy as np
 
 from . import __version__ as _version
-from .coefficients import CoefficientSet
-from .euler import _BLOCK_NODES, EulerSolution, SolverConfig, _euler_solve_batch, _interpolate_on_fine
+from .coefficients import CoefficientSet, kappa
+from .euler import _BLOCK_NODES, EulerSolution, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
-    JointGaussian,
-    NoisePair,
-    VolterraFromWiener,
-    _check_method,
-    _fbm_values_batch,
-    _holder_cumulative_batch,
-    _holder_exponents,
-    _resolve_dependence,
-    _volterra_fbm,
-    _volterra_weights,
-    _wiener_values_batch,
-    validate_hurst,
+    JointGaussian, NoisePair, VolterraFromWiener, _check_method, _fbm_values_batch, _holder_cumulative_batch,
+    _holder_exponents, _resolve_dependence, _volterra_fbm, _volterra_weights, _wiener_values_batch, validate_hurst,
 )
-from .fraccalc import _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, norms_comparison_constant
-from .grid import TimeGrid, _integer, _write_csv
+from .fraccalc import (
+    _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _validate_norm2_order, norms_comparison_constant
+)
+from .grid import TimeGrid, _integer, _real, _write_csv
 from .rng import stream
 
 __all__ = [
-    "StoppedSolution", "stopping_time", "stop", "LevelStats", "ErrorReport", "pathwise_error", "mc_strong_error", "fit_rate"
+    "SolverConfig", "StoppedSolution", "stopping_time", "stop", "LevelStats", "ErrorReport", "pathwise_error",
+    "mc_strong_error", "fit_rate",
 ]
 
 DEFAULT_R = 1000.0
@@ -168,6 +161,42 @@ def fit_rate(report: ErrorReport, functional: str = "norm2") -> tuple[float, flo
 # localization (public, one-row calls of the harness rules)
 
 
+def _check_threshold(threshold: float) -> None:
+    """The localization threshold N is a positive number."""
+    if not _real("threshold", threshold) > 0.0:
+        raise ValueError(f"localization threshold must be positive, got {threshold}")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Localization and norm parameters: alpha for the norms, eta for the
+    Holder functionals, threshold N for tau_N, epsilon the rate slack."""
+
+    alpha: float
+    eta: float = 0.1
+    threshold: float = 50.0
+    epsilon: float = 0.05
+
+    def __post_init__(self):
+        _validate_norm2_order(self.alpha)
+        _holder_exponents("wiener", self.eta, None)  # refuses an eta outside the Wiener functional's window
+        _check_threshold(self.threshold)
+        if not _real("epsilon", self.epsilon) > 0.0:
+            raise ValueError("rate slack epsilon must be positive")
+
+    def validate(self, h: float, beta: float) -> float:
+        """Check the admissible windows against the model's H and beta;
+        returns the rate floor kappa - alpha - epsilon."""
+        kap = kappa(beta)
+        if not (1.0 - h < self.alpha < kap):
+            raise ValueError(f"alpha={self.alpha} outside (1-H, kappa) = ({1.0 - h:.3f}, {kap:.3f})")
+        gap = kap - self.alpha
+        for name in ("eta", "epsilon"):
+            if not getattr(self, name) < gap:
+                raise ValueError(f"{name}={getattr(self, name)} must be below kappa - alpha = {gap:.3f}")
+        return gap - self.epsilon
+
+
 def _first_crossing(k_cum: np.ndarray, threshold: float) -> np.ndarray:
     """Per path of k_cum (n+1, ...), the first node where K >= threshold, else the last node."""
     crossed = k_cum >= threshold
@@ -195,8 +224,7 @@ def _pair_holder_cumulative(
 def stopping_time(noise: NoisePair, eta: float, threshold: float, kind: str = "sum") -> float:
     """First grid node where the cumulative Holder functional reaches the
     threshold N, else the horizon. kind selects K^W, K^B or their sum."""
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
+    _check_threshold(threshold)
     k_cum = _pair_holder_cumulative(noise.w.values, noise.bh.values, noise.grid.delta, eta, noise.bh.hurst, kind)
     k = _first_crossing(k_cum, threshold)
     # no crossing gives T itself: nodes[n] = n*T/n can differ from T in the last bit
@@ -217,10 +245,11 @@ class StoppedSolution:
 
 
 def stop(sol: EulerSolution, tau: float) -> StoppedSolution:
+    tau = _real("tau", tau)
     if not (0.0 <= tau <= sol.grid.horizon * (1.0 + 1e-12)):
         raise ValueError(f"tau must lie in [0, T], got {tau}")
     k = sol.grid.floor_index(tau)
-    return StoppedSolution(base=sol, tau=float(tau), values=_stop_batch(sol.values[:, None], np.array([k]))[:, 0])
+    return StoppedSolution(base=sol, tau=tau, values=_stop_batch(sol.values[:, None], np.array([k]))[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +268,7 @@ def pathwise_error(
     the fine grid must refine the coarse one. The coarse solution's values
     are evaluated at fine nodes through their continuous interpolation.
     """
+    alpha = _validate_norm2_order(alpha)
     csol, fsol = coarse.base, fine.base
     if csol.noise is not fsol.noise:
         raise ValueError("solutions are not driven by the same noise (coupling violated)")
@@ -260,7 +290,7 @@ def pathwise_error(
     coarse_eval = _stop_batch(interp, tau_idx)[::norm_stride]
     fine_eval = _stop_batch(fsol.values[:, None], tau_idx)[::norm_stride]
     delta_n = fine_grid.horizon / norm_n
-    cells = _norm2_weight_cells(norm_n, delta_n, float(alpha), fine_grid.horizon)
+    cells = _norm2_weight_cells(norm_n, delta_n, alpha, fine_grid.horizon)
     norm2sq, _ = _error_norms(coarse_eval, fine_eval, delta_n, alpha, cells)
     return math.sqrt(sup2[0]), math.sqrt(norm2sq[0])
 
@@ -434,7 +464,7 @@ def mc_strong_error(
     """
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
-    config.validate(h, coeffs.beta)
+    rate_floor = config.validate(h, coeffs.beta)
     levels = sorted(_integer("levels entry", n) for n in levels)
     if not levels:
         raise ValueError("levels must name at least one coarse level")
@@ -468,7 +498,7 @@ def mc_strong_error(
         raise ValueError("need at least one path")
     if paths > _PATHS_MAX:
         raise ValueError(f"paths={paths} exceeds {_PATHS_MAX}: the result rows take 26 B per path and level")
-    r_bound, x0 = float(r_bound), float(x0)
+    r_bound, x0 = _real("r_bound", r_bound), _real("x0", x0)
     if not r_bound > 0.0:
         raise ValueError(f"r_bound must be positive (inf for no restriction), got {r_bound}")
     if not math.isfinite(x0):
@@ -478,7 +508,7 @@ def mc_strong_error(
     if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 
-    fine = TimeGrid(float(t_horizon), fine_n)
+    fine = TimeGrid(_real("t_horizon", t_horizon), fine_n)
     dep = _resolve_dependence(dependence)
     if isinstance(dep, JointGaussian):
         raise ValueError("mc_strong_error has no joint-gaussian sampler; use independent or volterra")
@@ -486,10 +516,11 @@ def mc_strong_error(
 
     run = partial(_run_chunk, coeffs, h, config, levels, fine, eval_n, paths, r_bound, x0, seed, dep, method)
     chunks = range((paths + _CHUNK - 1) // _CHUNK)
+    workers = min(workers, len(chunks))
     if workers == 1:
         results = list(map(run, chunks))
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, chunks))
     sup2, norm2sq, ninf_sq, in_b, aborted, tau_lt_t = (np.concatenate(rows, axis=-1) for rows in zip(*results))
 
@@ -521,7 +552,6 @@ def mc_strong_error(
             fits[functional] = _fit_from_levels(level_stats, functional)
         except ValueError:
             fits[functional] = None
-    kap = coeffs.kappa
     return ErrorReport(
         coefficients=coeffs.name,
         h=h,
@@ -537,8 +567,8 @@ def mc_strong_error(
         eta=config.eta,
         threshold=config.threshold,
         epsilon=config.epsilon,
-        kappa=kap,
-        rate_floor=kap - config.alpha - config.epsilon,
+        kappa=coeffs.kappa,
+        rate_floor=rate_floor,
         localization_fraction=float(np.mean(tau_lt_t)),
         dependence=dep.name,
         method=method,

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSet, kappa
-from .fbm import NoisePair, _holder_exponents
+from .coefficients import CoefficientSet
+from .fbm import NoisePair
 from .grid import TimeGrid, _real, _write_csv
 
 __all__ = [
-    "SolverConfig",
     "EulerSolution",
     "EulerBlowupError",
     "euler_solve",
@@ -34,44 +33,6 @@ class EulerBlowupError(RuntimeError):
     def __init__(self, step: int):
         self.step = step
         super().__init__(f"state became non-finite or exceeded {STATE_CAP:g} at step {step}")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Localization and norm parameters: alpha for the norms, eta for the
-    Holder functionals, threshold N for tau_N, epsilon the rate slack."""
-
-    alpha: float
-    eta: float = 0.1
-    threshold: float = 50.0
-    epsilon: float = 0.05
-
-    def __post_init__(self):
-        for name in ("alpha", "eta", "threshold", "epsilon"):
-            _real(name, getattr(self, name))
-        if not (0.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        _holder_exponents("wiener", self.eta, None)  # refuses an eta outside the Wiener functional's window
-        if not self.threshold > 0.0:
-            raise ValueError("localization threshold N must be positive")
-        if not self.epsilon > 0.0:
-            raise ValueError("rate slack epsilon must be positive")
-
-    def validate(self, h: float, beta: float) -> None:
-        """Check the admissible windows against the model's H and beta."""
-        kap = kappa(beta)
-        if not (1.0 - h < self.alpha < kap):
-            raise ValueError(
-                f"alpha={self.alpha} outside (1-H, kappa) = ({1.0 - h:.3f}, {kap:.3f})"
-            )
-        if not (self.eta < kap - self.alpha):
-            raise ValueError(
-                f"eta={self.eta} must be below kappa - alpha = {kap - self.alpha:.3f}"
-            )
-        if not (self.epsilon < kap - self.alpha):
-            raise ValueError(
-                f"epsilon={self.epsilon} must be below kappa - alpha = {kap - self.alpha:.3f}"
-            )
 
 
 @dataclass(frozen=True)
@@ -107,12 +68,12 @@ def euler_solve(
     X_{k+1} = X_k + a dt + b dW + c dB^H with coefficients frozen at the
     left node. Deterministic in its inputs; no refinement happens here.
     """
-    grid = noise.grid if grid is None else grid
+    grid, x0 = noise.grid if grid is None else grid, _real("x0", x0)
     stride = grid.refinement_stride(noise.grid)
     x = _euler_solve_batch(coeffs, grid.nodes, noise.w.values[::stride], noise.bh.values[::stride], x0)
     if np.isnan(x[-1]):
         raise EulerBlowupError(int(np.isnan(x[1:]).argmax()) + 1)
-    return EulerSolution(grid=grid, values=x, noise=noise, coeffs=coeffs, x0=float(x0))
+    return EulerSolution(grid=grid, values=x, noise=noise, coeffs=coeffs, x0=x0)
 
 
 def _euler_solve_batch(
@@ -199,7 +160,7 @@ def interpolate(sol: EulerSolution, u: float) -> float:
     increments, matching the integral form of the scheme.
     """
     noise, out = sol.noise, np.empty(1)
-    j = noise.grid.node_index(float(u))
+    j = noise.grid.node_index(u)
     stride = sol.grid.refinement_stride(noise.grid)
     fine = (noise.grid.nodes, noise.w.values, noise.bh.values)
     return float(_interpolate_on_fine(sol.coeffs, sol.grid.nodes, sol.values, *fine, stride, j, j + 1, out)[0])

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fraccalc import _offset_sum, _power_moments
-from .grid import TimeGrid, _write_csv
+from .grid import TimeGrid, _integer, _real, _write_csv
 from .rng import stream
 
 __all__ = [
@@ -54,7 +54,7 @@ _VOLTERRA_GROUP = 16
 
 def validate_hurst(h: float, allow_brownian: bool = False) -> float:
     """Check H is in (1/2, 1); H = 1/2 only in the Brownian cross-check mode."""
-    h = float(h)
+    h = _real("h", h)
     if allow_brownian and h == 0.5:
         return h
     if not (0.5 < h < 1.0):
@@ -68,7 +68,7 @@ def fbm_covariance(s, t, h: float):
     t = np.asarray(t, dtype=float)
     if np.any(s < 0.0) or np.any(t < 0.0):
         raise ValueError("fBm covariance requires nonnegative times")
-    h = float(h)
+    h = _real("h", h)
     if not (0.0 < h < 1.0):
         raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
     two_h = 2.0 * h
@@ -384,18 +384,18 @@ def generate_noise_pair(
     volterra-from-same-wiener: B^H = (Molchan-Golosov map) of the same dW.
     joint-gaussian: Cholesky of the full joint node covariance, stream (seed, 2).
     """
-    h = validate_hurst(h, allow_brownian=allow_brownian)
+    h, seed = validate_hurst(h, allow_brownian=allow_brownian), _integer("seed", seed)
     dep = _resolve_dependence(dependence)
     _check_method(method)
     if isinstance(dep, Independent):
         b = generate_fbm(grid, h, seed, method, allow_brownian)
-        return NoisePair(generate_wiener(grid, seed), b, dep, int(seed))
+        return NoisePair(generate_wiener(grid, seed), b, dep, seed)
     n = grid.n
     if isinstance(dep, VolterraFromWiener):
         w = generate_wiener(grid, seed)
         b_vals = np.zeros(n + 1)
         _volterra_fbm(_volterra_weights(n, grid.horizon, h), np.diff(w.values), out=b_vals[1:])
-        return NoisePair(w, NoisePath(grid, b_vals, "fbm", h), dep, int(seed))
+        return NoisePair(w, NoisePath(grid, b_vals, "fbm", h), dep, seed)
     if 2 * n > _CHOLESKY_N_MAX:
         raise ValueError(
             f"joint-gaussian sampling of n={n} steps refused: the 2n x 2n joint covariance needs "
@@ -419,7 +419,7 @@ def generate_noise_pair(
         ) from None
     joint = chol @ stream(seed, 2).standard_normal(2 * n)
     w_vals, b_vals = np.pad(joint.reshape(2, n), ((0, 0), (1, 0)))  # each path starts at 0
-    return NoisePair(NoisePath(grid, w_vals, "wiener"), NoisePath(grid, b_vals, "fbm", h), dep, int(seed))
+    return NoisePair(NoisePath(grid, w_vals, "wiener"), NoisePath(grid, b_vals, "fbm", h), dep, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +437,15 @@ class HolderFunctional:
 
 
 def _holder_exponents(kind: str, eta: float, hurst: float | None) -> float:
-    """Denominator exponent q of |x-y|^q in the GRR double integral."""
-    eta = float(eta)
+    """Denominator exponent q of |x-y|^q in the GRR double integral; kind and hurst as a NoisePath holds them."""
+    eta = _real("eta", eta)
     if kind == "wiener":
         if not (0.0 < eta < 0.5):
             raise ValueError(f"eta must lie in (0, 1/2) for Wiener paths, got {eta}")
         return 1.0 / eta
-    if kind == "fbm":
-        if hurst is None:
-            raise ValueError("fbm paths need a Hurst index")
-        if not (0.0 < eta < hurst):
-            raise ValueError(f"eta must lie in (0, H) for fBm paths, got {eta}")
-        return 2.0 * hurst / eta
-    raise ValueError(f"unknown path kind {kind!r}")
+    if not (0.0 < eta < hurst):
+        raise ValueError(f"eta must lie in (0, H) for fBm paths, got {eta}")
+    return 2.0 * hurst / eta
 
 
 def holder_cumulative(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
@@ -474,7 +470,7 @@ def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: fl
 
 def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> HolderFunctional:
     """GRR Holder-constant functional of a sampled path on [0, t]."""
-    t = path.grid.horizon if t is None else float(t)
+    t = path.grid.horizon if t is None else _real("t", t)
     k = path.grid.node_index(t)
     if k < _HOLDER_MIN_STEPS:
         raise ValueError(

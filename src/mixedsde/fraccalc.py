@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import TimeGrid, _integer, _node_of
+from .grid import TimeGrid, _integer, _node_of, _real
 
 __all__ = [
     "SampledFunction",
@@ -86,9 +86,17 @@ class SampledFunction:
 
 
 def _validate_order(alpha: float) -> float:
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
+    return alpha
+
+
+def _validate_norm2_order(alpha: float) -> float:
+    """The order of ||.||_{2,alpha}: its (b-s)^(-alpha-1/2) weight is integrable only for alpha < 1/2."""
+    alpha = _real("alpha", alpha)
+    if not (0.0 < alpha < 0.5):
+        raise ValueError(f"the 2-norm's order alpha must lie in (0, 1/2), got {alpha}")
     return alpha
 
 
@@ -158,7 +166,7 @@ def _right_deriv_nodes(values: np.ndarray, delta: float, sigma: float) -> np.nda
 
 def left_derivative(f: SampledFunction, alpha: float, x: float) -> float:
     """(D^alpha_{a+} f)(x) for x in (a, b], singular kernel integrated exactly."""
-    alpha = _validate_order(alpha)
+    alpha, x = _validate_order(alpha), _real("x", x)
     a = f.a
     if not (a < x <= f.b + 1e-12 * max(1.0, abs(f.b))):
         raise ValueError(f"x must lie in (a, b], got {x}")
@@ -185,7 +193,7 @@ def left_derivative(f: SampledFunction, alpha: float, x: float) -> float:
 
 def right_derivative(g: SampledFunction, alpha: float, x: float) -> float:
     """(D^{1-alpha}_{b-} g)(x) for x in [a, b), with the phase factor dropped."""
-    alpha = _validate_order(alpha)
+    alpha, x = _validate_order(alpha), _real("x", x)
     if not (g.a - 1e-12 * max(1.0, abs(g.a)) <= x < g.b):
         raise ValueError(f"x must lie in [a, b), got {x}")
     reflected = SampledFunction(g.t, g.y[::-1])
@@ -355,9 +363,7 @@ def _norm_2_sq(bracket: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def norm_2_alpha(f: SampledFunction, alpha: float) -> float:
     """Weighted L2 norm: the squared bracket is piecewise constant per cell,
     the endpoint-singular weight is integrated analytically."""
-    alpha = _validate_order(alpha)
-    if alpha >= 0.5:
-        raise ValueError("the (b-s)^(-alpha-1/2) weight is integrable only for alpha < 1/2")
+    alpha = _validate_norm2_order(alpha)
     bracket = np.abs(f.y) + increment_bracket(f.y, f.delta, alpha)
     cells = _norm2_weight_cells(f.t.size - 1, f.delta, alpha, f.b - f.a)
     return math.sqrt(float(_norm_2_sq(bracket, cells)))
@@ -365,7 +371,7 @@ def norm_2_alpha(f: SampledFunction, alpha: float) -> float:
 
 def norms_comparison_constant(alpha: float, a: float, b: float) -> float:
     """C with norm_2_alpha <= C * norm_inf_alpha on [a, b]."""
-    length = b - a
+    alpha, length = _validate_norm2_order(alpha), b - a
     return math.sqrt(
         length ** (1.0 - alpha) / (1.0 - alpha) + length ** (0.5 - alpha) / (0.5 - alpha)
     )
@@ -377,11 +383,11 @@ def integral_bound(f: SampledFunction, alpha: float, k_b: float) -> float:
     k_b times int_u^v ( |f(s)| (s-u)^(-alpha) + inner increment integral ) ds
     with the GRR constant taken as 1.
     """
-    alpha = _validate_order(alpha)
+    alpha, k_b = _validate_order(alpha), _real("k_b", k_b)
     n = f.t.size - 1
     delta = f.delta
     absf = np.abs(f.y)
     m0, m1 = _power_moments(np.arange(n, dtype=float), delta, 1.0 - alpha)
     outer_sing = float(np.sum(absf[:-1] * m0 + np.diff(absf) / delta * m1))
     bracket = increment_bracket(f.y, delta, alpha)
-    return float(k_b) * (outer_sing + float(np.trapezoid(bracket, dx=delta)))
+    return k_b * (outer_sing + float(np.trapezoid(bracket, dx=delta)))

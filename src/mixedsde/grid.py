@@ -33,7 +33,7 @@ def _node_of(nodes: np.ndarray, u: float, span: float) -> int:
     """Index of the uniform node that u equals to within 1e-9 x max(1, span),
     span being the nodes' length as their owner states it (a TimeGrid's T,
     which its last node n*T/n can miss in the last bit); any other u raises."""
-    n = nodes.size - 1
+    n, u = nodes.size - 1, _real("time", u)
     x = (u - nodes[0]) / (nodes[1] - nodes[0])
     j = int(round(x)) if -0.5 < x < n + 0.5 else -1  # nan and inf fail the window
     if j < 0 or abs(nodes[j] - u) > 1e-9 * max(1.0, span):
@@ -66,7 +66,8 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not (_real("horizon", self.horizon) > 0.0 and np.isfinite(self.horizon)):
+        object.__setattr__(self, "horizon", _real("horizon", self.horizon))
+        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if _integer("step count", self.n) < 1:
             raise ValueError(f"step count must be a positive integer, got {self.n}")

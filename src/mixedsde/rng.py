@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import _integer
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by (seed, *key)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    """Generator for the stream identified by (seed, *key); seed is an integer (grid._integer)."""
+    ss = np.random.SeedSequence(entropy=_integer("seed", seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))

@@ -91,6 +91,12 @@ def test_coefficient_constants_must_be_numbers(key, value):
         dataclasses.replace(preset("linear"), **{key: value})
 
 
+@pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
+def test_coefficient_constant_k_must_be_positive_and_finite(k):
+    with pytest.raises(ValueError, match="K must be positive and finite"):
+        dataclasses.replace(preset("linear"), K=k)
+
+
 def test_preset_names_and_unknown():
     assert "linear" in preset_names()
     with pytest.raises(ValueError):

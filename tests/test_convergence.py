@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import io
 import math
@@ -296,6 +297,12 @@ def test_localization_activates_for_small_threshold():
     assert rep.localization_fraction == 1.0
 
 
+def test_fit_rate_refuses_levels_that_share_one_delta(small_report):
+    same = [dataclasses.replace(level, delta=0.125) for level in small_report.levels]
+    with pytest.raises(ValueError, match="cannot fit a rate from a single distinct level"):
+        fit_rate(dataclasses.replace(small_report, levels=same))
+
+
 def test_csv_formats(small_report):
     buf = io.StringIO()
     small_report.write_csv(buf)
@@ -507,7 +514,7 @@ def test_pool_takes_the_available_parallelism_at_most_one_per_chunk(monkeypatch,
     sizes = _spy_pool_sizes(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, paths, workers=workers)
-    assert sizes == ([] if workers == 1 else [expected])  # one worker: the calling thread, no pool
+    assert sizes == ([] if expected == 1 else [expected])  # one worker after the cap: the calling thread, no pool
 
 
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])

@@ -95,6 +95,14 @@ def test_interpolation_matches_integral_form(pair):
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
 
 
+def test_solution_refuses_values_off_its_grid_or_away_from_x0(pair):
+    sol = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
+    with pytest.raises(ValueError, match="values must have one entry per node"):
+        dataclasses.replace(sol, values=sol.values[:-1])
+    with pytest.raises(ValueError, match=r"values\[0\] must equal x0"):
+        dataclasses.replace(sol, x0=2.0)
+
+
 def test_interpolate_rejects_off_grid_queries(pair):
     sol = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
     with pytest.raises(ValueError):

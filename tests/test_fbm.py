@@ -405,6 +405,28 @@ def test_noise_path_validation():
         NoisePath(grid, np.array([0.0, np.inf, 0.0, 0.0, 0.0]), "wiener")
     with pytest.raises(ValueError):
         NoisePath(grid, np.zeros(5), "fbm")  # fbm requires a Hurst index
+    with pytest.raises(ValueError, match="values must have one entry per grid node"):
+        NoisePath(grid, np.zeros(4), "wiener")
+    with pytest.raises(ValueError, match="unknown path kind 'brownian'"):
+        NoisePath(grid, np.zeros(5), "brownian")
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0, -0.5, math.nan])
+def test_fbm_covariance_refuses_a_hurst_index_outside_0_1(h):
+    with pytest.raises(ValueError, match=r"Hurst index must lie in \(0, 1\)"):
+        fbm_covariance(0.3, 0.5, h)
+
+
+def test_joint_gaussian_refuses_a_cross_covariance_off_the_node_mesh():
+    for cross in (lambda s, t: 0.0, lambda s, t: 0.1 * s):
+        with pytest.raises(ValueError, match="cross covariance must evaluate on the full node mesh"):
+            generate_noise_pair(TimeGrid(1.0, 8), 0.7, 0, JointGaussian(cross))
+
+
+def test_pair_provenance_names_seed_dependence_and_grid():
+    grid = TimeGrid(2.0, 16)
+    assert generate_noise_pair(grid, 0.7, 3).provenance == (3, "independent", 16, 2.0)
+    assert generate_noise_pair(grid, 0.7, 3, "volterra").provenance == (3, "volterra-from-same-wiener", 16, 2.0)
 
 
 # ---------------------------------------------------------------------------

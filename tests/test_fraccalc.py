@@ -421,3 +421,10 @@ def test_young_refuses_an_interval_end_off_the_nodes(b):
     f = _sf(lambda u: u, n=64)
     with pytest.raises(ValueError, match=r"time .* is not a node of this grid \(n=64, T=1.0\)"):
         young_integral(f, f, 0.3, 0.0, b)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.75, 0.25)])
+def test_restriction_to_fewer_than_two_nodes_refused(a, b):
+    f = _sf(np.sin, n=16)
+    with pytest.raises(ValueError, match="restriction interval contains fewer than two nodes"):
+        f.restrict(a, b)

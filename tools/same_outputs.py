@@ -24,15 +24,18 @@ and the exit code match.
 
 One more run, "single-path-api", prints the repr of the single-path API in
 each tree (print_api_values) and compares the text: `pathwise_error` at
-three taus on fine nodes and `interpolate` at every 7th fine node, at
-refinement strides 1, 2, 3, 45, 257 and 384, for the linear,
-bounded-smooth and additive presets under independent and Volterra noise;
-then
+three taus on fine nodes and at tau = T with a norm_grid_n of the coarse
+n, and `interpolate` at every 7th fine node, at refinement strides 1, 2,
+3, 45, 257 and 384, for the linear, bounded-smooth and additive presets
+under independent and Volterra noise; then
 `increment_bracket`, `holder_cumulative`, `holder_functional` (on [0, T]
 and on [0, t] for one node t), `norm_inf_alpha`, `norm_2_alpha`,
 `integral_bound`, `young_integral` (on the whole grid and on a
-sub-interval (a, b)) and `stopping_time` on one pair; then the text that
-`write_path_csv`, `write_pair_csv` (independent, Volterra and
+sub-interval (a, b)), `left_derivative` and `right_derivative` at four
+nodes each, and `stopping_time` on one pair; then `fbm_covariance` at a
+point and on a node mesh, `kappa` at three betas and the text of the
+`check_hypotheses` report of the quadratic-c preset at seed 3; then the
+text that `write_path_csv`, `write_pair_csv` (independent, Volterra and
 joint-Gaussian noise) and `write_solution_csv` write on a 64-step grid,
 the files `converge` does not write, and the values of `generate_wiener`
 on that grid. It must exit 0 in both trees. When its
@@ -105,9 +108,9 @@ def print_api_values() -> None:
     """Print the single-path values of API_RUN with the mixedsde first on sys.path."""
     import numpy as np
     from mixedsde import (
-        JointGaussian, SampledFunction, TimeGrid, euler_solve, generate_fbm, generate_noise_pair, generate_wiener,
-        holder_functional, integral_bound, interpolate, norm_2_alpha, norm_inf_alpha, pathwise_error, preset, stop,
-        stopping_time, young_integral,
+        JointGaussian, SampledFunction, TimeGrid, check_hypotheses, euler_solve, fbm_covariance, generate_fbm,
+        generate_noise_pair, generate_wiener, holder_functional, integral_bound, interpolate, kappa, left_derivative,
+        norm_2_alpha, norm_inf_alpha, pathwise_error, preset, right_derivative, stop, stopping_time, young_integral,
     )
     from mixedsde.euler import write_solution_csv
     from mixedsde.fbm import holder_cumulative, write_pair_csv, write_path_csv
@@ -120,6 +123,7 @@ def print_api_values() -> None:
         fine_sol = euler_solve(preset(name), pair, 1.0, fine)
         for tau in fine.nodes[[fine.n // 3, fine.n // 2, fine.n]]:
             print(name, dep, stride, tau, repr(pathwise_error(stop(coarse_sol, tau), stop(fine_sol, tau), 0.35)))
+        print(name, dep, stride, repr(pathwise_error(stop(coarse_sol, 1.0), stop(fine_sol, 1.0), 0.35, coarse_n)))
         print(name, dep, stride, repr([interpolate(coarse_sol, u) for u in fine.nodes[::7]]))
     pair = generate_noise_pair(TimeGrid(1.0, 512), 0.7, 6, "volterra")
     f = SampledFunction(pair.grid.nodes, pair.bh.values)
@@ -129,8 +133,13 @@ def print_api_values() -> None:
     print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35), integral_bound(f, 0.35, 1.0))))
     w = SampledFunction(f.t, pair.w.values)
     print(repr((young_integral(w, f, 0.35), young_integral(w, f, 0.35, f.t[100], f.t[400]))))
+    print(repr([left_derivative(f, 0.35, x) for x in f.t[[1, 7, 300, 512]]]))
+    print(repr([right_derivative(w, 0.35, x) for x in f.t[[0, 7, 300, 511]]]))
     kinds = ("wiener", "fbm", "sum")
     print(repr([stopping_time(pair, 0.1, threshold, kind) for threshold in (2.0, 50.0) for kind in kinds]))
+    print(repr((fbm_covariance(0.3, 0.8, 0.7), fbm_covariance(f.t[::32, None], f.t[::64], 0.7).tolist())))
+    print(repr([kappa(beta) for beta in (0.3, 0.5, 0.75)]))
+    print(check_hypotheses(preset("quadratic-c"), seed=3))
     grid = TimeGrid(1.0, 64)
     joint = JointGaussian(lambda s, t: 0.3 * np.minimum(s, t))
     pairs = [generate_noise_pair(grid, 0.7, 7, dep) for dep in ("independent", "volterra", joint)]
