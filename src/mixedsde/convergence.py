@@ -29,8 +29,9 @@ from . import __version__ as _version
 from .coefficients import CoefficientSet, kappa
 from .euler import _BLOCK_NODES, EulerSolution, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
-    JointGaussian, NoisePair, VolterraFromWiener, _check_method, _fbm_values_batch, _holder_cumulative_batch,
-    _holder_exponents, _resolve_dependence, _volterra_fbm, _volterra_weights, _wiener_values_batch, validate_hurst,
+    _ROW_GROUP, JointGaussian, NoisePair, VolterraFromWiener, _check_method, _fbm_values_batch,
+    _holder_cumulative_batch, _holder_exponents, _resolve_dependence, _volterra_fbm, _volterra_weights,
+    _wiener_values_batch, validate_hurst,
 )
 from .fraccalc import (
     _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _validate_norm2_order, norms_comparison_constant
@@ -47,10 +48,11 @@ DEFAULT_R = 1000.0
 _CHUNK = 256  # fixed path chunk; results never depend on worker count
 # larger eval_n is refused: the bracket and Holder kernels cost O(paths * eval_n^2)
 _EVAL_N_MAX = 4096
-# larger fine n is refused: a chunk peaks at 40 B per fine node and path with
-# independent noise (its circulant draw) and at 31.5 B at fine n 2048, 29 B
-# from 4096 on, with Volterra noise (its 16-path FFT groups; at small fine n
-# the per-level passes): at most 0.67 GB in each worker at 2^16
+# larger fine n is refused: a 256-path chunk holds W, B^H and the fine
+# solution (8 B per fine node and path each), and with either noise kind it
+# peaks at 31.5 B per fine node and path at fine n 2048, 27.75 B at 4096 and
+# 25.1 B at 2^16 (tracemalloc; below 2048 the eval_n-sized arrays weigh more
+# per node): at most 0.42 GB in each worker at 2^16
 _FINE_N_MAX = 1 << 16
 # more paths are refused: the result rows take 26 B per path and level, 1.6 GB
 # at 2^22 paths and the most levels (15), and 2^22 paths take over an hour
@@ -183,6 +185,8 @@ class SolverConfig:
         _check_threshold(self.threshold)
         if not _real("epsilon", self.epsilon) > 0.0:
             raise ValueError("rate slack epsilon must be positive")
+        for name in ("alpha", "eta", "threshold", "epsilon"):  # stored as the floats grid._real returns
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
     def validate(self, h: float, beta: float) -> float:
         """Check the admissible windows against the model's H and beta;
@@ -367,16 +371,26 @@ def _chunk_noise(
     dep, grid: TimeGrid, h: float, seed: int, chunk_idx: int, size: int, method: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """(W, B^H) values for one chunk of paths, node-major (n+1, size) each.
-    The samplers draw path-major rows (the stream order), transposed here
-    for W and circulant B^H; Volterra B^H is written node-major by the FFT
-    convolution, which runs along the path-major increments of W."""
-    w = _wiener_values_batch(grid, stream(seed, 0, chunk_idx), size)
-    if isinstance(dep, VolterraFromWiener):
+    Independent B^H is drawn first, path-major (the stream order) and
+    transposed, so its spectrum is gone before W exists. W is drawn
+    _ROW_GROUP path-major rows at a time from the chunk's one stream (the
+    rows of one full draw) and written node-major; Volterra B^H convolves
+    each group's increments into its node-major columns."""
+    volterra = isinstance(dep, VolterraFromWiener)
+    if volterra:
         b = np.zeros((grid.n + 1, size))
-        _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.diff(w, axis=1), out=b[1:].T)
+        weights = _volterra_weights(grid.n, grid.horizon, h)
     else:
         b = np.ascontiguousarray(_fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method).T)
-    return np.ascontiguousarray(w.T), b
+    w = np.empty((grid.n + 1, size))
+    rng = stream(seed, 0, chunk_idx)
+    for lo in range(0, size, _ROW_GROUP):
+        rows = slice(lo, min(lo + _ROW_GROUP, size))
+        group = _wiener_values_batch(grid, rng, rows.stop - rows.start)
+        w[:, rows] = group.T
+        if volterra:
+            _volterra_fbm(weights, np.diff(group, axis=1), out=b[1:, rows].T)
+    return w, b
 
 
 def _run_chunk(
@@ -475,9 +489,8 @@ def mc_strong_error(
         raise ValueError("m_fine must be at least 1")
     if m_fine > 16 or max(levels) << m_fine > _FINE_N_MAX:  # m_fine first: no huge shift
         raise ValueError(
-            f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: one chunk takes up to 40 B per fine node "
-            f"and path with independent noise and 31.5 B with Volterra noise, at most 0.67 GB per worker at "
-            f"{_FINE_N_MAX}"
+            f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: one chunk takes 31.5 B per fine node and "
+            f"path at fine n 2048 and less above it, at most 0.42 GB per worker at {_FINE_N_MAX}"
         )
     fine_n = max(levels) << m_fine
     for n in levels:

@@ -46,10 +46,12 @@ _CHOLESKY_N_MAX = 4096
 _METHODS = ("cholesky", "circulant-embedding", "circulant")  # independent B^H only; others ignore it
 # holder_functional refuses fewer grid steps (nodes - 1) in [0, t]
 _HOLDER_MIN_STEPS = 8
-# rows per FFT group of _volterra_fbm: one 256-path Volterra chunk's noise at
-# fine n 8192 peaked at 56, 61, 71 and 92 MB with groups of 8, 16, 32 and 64
-# rows (201 MB before the grouping), and took 244, 249, 269 and 288 ms
-_VOLTERRA_GROUP = 16
+# rows per group of every harness sampler (the circulant inverse FFT, the
+# Volterra convolution, the node-major W fill): their temporaries exist for
+# one group at a time. One 256-path Volterra chunk's noise at fine n 8192
+# peaked at 56, 61, 71 and 92 MB with groups of 8, 16, 32 and 64 rows
+# (201 MB before the grouping), and took 244, 249, 269 and 288 ms
+_ROW_GROUP = 16
 
 
 def validate_hurst(h: float, allow_brownian: bool = False) -> float:
@@ -208,7 +210,8 @@ def _fgn_unit_circulant(n: int, h: float, rng: np.random.Generator, size: int, s
     scale (delta**h gives the increments of a step-delta grid).
 
     Draw order fixed as: Z_0 block, Z_n block, real block, imaginary block.
-    The Hermitian spectrum is filled on its n+1 half and inverted by irfft.
+    The Hermitian spectrum is filled on its n+1 half and inverted by irfft,
+    _ROW_GROUP rows at a time, so no (size, 2n) inverse exists.
     """
     y = np.empty((size, n + 1), dtype=complex)
     y[:, 0] = rng.standard_normal(size)
@@ -216,10 +219,14 @@ def _fgn_unit_circulant(n: int, h: float, rng: np.random.Generator, size: int, s
     block = np.empty((size, n - 1))
     y.real[:, 1:n] = rng.standard_normal(out=block)
     y.imag[:, 1:n] = rng.standard_normal(out=block)
-    del block  # freed before irfft allocates its (size, 2n) result
+    del block  # freed before the (size, n) increments are allocated
     parts = y.view(float).reshape(size, n + 1, 2)
     parts *= (_circulant_sqrt_eigs(n, h) * (math.sqrt(2 * n) * scale))[:, None]
-    return np.fft.irfft(y, 2 * n, axis=1)[:, :n]
+    fgn = np.empty((size, n))
+    for lo in range(0, size, _ROW_GROUP):
+        rows = slice(lo, lo + _ROW_GROUP)
+        fgn[rows] = np.fft.irfft(y[rows], 2 * n)[:, :n]
+    return fgn
 
 
 def _check_method(method: str) -> None:
@@ -340,7 +347,7 @@ def _volterra_fbm(weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndar
     One real FFT of u_i = c_H nu_i^{-p} dW_i and two inverse ones give the
     moment convolutions; B at node r+1 is K0_r dW_0 + sum_{k<=r} (g_k
     (u*m0)_k + dg_k (u*m1)_k). O(n log n) per path. The rows go through in
-    groups of _VOLTERRA_GROUP along the first axis, so the spectra and
+    groups of _ROW_GROUP along the first axis, so the spectra and
     padded rows exist for one group at a time; a row's values do not depend
     on the rows that share its group.
     """
@@ -350,15 +357,15 @@ def _volterra_fbm(weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndar
         return np.cumsum(dw, axis=-1, out=out)
     n = dw.shape[-1]
     rows_in, rows_out = np.atleast_2d(dw), np.atleast_2d(out)
-    for lo in range(0, len(rows_in), _VOLTERRA_GROUP):
-        d = rows_in[lo : lo + _VOLTERRA_GROUP]
+    for lo in range(0, len(rows_in), _ROW_GROUP):
+        d = rows_in[lo : lo + _ROW_GROUP]
         u_hat = np.fft.rfft(d * weights.scale, weights.nfft)
         conv0 = np.fft.irfft(u_hat * weights.m0_hat, weights.nfft)[..., :n]
         conv1 = np.fft.irfft(u_hat * weights.m1_hat, weights.nfft)[..., :n]
         conv0 *= weights.g
         conv1 *= weights.dg
         conv0 += conv1  # the cell sums
-        o = np.cumsum(conv0, axis=-1, out=rows_out[lo : lo + _VOLTERRA_GROUP])
+        o = np.cumsum(conv0, axis=-1, out=rows_out[lo : lo + _ROW_GROUP])
         o += weights.k0 * d[..., :1]
     return out
 

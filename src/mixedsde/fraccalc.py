@@ -370,8 +370,11 @@ def norm_2_alpha(f: SampledFunction, alpha: float) -> float:
 
 
 def norms_comparison_constant(alpha: float, a: float, b: float) -> float:
-    """C with norm_2_alpha <= C * norm_inf_alpha on [a, b]."""
-    alpha, length = _validate_norm2_order(alpha), b - a
+    """C with norm_2_alpha <= C * norm_inf_alpha on [a, b], a finite interval with a < b."""
+    alpha, a, b = _validate_norm2_order(alpha), _real("a", a), _real("b", b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"the interval [a, b] must be finite with a < b, got [{a}, {b}]")
+    length = b - a
     return math.sqrt(
         length ** (1.0 - alpha) / (1.0 - alpha) + length ** (0.5 - alpha) / (0.5 - alpha)
     )

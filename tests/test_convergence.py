@@ -34,6 +34,7 @@ from mixedsde.convergence import _chunk_noise, _stop_batch
 from mixedsde.fbm import (
     Independent,
     VolterraFromWiener,
+    _fbm_values_batch,
     _resolve_dependence,
     _volterra_fbm,
     _volterra_weights,
@@ -369,7 +370,7 @@ def _no_noise(*args):
 @pytest.mark.parametrize("levels, m_fine", [([16, 32, 64], 11), ([2, 4, 8], 14), ([16, 32, 64], 64)])
 def test_fine_n_above_2_16_refused_before_any_noise(monkeypatch, levels, m_fine):
     monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
-    with pytest.raises(ValueError, match=rf"fine n = {levels[-1]} \* 2\^{m_fine} exceeds 65536:.*0\.67 GB"):
+    with pytest.raises(ValueError, match=rf"fine n = {levels[-1]} \* 2\^{m_fine} exceeds 65536:.*0\.42 GB"):
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), levels, m_fine, 1, workers=1)
 
 
@@ -381,13 +382,12 @@ def test_empty_levels_refused_by_name_before_any_noise(monkeypatch):
 
 @pytest.mark.parametrize(
     "dependence, per_node, fine_n",
-    [("independent", 40, 2048), ("independent", 40, 4096), ("volterra", 31.5, 2048), ("volterra", 29.05, 4096)],
+    [("independent", 31.5, 2048), ("independent", 27.75, 4096), ("volterra", 31.5, 2048), ("volterra", 27.75, 4096)],
 )
 def test_chunk_peak_memory_per_fine_node_and_path(dependence, per_node, fine_n):
-    # the figures convergence._FINE_N_MAX states: the noise draw and its
-    # transpose for independent noise; for Volterra noise the grouped FFT
-    # convolution and the per-level passes, both 29.0 B at fine n 4096, or
-    # at fine n 2048 the per-level passes
+    # the figures convergence._FINE_N_MAX states: with the noise drawn in
+    # row groups the chunk peaks in its per-level passes, over W, B^H and
+    # the fine solution, alike for both noise kinds
     dep = _resolve_dependence(dependence)
     args = (preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], TimeGrid(1.0, fine_n), 256, 256,
             1000.0, 1.0, 3, dep, "circulant-embedding", 0)
@@ -401,48 +401,54 @@ def test_chunk_peak_memory_per_fine_node_and_path(dependence, per_node, fine_n):
     assert per_node - 0.1 < peak / ((fine_n + 1) * 256) <= per_node
 
 
-@pytest.mark.parametrize("size", [1, 37])
+@pytest.mark.parametrize("size", [1, 16, 37, 256])
 def test_volterra_chunk_noise_is_node_major(size):
+    # one path, one _ROW_GROUP-row group, a part group and a full chunk
     grid = TimeGrid(1.0, 300)
-    w, bh = _chunk_noise(VolterraFromWiener(), grid, 0.7, 3, 2, size, "circulant-embedding")
-    # the path-major arrays the harness transposed before it wrote B^H node-major
+    # the path-major rows one full draw gives, before the harness wrote W and B^H node-major
     w_rows = _wiener_values_batch(grid, stream(3, 0, 2), size)
-    b_rows = np.zeros_like(w_rows)
-    b_rows[:, 1:] = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, 0.7), np.diff(w_rows, axis=1))
-    for got, rows in ((w, w_rows), (bh, b_rows)):
-        assert got.shape == (301, size) and got.flags.c_contiguous
-        assert np.array_equal(got, np.ascontiguousarray(rows.T))
-    assert np.all(bh[0] == 0.0)
+    volterra = np.zeros_like(w_rows)
+    volterra[:, 1:] = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, 0.7), np.diff(w_rows, axis=1))
+    circulant = _fbm_values_batch(grid, 0.7, stream(3, 1, 2), size, "circulant-embedding")
+    for dep, b_rows in ((VolterraFromWiener(), volterra), (Independent(), circulant)):
+        w, bh = _chunk_noise(dep, grid, 0.7, 3, 2, size, "circulant-embedding")
+        for got, rows in ((w, w_rows), (bh, b_rows)):
+            assert got.shape == (301, size) and got.flags.c_contiguous
+            assert np.array_equal(got, np.ascontiguousarray(rows.T))
+        assert np.all(bh[0] == 0.0)
+
+
+def _noise_peak_per_node(dep, grid: TimeGrid, paths: int, method: str = "circulant-embedding") -> float:
+    """tracemalloc peak of one _chunk_noise call per node and path, its caches filled first."""
+    _chunk_noise(dep, grid, 0.7, 3, 0, paths, method)
+    tracemalloc.start()
+    try:
+        _chunk_noise(dep, grid, 0.7, 3, 0, paths, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / ((grid.n + 1) * paths)
 
 
 def test_volterra_chunk_noise_peak_memory():
-    # W path-major, its increments and B^H node-major take 8 B per node and
-    # path each, one 16-row group of the FFT convolution about 5 B more;
-    # convolving all 256 rows at once took 96 B
-    grid, paths = TimeGrid(1.0, 8192), 256
-    _chunk_noise(VolterraFromWiener(), grid, 0.7, 3, 0, paths, "circulant-embedding")  # fills the weight cache
-    tracemalloc.start()
-    try:
-        _chunk_noise(VolterraFromWiener(), grid, 0.7, 3, 0, paths, "circulant-embedding")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 30 * (grid.n + 1) * paths
+    # W and B^H node-major take 8 B per node and path each, one 16-row
+    # group's draw and FFT convolution about 5 B more; convolving all 256
+    # rows at once took 96 B, and a path-major W with its increments 29 B
+    assert _noise_peak_per_node(VolterraFromWiener(), TimeGrid(1.0, 8192), 256) <= 22
+
+
+def test_independent_chunk_noise_peak_memory():
+    # while B^H is drawn: the half spectrum (16 B per node and path), the
+    # increments (8 B) and one 16-row group's inverse; W comes after the
+    # spectrum is gone. The full-width inverse and a path-major W took 40 B
+    assert _noise_peak_per_node(Independent(), TimeGrid(1.0, 4096), 256) <= 26
 
 
 def test_cholesky_chunk_noise_peak_memory():
-    # with the factor cached, the draw, its product with the factor, the
-    # node values and the two transposes: 32 B per node and path (392 B at
-    # fine n 4096 when each chunk built and factored the covariance)
-    grid, paths = TimeGrid(1.0, 2048), 256
-    _chunk_noise(Independent(), grid, 0.7, 3, 0, paths, "cholesky")  # builds the factor
-    tracemalloc.start()
-    try:
-        _chunk_noise(Independent(), grid, 0.7, 3, 0, paths, "cholesky")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * (grid.n + 1) * paths
+    # with the factor cached, the draw, its product with the factor and the
+    # node values: 24 B per node and path (392 B at fine n 4096 when each
+    # chunk built and factored the covariance)
+    assert _noise_peak_per_node(Independent(), TimeGrid(1.0, 2048), 256, "cholesky") <= 25
 
 
 class _NoiseReached(Exception):

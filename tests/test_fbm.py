@@ -207,7 +207,7 @@ def _fgn_complex_reference(n: int, h: float, rng: np.random.Generator, size: int
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 4096])
-@pytest.mark.parametrize("size", [1, 5])
+@pytest.mark.parametrize("size", [1, 5, 37])  # 37: two full row groups and a part group
 def test_half_spectrum_sampler_matches_the_complex_form(n, size):
     want = _fgn_complex_reference(n, 0.7, stream(9, 1), size)
     for scale in (1.0, (1.0 / n) ** 0.7):
@@ -326,7 +326,7 @@ def test_volterra_fbm_rows_equal_single_calls_and_half_is_the_running_sum():
 
 def test_volterra_fbm_groups_equal_row_calls_and_write_into_any_view():
     # 37 rows: two full groups of 16 and a part group
-    assert 2 * fbm._VOLTERRA_GROUP < 37 < 3 * fbm._VOLTERRA_GROUP
+    assert 2 * fbm._ROW_GROUP < 37 < 3 * fbm._ROW_GROUP
     dw = np.random.default_rng(4).normal(size=(37, 200)) / 14.0
     weights = _volterra_weights(200, 1.0, 0.7)
     rows = _volterra_fbm(weights, dw)

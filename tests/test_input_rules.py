@@ -224,3 +224,23 @@ def test_grids_and_coefficients_store_the_float_of_a_number():
     assert type(grid.horizon) is float and grid == TimeGrid(1.0, 4)
     coeffs = coefficients_from_expressions("c", "0.0", "0.0", "0.0", "0.0", 2, np.float64(0.75))
     assert (type(coeffs.K), type(coeffs.beta)) == (float, float) and (coeffs.K, coeffs.beta) == (2.0, 0.75)
+
+
+def test_solver_config_stores_the_float_of_a_number():
+    config = SolverConfig(alpha=np.float64(0.35), eta=np.float32(0.125), threshold=50, epsilon=np.float64(0.05))
+    assert {type(v) for v in (config.alpha, config.eta, config.threshold, config.epsilon)} == {float}
+    assert config == SolverConfig(alpha=0.35, eta=0.125, threshold=50.0, epsilon=0.05)
+    report = mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35, threshold=50), [4, 8, 16], 1, 20)
+    assert '"threshold": 50.0' in report.to_json()
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.0, 0.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_the_norm_comparison_constant_refuses_an_interval_that_is_not_finite_and_increasing(a, b):
+    with pytest.raises(ValueError, match=re.escape(f"the interval [a, b] must be finite with a < b, got [{a}, {b}]")):
+        norms_comparison_constant(0.35, a, b)
+
+
+def test_the_norm_comparison_constant_takes_its_ends_as_numbers():
+    with pytest.raises(ValueError, match=re.escape("b must be a number, got '1'")):
+        norms_comparison_constant(0.35, 0.0, "1")
+    assert norms_comparison_constant(0.35, np.int64(0), 1) == norms_comparison_constant(0.35, 0.0, 1.0)
