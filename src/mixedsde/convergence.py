@@ -36,7 +36,7 @@ from .fbm import (
 from .fraccalc import (
     _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _validate_norm2_order, norms_comparison_constant
 )
-from .grid import TimeGrid, _integer, _real, _write_csv
+from .grid import TimeGrid, _integer, _node_values, _real, _write_csv
 from .rng import stream
 
 __all__ = [
@@ -243,6 +243,9 @@ class StoppedSolution:
     tau: float
     values: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", _node_values("values", self.values, self.base.grid.n + 1))
+
     @property
     def grid(self) -> TimeGrid:
         return self.base.grid
@@ -250,8 +253,6 @@ class StoppedSolution:
 
 def stop(sol: EulerSolution, tau: float) -> StoppedSolution:
     tau = _real("tau", tau)
-    if not (0.0 <= tau <= sol.grid.horizon * (1.0 + 1e-12)):
-        raise ValueError(f"tau must lie in [0, T], got {tau}")
     k = sol.grid.floor_index(tau)
     return StoppedSolution(base=sol, tau=tau, values=_stop_batch(sol.values[:, None], np.array([k]))[:, 0])
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .fbm import NoisePair
-from .grid import TimeGrid, _real, _write_csv
+from .grid import TimeGrid, _node_values, _real, _write_csv
 
 __all__ = [
     "EulerSolution",
@@ -51,13 +51,9 @@ class EulerSolution:
     x0: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n + 1,):
-            raise ValueError("values must have one entry per node")
-        if v[0] != self.x0:
+        object.__setattr__(self, "values", _node_values("values", self.values, self.grid.n + 1))
+        if self.values[0] != self.x0:
             raise ValueError("values[0] must equal x0")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def euler_solve(

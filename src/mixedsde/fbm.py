@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fraccalc import _offset_sum, _power_moments
-from .grid import TimeGrid, _integer, _real, _write_csv
+from .grid import TimeGrid, _integer, _node_values, _real, _write_csv
 from .rng import stream
 
 __all__ = [
@@ -94,19 +94,13 @@ class NoisePath:
     hurst: float | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n + 1,):
-            raise ValueError("values must have one entry per grid node")
-        if v[0] != 0.0:
+        object.__setattr__(self, "values", _node_values("values", self.values, self.grid.n + 1))
+        if self.values[0] != 0.0:
             raise ValueError("paths start at 0")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("path contains non-finite values")
         if self.kind not in ("wiener", "fbm"):
             raise ValueError(f"unknown path kind {self.kind!r}")
         if self.kind == "fbm" and self.hurst is None:
             raise ValueError("fbm paths carry their Hurst index")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     def restrict(self, coarse: TimeGrid) -> "NoisePath":
         stride = coarse.refinement_stride(self.grid)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import TimeGrid, _integer, _node_of, _real
+from .grid import TimeGrid, _in_span, _integer, _node_of, _node_values, _real
 
 __all__ = [
     "SampledFunction",
@@ -38,21 +38,16 @@ class SampledFunction:
     y: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if t.ndim != 1 or t.shape != y.shape or t.size < 2:
-            raise ValueError("need matching 1-d node and value arrays with >= 2 nodes")
+        t = _node_values("nodes", self.t)
+        object.__setattr__(self, "y", _node_values("values", self.y, t.size))
+        if t.size < 2:
+            raise ValueError(f"a sampled function needs at least 2 nodes, got {t.size}")
         steps = np.diff(t)
         if np.any(steps <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         if np.max(np.abs(steps - steps[0])) > 1e-9 * steps[0]:
             raise ValueError("nodes must be uniformly spaced")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-            raise ValueError("non-finite samples")
-        t.setflags(write=False)
-        y.setflags(write=False)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "y", y)
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, n: int) -> "SampledFunction":
@@ -135,6 +130,12 @@ def _power_moments(k: np.ndarray, delta: float, p: float) -> tuple[np.ndarray, n
     return m0, m1
 
 
+def _singular_integral(v: np.ndarray, delta: float, alpha: float) -> float:
+    """int_a^b PL(v)(u - a)^(-alpha) du, PL(v) the linear interpolant of node values v spaced delta."""
+    m0, m1 = _power_moments(np.arange(v.size - 1, dtype=float), delta, 1.0 - alpha)
+    return float(np.sum(v[:-1] * m0 + np.diff(v) / delta * m1))
+
+
 def _conv_full(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Full linear convolution via real FFT."""
     n = x.size + w.size - 1
@@ -166,13 +167,14 @@ def _right_deriv_nodes(values: np.ndarray, delta: float, sigma: float) -> np.nda
 
 def left_derivative(f: SampledFunction, alpha: float, x: float) -> float:
     """(D^alpha_{a+} f)(x) for x in (a, b], singular kernel integrated exactly."""
-    alpha, x = _validate_order(alpha), _real("x", x)
+    alpha, x = _validate_order(alpha), _in_span("x", x, f.a, f.b)
     a = f.a
-    if not (a < x <= f.b + 1e-12 * max(1.0, abs(f.b))):
+    if not x > a:
         raise ValueError(f"x must lie in (a, b], got {x}")
     delta = f.delta
     pos = (x - a) / delta
-    j = int(np.ceil(pos - 1e-9)) - 1  # cell [t_j, x] is the (possibly partial) tip
+    # cell [t_j, x] is the (possibly partial) tip; j in [0, n-1] also where x lies within 1e-9 cells of a or b
+    j = min(max(int(np.ceil(pos - 1e-9)), 1), f.t.size - 1) - 1
     fx = float(f(x))
     t, y = f.t, f.y
     slope_j = (y[j + 1] - y[j]) / delta
@@ -193,8 +195,8 @@ def left_derivative(f: SampledFunction, alpha: float, x: float) -> float:
 
 def right_derivative(g: SampledFunction, alpha: float, x: float) -> float:
     """(D^{1-alpha}_{b-} g)(x) for x in [a, b), with the phase factor dropped."""
-    alpha, x = _validate_order(alpha), _real("x", x)
-    if not (g.a - 1e-12 * max(1.0, abs(g.a)) <= x < g.b):
+    alpha, x = _validate_order(alpha), _in_span("x", x, g.a, g.b)
+    if not x < g.b:
         raise ValueError(f"x must lie in [a, b), got {x}")
     reflected = SampledFunction(g.t, g.y[::-1])
     return left_derivative(reflected, 1.0 - alpha, g.a + (g.b - x))
@@ -260,8 +262,7 @@ def young_integral(
     phi_reg = np.empty(n + 1)
     phi_reg[0] = 0.0
     phi_reg[1:] = phi[1:] - f.y[0] * (i * delta) ** -alpha / gamma1
-    m0, m1 = _power_moments(np.arange(n, dtype=float), delta, 1.0 - alpha)
-    i_sing = f.y[0] / gamma1 * float(np.sum(psi[:-1] * m0 + np.diff(psi) / delta * m1))
+    i_sing = f.y[0] / gamma1 * _singular_integral(psi, delta, alpha)
     i_reg = float(np.trapezoid(phi_reg * psi, dx=delta))
     return -(i_sing + i_reg)
 
@@ -387,10 +388,7 @@ def integral_bound(f: SampledFunction, alpha: float, k_b: float) -> float:
     with the GRR constant taken as 1.
     """
     alpha, k_b = _validate_order(alpha), _real("k_b", k_b)
-    n = f.t.size - 1
     delta = f.delta
-    absf = np.abs(f.y)
-    m0, m1 = _power_moments(np.arange(n, dtype=float), delta, 1.0 - alpha)
-    outer_sing = float(np.sum(absf[:-1] * m0 + np.diff(absf) / delta * m1))
+    outer_sing = _singular_integral(np.abs(f.y), delta, alpha)
     bracket = increment_bracket(f.y, delta, alpha)
     return k_b * (outer_sing + float(np.trapezoid(bracket, dx=delta)))

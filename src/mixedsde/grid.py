@@ -29,6 +29,27 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _in_span(name: str, u, a: float, b: float) -> float:
+    """The number u (read by _real) clipped into [a, b]; nan, and a u outside
+    [a, b] by more than 1e-12 x max(1, |a|, |b|), raise ValueError."""
+    u, slack = _real(name, u), 1e-12 * max(1.0, abs(a), abs(b))
+    if not a - slack <= u <= b + slack:  # nan fails too
+        raise ValueError(f"{name} must lie in [{a}, {b}], got {u}")
+    return min(max(u, a), b)
+
+
+def _node_values(name: str, values, count: int | None = None) -> np.ndarray:
+    """A read-only float copy of values: 1-d, finite, and count long (one entry per node) when count is given."""
+    v = np.array(values, dtype=float)
+    if v.ndim != 1 or count not in (None, v.size):
+        per_node = "" if count is None else f" with one entry per node ({count})"
+        raise ValueError(f"{name} must be a 1-d array{per_node}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    v.setflags(write=False)
+    return v
+
+
 def _node_of(nodes: np.ndarray, u: float, span: float) -> int:
     """Index of the uniform node that u equals to within 1e-9 x max(1, span),
     span being the nodes' length as their owner states it (a TimeGrid's T,
@@ -85,22 +106,16 @@ class TimeGrid:
         return nodes
 
     def floor_index(self, u: float | np.ndarray) -> int | np.ndarray:
-        """Index of t^delta_u = max{node <= u}; u must lie in [0, T]."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0.0) & (u <= self.horizon * (1.0 + 1e-12))):  # nan fails too
-            raise ValueError("query time outside [0, T]")
-        idx = np.minimum((u / self.delta).astype(np.int64), self.n)
-        # guard against float rounding placing u just below its own node
-        idx = np.where(self.nodes[np.minimum(idx + 1, self.n)] <= u, idx + 1, idx)
-        idx = np.minimum(idx, self.n)
+        """Index of t^delta_u = max{node <= u}, entry by entry for an array; each u in [0, T]
+        as _in_span reads it. T is node n, also where n*T/n rounds above T."""
+        times = [u] if np.ndim(u) == 0 else np.ravel(u)
+        u = np.array([_in_span("time", v, 0.0, self.horizon) for v in times]).reshape(np.shape(u))
+        idx = np.where(u < self.horizon, np.searchsorted(self.nodes, u, side="right") - 1, self.n)
         return idx if idx.ndim else int(idx)
 
     def node_index(self, u: float) -> int:
         """Exact node index of u, or raise if u is not resolvable on this grid."""
         return _node_of(self.nodes, u, self.horizon)
-
-    def refine(self, m: int) -> "TimeGrid":
-        return refine_dyadic(self, m)
 
     def refinement_stride(self, fine: "TimeGrid") -> int:
         """Stride such that self.nodes == fine.nodes[::stride]; error if not nested."""

@@ -149,10 +149,10 @@ def test_integrate_csv_integrand(outdir, capsys):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("0,0\n", "need matching 1-d node and value arrays with >= 2 nodes"),
+        ("0,0\n", "a sampled function needs at least 2 nodes, got 1"),
         ("0,0\n0.5,1\n0.25,2\n1,3\n", "nodes must be strictly increasing"),
         ("0,0\n0.1,1\n0.3,2\n0.6,3\n", "nodes must be uniformly spaced"),
-        ("0,0\n0.25,nan\n0.5,2\n0.75,3\n1,4\n", "non-finite samples"),
+        ("0,0\n0.25,nan\n0.5,2\n0.75,3\n1,4\n", "values must be finite"),
     ],
 )
 def test_integrate_refuses_a_bad_sample_csv(outdir, capsys, rows, message):

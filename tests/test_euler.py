@@ -97,7 +97,7 @@ def test_interpolation_matches_integral_form(pair):
 
 def test_solution_refuses_values_off_its_grid_or_away_from_x0(pair):
     sol = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
-    with pytest.raises(ValueError, match="values must have one entry per node"):
+    with pytest.raises(ValueError, match=r"values must be a 1-d array with one entry per node \(33\), got shape \(32,\)"):
         dataclasses.replace(sol, values=sol.values[:-1])
     with pytest.raises(ValueError, match=r"values\[0\] must equal x0"):
         dataclasses.replace(sol, x0=2.0)
@@ -142,7 +142,7 @@ def test_stopping_time_and_stop_refuse_arguments_out_of_range(pair):
             stopping_time(pair, 0.1, threshold)
     sol = euler_solve(preset("linear"), pair, 1.0)
     for tau in (-0.1, 1.5):
-        with pytest.raises(ValueError, match=r"tau must lie in \[0, T\]"):
+        with pytest.raises(ValueError, match=r"time must lie in \[0.0, 1.0\], got"):
             stop(sol, tau)
 
 
@@ -164,10 +164,20 @@ def test_stop_freeze(pair):
     grid = TimeGrid(1.0, 32)
     sol = euler_solve(preset("linear"), pair, 1.0, grid)
     st = stop(sol, grid.nodes[10])
+    assert not st.values.flags.writeable
     assert np.array_equal(st.values[:11], sol.values[:11])
     assert np.all(st.values[10:] == sol.values[10])
     assert np.array_equal(stop(sol, 1.0).values, sol.values)
     assert np.all(stop(sol, 0.0).values == sol.values[0])
+
+
+def test_stop_at_the_horizon_keeps_the_last_node_where_n_t_over_n_rounds_above_t():
+    # on this grid nodes[n] = n*T/n is one ulp above T; stopping_time returns T itself
+    grid = TimeGrid(0.9, 89)
+    assert grid.nodes[-1] > grid.horizon and grid.floor_index(grid.horizon) == grid.n
+    noise = generate_noise_pair(grid, 0.7, 5)
+    sol = euler_solve(preset("linear"), noise, 1.0)
+    assert np.array_equal(stop(sol, stopping_time(noise, 0.1, 1e9)).values, sol.values)
 
 
 def test_blowup_carries_step_index(pair):

@@ -405,10 +405,14 @@ def test_noise_path_validation():
         NoisePath(grid, np.array([0.0, np.inf, 0.0, 0.0, 0.0]), "wiener")
     with pytest.raises(ValueError):
         NoisePath(grid, np.zeros(5), "fbm")  # fbm requires a Hurst index
-    with pytest.raises(ValueError, match="values must have one entry per grid node"):
+    with pytest.raises(ValueError, match=r"values must be a 1-d array with one entry per node \(5\), got shape \(4,\)"):
         NoisePath(grid, np.zeros(4), "wiener")
     with pytest.raises(ValueError, match="unknown path kind 'brownian'"):
         NoisePath(grid, np.zeros(5), "brownian")
+    mine = np.zeros(5)
+    path = NoisePath(grid, mine, "wiener")
+    mine[1] = 1.0  # the caller's array stays writeable, the path keeps its own copy
+    assert path.values[1] == 0.0 and not path.values.flags.writeable
 
 
 @pytest.mark.parametrize("h", [0.0, 1.0, -0.5, math.nan])

@@ -93,6 +93,31 @@ def test_derivative_domain_errors():
         left_derivative(f, 1.3, 0.5)
 
 
+@pytest.mark.parametrize("a, b, n", [(1.0, 3.3, 10000), (0.3, 1.9, 65536)])
+def test_derivatives_at_the_closed_ends_of_linspace_nodes(a, b, n):
+    # (b - a) / delta can pass n by rounding; the tip cell stays the last one
+    t = np.linspace(a, b, n + 1)
+    f = SampledFunction(t, np.sin(3.0 * t))
+    assert left_derivative(f, 0.3, t[-1]) == pytest.approx(_left_deriv_nodes(f.y, f.delta, 0.3)[-1], rel=1e-9)
+    assert right_derivative(f, 0.3, t[0]) == pytest.approx(_right_deriv_nodes(f.y, f.delta, 0.7)[0], rel=1e-9)
+
+
+def test_derivatives_within_roundoff_of_a_closed_end():
+    grid = TimeGrid(1.0, 16384)
+    f = SampledFunction.from_grid(grid, np.sin(3.0 * grid.nodes))
+    assert left_derivative(f, 0.3, 1.0 + 5e-13) == left_derivative(f, 0.3, 1.0)
+    assert right_derivative(f, 0.3, -5e-13) == right_derivative(f, 0.3, 0.0)
+
+
+@pytest.mark.parametrize("v", [1e-15, 1e-12])
+def test_derivatives_within_1e_9_cells_of_the_open_end(v):
+    # the tip cell is the first one; f and g are linear, so their interpolants are exact
+    alpha, x = 0.3, 1.0 - v  # 1 - x is v rounded to the float spacing near 1
+    assert left_derivative(_sf(lambda u: u, n=16), alpha, v) == pytest.approx(v ** (1 - alpha) / G(2 - alpha), rel=1e-9)
+    exact = (1.0 - x) ** alpha / G(1 + alpha)
+    assert right_derivative(_sf(lambda u: 1.0 - u, n=16), alpha, x) == pytest.approx(exact, rel=1e-9)
+
+
 def test_right_derivative_of_fbm_bounded():
     # D^{1-alpha}_{b-} B^H exists in L_inf for alpha > 1-H; the sup stays
     # bounded across sampled paths (bound pinned from measurement)

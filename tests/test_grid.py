@@ -52,14 +52,19 @@ def test_floor_index_at_nodes():
     g = TimeGrid(1.0, 8)
     for k, t in enumerate(g.nodes):
         assert g.floor_index(t) == k
+    # one ulp below a node is the node before it; T is node n, also where n*T/n rounds above T (0.9, 89)
+    for g in (g, TimeGrid(0.3, 12), TimeGrid(0.7, 64), TimeGrid(0.9, 89)):
+        assert g.floor_index(g.nodes[:-1]).tolist() == list(range(g.n))
+        assert g.floor_index(np.nextafter(g.nodes[1:-1], -np.inf)).tolist() == list(range(g.n - 1))
+        assert g.floor_index(g.horizon) == g.n
 
 
 @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf, -0.1, 1.1])
 def test_floor_index_rejects_times_outside_the_horizon(u):
     g = TimeGrid(1.0, 8)
-    with pytest.raises(ValueError, match=r"query time outside \[0, T\]"):
+    with pytest.raises(ValueError, match=r"time must lie in \[0.0, 1.0\], got"):
         g.floor_index(u)
-    with pytest.raises(ValueError, match=r"query time outside \[0, T\]"):
+    with pytest.raises(ValueError, match=r"time must lie in \[0.0, 1.0\], got"):
         g.floor_index(np.array([0.5, u]))
 
 

@@ -3,8 +3,11 @@ a number (grid._real) is a Python or numpy int or float, never a bool or a
 string; a seed or a count is an integer (grid._integer, which rng.stream
 applies to every seed); the 2-norm's order lies in (0, 1/2)
 (fraccalc._validate_norm2_order); the localization threshold is positive
-(convergence._check_threshold)."""
+(convergence._check_threshold); a path's node values are a read-only,
+finite copy with one entry per node (grid._node_values); a time lies in
+one window, a span widened by 1e-12 x max(1, |a|, |b|) (grid._in_span)."""
 
+import dataclasses
 import math
 import re
 from types import SimpleNamespace
@@ -15,8 +18,10 @@ import pytest
 import mixedsde.convergence as convergence
 import mixedsde.euler as euler
 from mixedsde import (
+    NoisePath,
     SampledFunction,
     SolverConfig,
+    StoppedSolution,
     TimeGrid,
     check_hypotheses,
     euler_solve,
@@ -182,6 +187,7 @@ _NUMBER_SITES = [
     ("k_b", "1.0", lambda e, v: integral_bound(e.f, 0.3, v)),
     ("time", False, lambda e, v: young_integral(e.f, e.f, 0.3, v, True)),
     ("time", True, lambda e, v: e.pair.grid.node_index(v)),
+    ("time", True, lambda e, v: e.pair.grid.floor_index(v)),
     ("beta", "0.75", lambda e, v: kappa(v)),
     ("K", "1", lambda e, v: coefficients_from_expressions(*_CUSTOM, v, 0.75)),
     ("beta", "0.75", lambda e, v: coefficients_from_expressions(*_CUSTOM, 1.0, v)),
@@ -244,3 +250,90 @@ def test_the_norm_comparison_constant_takes_its_ends_as_numbers():
     with pytest.raises(ValueError, match=re.escape("b must be a number, got '1'")):
         norms_comparison_constant(0.35, 0.0, "1")
     assert norms_comparison_constant(0.35, np.int64(0), 1) == norms_comparison_constant(0.35, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# node values
+
+
+# (the owner, its name for the array, the caller's good array, a call that
+# builds the owner from the array and returns the owner's stored copy)
+_NODE_VALUE_SITES = [
+    ("NoisePath", "values", lambda e: e.pair.w.values, lambda e, v: NoisePath(e.pair.grid, v, "wiener").values),
+    ("EulerSolution", "values", lambda e: e.sol.values, lambda e, v: dataclasses.replace(e.sol, values=v).values),
+    ("StoppedSolution", "values", lambda e: e.sol.values, lambda e, v: StoppedSolution(e.sol, 1.0, v).values),
+    ("SampledFunction", "values", lambda e: e.pair.w.values, lambda e, v: SampledFunction(e.pair.grid.nodes, v).y),
+    ("SampledFunction", "nodes", lambda e: e.pair.grid.nodes, lambda e, v: SampledFunction(v, e.pair.w.values).t),
+]
+_NODE_VALUE_IDS = [f"{owner}-{name}" for owner, name, _, _ in _NODE_VALUE_SITES]
+
+
+@pytest.mark.parametrize("owner, name, good, build", _NODE_VALUE_SITES, ids=_NODE_VALUE_IDS)
+def test_a_path_stores_a_read_only_copy_and_leaves_the_callers_array_writeable(pair, sol, owner, name, good, build):
+    e = SimpleNamespace(pair=pair, sol=sol)
+    mine = np.array(good(e))
+    stored = build(e, mine)
+    assert mine.flags.writeable and not stored.flags.writeable and np.array_equal(stored, mine)
+    mine[1:] += 1.0
+    assert np.array_equal(stored, good(e))
+
+
+@pytest.mark.parametrize("owner, name, good, build", _NODE_VALUE_SITES, ids=_NODE_VALUE_IDS)
+def test_a_path_refuses_node_values_that_are_not_finite(pair, sol, owner, name, good, build):
+    e = SimpleNamespace(pair=pair, sol=sol)
+    for bad in (math.nan, math.inf):
+        v = np.array(good(e))
+        v[3] = bad
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+            build(e, v)
+
+
+@pytest.mark.parametrize("owner, name, good, build", _NODE_VALUE_SITES[:4], ids=_NODE_VALUE_IDS[:4])
+def test_a_path_refuses_node_values_of_the_wrong_length(pair, sol, owner, name, good, build):
+    e = SimpleNamespace(pair=pair, sol=sol)
+    n = pair.grid.n
+    for v in (good(e)[:-1], np.append(good(e), 0.0), good(e)[:, None]):
+        message = f"values must be a 1-d array with one entry per node ({n + 1}), got shape {v.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(e, v)
+
+
+# ---------------------------------------------------------------------------
+# time windows
+
+
+# (the name the refusal states, the query a time u on [0, 1] makes, a call taking it)
+_WINDOW_SITES = {
+    "floor_index": ("time", lambda u: u, lambda e, q: e.pair.grid.floor_index(q)),
+    "floor_index-array": ("time", lambda u: np.array([0.5, u]), lambda e, q: e.pair.grid.floor_index(q)),
+    "stop": ("time", lambda u: u, lambda e, q: stop(e.sol, q)),
+    "left_derivative": ("x", lambda u: u, lambda e, q: left_derivative(e.f, 0.3, q)),
+    "right_derivative": ("x", lambda u: u, lambda e, q: right_derivative(e.f, 0.3, q)),
+}
+
+
+@pytest.mark.parametrize("site", list(_WINDOW_SITES))
+@pytest.mark.parametrize("u", [-2e-12, 1.0 + 2e-12, -0.5, math.nan, math.inf, -math.inf])
+def test_one_window_refuses_a_time_outside_the_span(pair, sol, f, site, u):
+    name, query, call = _WINDOW_SITES[site]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must lie in [0.0, 1.0], got {u}")):
+        call(SimpleNamespace(pair=pair, sol=sol, f=f), query(u))
+
+
+def test_a_time_within_the_window_slack_is_the_end_it_passes(pair, sol, f):
+    grid = pair.grid
+    for u, end in ((-5e-13, 0.0), (1.0 + 5e-13, 1.0)):
+        assert grid.floor_index(u) == grid.floor_index(end)
+        assert grid.floor_index(np.array([u])).tolist() == [grid.floor_index(end)]
+        assert stop(sol, u).values.tolist() == stop(sol, end).values.tolist()
+    # the derivatives' closed ends: test_fraccalc; their open ends stay open
+    with pytest.raises(ValueError, match=re.escape("x must lie in (a, b], got 0.0")):
+        left_derivative(f, 0.3, -5e-13)
+    with pytest.raises(ValueError, match=re.escape("x must lie in [a, b), got 1.0")):
+        right_derivative(f, 0.3, 1.0 + 5e-13)
+
+
+def test_the_window_slack_is_absolute_below_a_unit_horizon():
+    grid = TimeGrid(1e-3, 64)
+    sol = euler_solve(preset("linear"), generate_noise_pair(grid, 0.7, 5), 1.0)
+    assert np.array_equal(stop(sol, 1e-3 + 5e-13).values, stop(sol, 1e-3).values)
