@@ -394,8 +394,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        help="worker threads, one per 256-path chunk at most; 1 runs the chunks on the calling thread, "
-        "with no pool (default: usable CPUs)",
+        help="worker threads, at most 64 and at most one per 256-path chunk; 1 runs the chunks on the calling "
+        "thread, with no pool (default: usable CPUs, at most 64)",
     )
     p.add_argument("--force", action="store_true", help="skip the hypothesis gate")
     p.add_argument("--outdir", help="output directory (default $MIXEDSDE_OUT or .)")

@@ -57,6 +57,8 @@ _FINE_N_MAX = 1 << 16
 # more paths are refused: the result rows take 26 B per path and level, 1.6 GB
 # at 2^22 paths and the most levels (15), and 2^22 paths take over an hour
 _PATHS_MAX = 1 << 22
+# more workers are refused: each one holds a chunk, 0.42 GB at fine n 2^16
+_WORKERS_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,7 @@ def pathwise_error(
     coarse_eval = _stop_batch(interp, tau_idx)[::norm_stride]
     fine_eval = _stop_batch(fsol.values[:, None], tau_idx)[::norm_stride]
     delta_n = fine_grid.horizon / norm_n
-    cells = _norm2_weight_cells(norm_n, delta_n, alpha, fine_grid.horizon)
+    cells = _norm2_weight_cells(norm_n, delta_n, alpha)
     norm2sq, _ = _error_norms(coarse_eval, fine_eval, delta_n, alpha, cells)
     return math.sqrt(sup2[0]), math.sqrt(norm2sq[0])
 
@@ -407,7 +409,7 @@ def _run_chunk(
     delta_eval = fine.horizon / eval_n
     alpha = config.alpha
     comparison_sq = norms_comparison_constant(alpha, 0.0, fine.horizon) ** 2
-    eval_cells = _norm2_weight_cells(eval_n, delta_eval, float(alpha), fine.horizon)
+    eval_cells = _norm2_weight_cells(eval_n, delta_eval, float(alpha))
     w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
     x_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
     tau_eval = _first_crossing(
@@ -473,9 +475,9 @@ def mc_strong_error(
     The fine grid has max(levels) * 2^m_fine cells, at most 2^16. Paths
     outside B^R are reported as discarded instead of entering the
     restricted means; paths whose state explodes are aborted and counted
-    separately. paths is at most 2^22. workers (default: the CPUs this
-    process may run on) is capped at one per chunk; one worker runs the
-    chunks on the calling thread, with no pool.
+    separately. paths is at most 2^22. workers, at most 64 (default: the
+    CPUs this process may run on, at most 64), is capped at one per chunk;
+    one worker runs the chunks on the calling thread, with no pool.
     """
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
@@ -518,9 +520,12 @@ def mc_strong_error(
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
     if workers is None:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(cpus, _WORKERS_MAX)
     if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > _WORKERS_MAX:
+        raise ValueError(f"workers={workers} exceeds {_WORKERS_MAX}: each worker holds a chunk, up to 0.42 GB")
 
     fine = TimeGrid(_real("t_horizon", t_horizon), fine_n)
     dep = _resolve_dependence(dependence)

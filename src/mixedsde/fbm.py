@@ -364,13 +364,6 @@ def _volterra_fbm(weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndar
     return out
 
 
-def volterra_marginal_covariance(grid: TimeGrid, h: float) -> np.ndarray:
-    """Exact covariance of the discretized Volterra fBm at nodes 1..n."""
-    # row i of kt holds the fBm values driven by a unit increment in cell i
-    kt = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.eye(grid.n))
-    return grid.delta * (kt.T @ kt)
-
-
 def generate_noise_pair(
     grid: TimeGrid,
     h: float,

@@ -51,6 +51,9 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, fn, a: float, b: float, n: int) -> "SampledFunction":
+        a, b, n = _real("a", a), _real("b", b), _integer("n", n)
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n}")
         t = a + (b - a) * np.arange(n + 1) / n
         return cls(t, np.asarray(fn(t), dtype=float) * np.ones(n + 1))
 
@@ -98,28 +101,13 @@ def _validate_norm2_order(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # product-integration cell weights
 #
-# On the cell v in [(m-1)d, md] the integrand (f(x) - f(x - v)) v^(-1-s) is
-# integrated with f piecewise linear. The value at the node pair (i-m+1, i-m)
-# enters through the Toeplitz weights A(m), B(m) below:
+# Every weight is a moment of a power over a cell, from _power_moments.
+# D^s_{a+} f(x) integrates (f(x) - f(x - v)) v^(-1-s) over v in [0, x - a],
+# f piecewise linear, with x in (t_j, t_j + d] and g_l = f(x) - f(t_{j-l}).
+# The tip v in [0, x - t_j] contributes B(1) g_0; cell m >= 2,
+# v in [tip + (m-2) d, tip + (m-1) d], contributes A(m) g_{m-2} + B(m) g_{m-1}.
+# At the node x = t_i the tip is d and the weights are Toeplitz:
 #   contribution = A(m) (f_i - f_{i-m+1}) + B(m) (f_i - f_{i-m}).
-
-
-@lru_cache(maxsize=64)
-def _cell_weights(n: int, delta: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    m = np.arange(0, n + 1, dtype=float)
-    scale = delta**-sigma
-    with np.errstate(divide="ignore"):
-        i0 = (m[:-1] ** -sigma - m[1:] ** -sigma) / sigma
-    i0[0] = 0.0  # m = 1 cell never uses i0; its left node value cancels exactly
-    j_m = (m[1:] ** (1.0 - sigma) - m[:-1] ** (1.0 - sigma)) / (1.0 - sigma) - m[:-1] * i0
-    a_w = np.zeros(n + 1)
-    b_w = np.zeros(n + 1)
-    b_w[1:] = scale * j_m
-    a_w[2:] = scale * (i0[1:] - j_m[1:])
-    b_w[1] = scale / (1.0 - sigma)  # m = 1 cell: integrand is s_k * v exactly
-    a_w.setflags(write=False)
-    b_w.setflags(write=False)
-    return a_w, b_w
 
 
 def _power_moments(k: np.ndarray, delta: float, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -128,6 +116,25 @@ def _power_moments(k: np.ndarray, delta: float, p: float) -> tuple[np.ndarray, n
     m0 = delta**p * ((k + 1.0) ** p - k**p) / p
     m1 = delta ** (p + 1.0) * ((k + 1.0) ** (p + 1.0) - k ** (p + 1.0)) / (p + 1.0) - k * delta * m0
     return m0, m1
+
+
+def _tip_weights(cells: int, delta: float, sigma: float, tip: float) -> tuple[np.ndarray, np.ndarray]:
+    """A(m), B(m) for m = 0..cells behind a tip of length tip; A(0), B(0) and A(1) are 0."""
+    m0, m1 = _power_moments(tip / delta + np.arange(cells - 1, dtype=float), delta, -sigma)
+    a_w, b_w = np.zeros(cells + 1), np.zeros(cells + 1)
+    b_w[1] = _power_moments(0.0, tip, 1.0 - sigma)[0] / tip  # on the tip f(x) - f(x - v) = g_0 v / tip
+    b_w[2:] = m1 / delta
+    a_w[2:] = m0 - b_w[2:]
+    return a_w, b_w
+
+
+@lru_cache(maxsize=64)
+def _cell_weights(n: int, delta: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The node weights: _tip_weights with tip = delta, read-only."""
+    a_w, b_w = _tip_weights(n, delta, sigma, delta)
+    a_w.setflags(write=False)
+    b_w.setflags(write=False)
+    return a_w, b_w
 
 
 def _singular_integral(v: np.ndarray, delta: float, alpha: float) -> float:
@@ -168,28 +175,15 @@ def _right_deriv_nodes(values: np.ndarray, delta: float, sigma: float) -> np.nda
 def left_derivative(f: SampledFunction, alpha: float, x: float) -> float:
     """(D^alpha_{a+} f)(x) for x in (a, b], singular kernel integrated exactly."""
     alpha, x = _validate_order(alpha), _in_span("x", x, f.a, f.b)
-    a = f.a
-    if not x > a:
+    if not x > f.a:
         raise ValueError(f"x must lie in (a, b], got {x}")
-    delta = f.delta
-    pos = (x - a) / delta
-    # cell [t_j, x] is the (possibly partial) tip; j in [0, n-1] also where x lies within 1e-9 cells of a or b
-    j = min(max(int(np.ceil(pos - 1e-9)), 1), f.t.size - 1) - 1
-    fx = float(f(x))
-    t, y = f.t, f.y
-    slope_j = (y[j + 1] - y[j]) / delta
-    v_tip = x - t[j]
-    integral = slope_j * v_tip ** (1.0 - alpha) / (1.0 - alpha)
-    if j > 0:
-        k = np.arange(j)
-        v_a = x - t[k + 1]
-        v_b = x - t[k]
-        i0 = (v_a**-alpha - v_b**-alpha) / alpha
-        i1 = (v_b ** (1.0 - alpha) - v_a ** (1.0 - alpha)) / (1.0 - alpha) - v_a * i0
-        q_l = fx - y[k + 1]
-        q_r = fx - y[k]
-        integral += float(np.sum(q_l * i0 + (q_r - q_l) / delta * i1))
-    bracket = fx * (x - a) ** -alpha + alpha * integral
+    # the tip [t_j, x]; j in [0, n-1] also where x lies within 1e-9 cells of a or b
+    j = min(max(int(np.ceil((x - f.a) / f.delta - 1e-9)), 1), f.t.size - 1) - 1
+    a_w, b_w = _tip_weights(j + 1, f.delta, alpha, x - f.t[j])
+    fx = f(x)
+    g = fx - f.y[j::-1]
+    integral = np.sum(b_w[1:] * g) + np.sum(a_w[2:] * g[:-1])
+    bracket = fx * (x - f.a) ** -alpha + alpha * integral
     return bracket / math.gamma(1.0 - alpha)
 
 
@@ -338,15 +332,11 @@ def norm_inf_alpha(f: SampledFunction, alpha: float) -> float:
 
 
 @lru_cache(maxsize=32)
-def _norm2_weight_cells(n: int, delta: float, alpha: float, length: float) -> np.ndarray:
-    """Analytic cell integrals of (s-a)^(-alpha) + (b-s)^(-alpha-1/2)."""
+def _norm2_weight_cells(n: int, delta: float, alpha: float) -> np.ndarray:
+    """Cell integrals of (s-a)^(-alpha) + (b-s)^(-alpha-1/2) on [a, b] = [a, a + n delta]:
+    the moments of both powers, the second read from b."""
     k = np.arange(n, dtype=float)
-    left, _ = _power_moments(k, delta, 1.0 - alpha)
-    r = length - k * delta  # distance from b to cell's left node
-    r_next = np.maximum(length - (k + 1.0) * delta, 0.0)
-    p = 0.5 - alpha
-    right = (r**p - r_next**p) / p
-    cells = left + right
+    cells = _power_moments(k, delta, 1.0 - alpha)[0] + _power_moments(k, delta, 0.5 - alpha)[0][::-1]
     cells.setflags(write=False)
     return cells
 
@@ -366,7 +356,7 @@ def norm_2_alpha(f: SampledFunction, alpha: float) -> float:
     the endpoint-singular weight is integrated analytically."""
     alpha = _validate_norm2_order(alpha)
     bracket = np.abs(f.y) + increment_bracket(f.y, f.delta, alpha)
-    cells = _norm2_weight_cells(f.t.size - 1, f.delta, alpha, f.b - f.a)
+    cells = _norm2_weight_cells(f.t.size - 1, f.delta, alpha)
     return math.sqrt(float(_norm_2_sq(bracket, cells)))
 
 

@@ -492,8 +492,9 @@ def test_fbm_holder_bound_is_inclusive(capsys, monkeypatch):
         (["--r-bound", "nan"], "r_bound must be positive (inf for no restriction), got nan"),
         (["--x0", "nan"], "x0 must be finite, got nan"),
         (["--paths", "4194305"], "paths=4194305 exceeds 4194304"),
+        (["--workers", "65"], "workers=65 exceeds 64"),
     ],
-    ids=["eval-n-0", "r-bound-negative", "r-bound-nan", "x0-nan", "paths-above-2-22"],
+    ids=["eval-n-0", "r-bound-negative", "r-bound-nan", "x0-nan", "paths-above-2-22", "workers-above-64"],
 )
 def test_converge_refuses_a_bad_setting_before_any_noise(outdir, capsys, monkeypatch, flags, message):
     drawn = []

@@ -523,6 +523,34 @@ def test_pool_takes_the_available_parallelism_at_most_one_per_chunk(monkeypatch,
     assert sizes == ([] if expected == 1 else [expected])  # one worker after the cap: the calling thread, no pool
 
 
+def _no_thread_run(monkeypatch, workers) -> tuple[list, list, str]:
+    """(pool sizes asked for, noise draws, error) of a 2^22-path run (16384 chunks) on 1000 usable CPUs;
+    the pool fails when asked for, so no thread starts."""
+    sizes, drawn = [], []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+    monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
+    monkeypatch.setattr(convergence, "ThreadPoolExecutor", pool)
+    with pytest.raises((RuntimeError, ValueError)) as err:
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 1 << 22, workers=workers)
+    return sizes, drawn, str(err.value)
+
+
+@pytest.mark.parametrize("workers", [None, 64])
+def test_workers_default_to_the_usable_cpus_at_most_64(monkeypatch, workers):
+    assert _no_thread_run(monkeypatch, workers) == ([64], [], "no pool in this test")
+
+
+@pytest.mark.parametrize("workers", [65, 10**5])
+def test_more_than_64_workers_are_refused_before_any_noise_or_thread(monkeypatch, workers):
+    sizes, drawn, message = _no_thread_run(monkeypatch, workers)
+    assert (sizes, drawn) == ([], []) and message.startswith(f"workers={workers} exceeds 64")
+
+
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
 def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch, cpus, expected):
     sizes = _spy_pool_sizes(monkeypatch)

@@ -27,7 +27,6 @@ from mixedsde.fbm import (
     _volterra_fbm,
     _volterra_weights,
     holder_cumulative,
-    volterra_marginal_covariance,
     write_pair_csv,
     write_path_csv,
 )
@@ -268,6 +267,13 @@ def test_volterra_identity_at_half():
     grid = TimeGrid(1.0, 64)
     pair = generate_noise_pair(grid, 0.5, 9, "volterra", allow_brownian=True)
     assert np.allclose(pair.bh.values, pair.w.values, atol=1e-12)
+
+
+def volterra_marginal_covariance(grid: TimeGrid, h: float) -> np.ndarray:
+    """Exact covariance of the discretized Volterra fBm at nodes 1..n."""
+    # row i of kt holds the fBm values driven by a unit increment in cell i
+    kt = _volterra_fbm(_volterra_weights(grid.n, grid.horizon, h), np.eye(grid.n))
+    return grid.delta * (kt.T @ kt)
 
 
 def test_volterra_marginal_law_within_discretization_tolerance():

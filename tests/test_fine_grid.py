@@ -107,7 +107,7 @@ def test_blocked_pass_matches_full_width(monkeypatch, name, fine_n, coarse_n, ev
     tau_eval = np.array([0, eval_n // 2, eval_n, eval_n, eval_n // 2, eval_n - 1, 1])
     tau_fine = tau_eval * eval_stride
     delta_eval = 1.0 / eval_n
-    cells = _norm2_weight_cells(eval_n, delta_eval, ALPHA, 1.0)
+    cells = _norm2_weight_cells(eval_n, delta_eval, ALPHA)
 
     with np.errstate(all="ignore"):
         x_c = _euler_solve_batch(coeffs, coarse_t, w[::stride], bh[::stride], 1.0)
@@ -169,7 +169,7 @@ def test_pathwise_error_matches_full_width_at_any_stride(coarse_n, fine_n, noise
 
     stride, noise_stride = fine_n // coarse_n, noise_n // fine_n
     w, bh = (p.values[None, ::noise_stride] for p in (pair.w, pair.bh))
-    cells = _norm2_weight_cells(fine_n, fine_grid.delta, ALPHA, 1.0)
+    cells = _norm2_weight_cells(fine_n, fine_grid.delta, ALPHA)
     sup2, norm2sq, _ = _full_width(
         coeffs, coarse.grid.nodes, coarse.base.values[None, :], fine_grid.nodes, w, bh, stride,
         fine.base.values[None, :], np.array([tau_idx]), 1, fine_grid.delta, cells,
@@ -188,7 +188,7 @@ def test_pathwise_error_interpolates_the_coarse_values_it_is_given():
     values[37] += 1e-3
     tampered = EulerSolution(grid=coarse.grid, values=values, noise=pair, coeffs=coeffs, x0=1.0)
     sup, n2 = pathwise_error(stop(tampered, 1.0), fine, ALPHA)
-    cells = _norm2_weight_cells(300, fine_grid.delta, ALPHA, 1.0)
+    cells = _norm2_weight_cells(300, fine_grid.delta, ALPHA)
     sup2, norm2sq, _ = _full_width(
         coeffs, coarse.grid.nodes, values[None, :], fine_grid.nodes, pair.w.values[None, :], pair.bh.values[None, :],
         3, fine.base.values[None, :], np.array([300]), 1, fine_grid.delta, cells,

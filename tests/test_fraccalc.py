@@ -271,8 +271,11 @@ def test_norm_inf_linear_analytic():
 def test_norm_2_trivials_and_weight_integral():
     zero = _sf(lambda u: np.zeros_like(u), n=128)
     assert norm_2_alpha(zero, 0.3) == 0.0
-    one = _sf(lambda u: np.ones_like(u), n=512)
-    assert norm_2_alpha(one, 0.3) == pytest.approx(math.sqrt(1.0 / 0.7 + 1.0 / 0.2), rel=1e-12)
+    # the cells integrate the weight, so ||1|| is the comparison constant, also where n delta rounds below b - a
+    for t in (np.arange(513) / 512, np.linspace(0.0, 1.0, 50), np.linspace(0.3, 1.9, 376)):
+        one = SampledFunction(t, np.ones(t.size))
+        assert norm_2_alpha(one, 0.3) == pytest.approx(norms_comparison_constant(0.3, t[0], t[-1]), rel=1e-12)
+    assert norms_comparison_constant(0.3, 0.0, 1.0) == pytest.approx(math.sqrt(1.0 / 0.7 + 1.0 / 0.2), rel=1e-15)
 
 
 def test_norm_2_rejects_alpha_half():

@@ -183,6 +183,8 @@ _NUMBER_SITES = [
     ("alpha", "0.3", lambda e, v: left_derivative(e.f, v, 0.5)),
     ("x", True, lambda e, v: left_derivative(e.f, 0.3, v)),
     ("x", False, lambda e, v: right_derivative(e.f, 0.3, v)),
+    ("a", True, lambda e, v: SampledFunction.from_callable(np.sin, v, 1.0, 8)),
+    ("b", "1", lambda e, v: SampledFunction.from_callable(np.sin, 0.0, v, 8)),
     ("alpha", True, lambda e, v: norm_inf_alpha(e.f, v)),
     ("k_b", "1.0", lambda e, v: integral_bound(e.f, 0.3, v)),
     ("time", False, lambda e, v: young_integral(e.f, e.f, 0.3, v, True)),
@@ -215,6 +217,16 @@ def test_an_api_scalar_refuses_a_bool_or_a_string_by_name(pair, sol, f, name, va
 def test_a_count_is_an_integer():
     with pytest.raises(ValueError, match=re.escape("samples must be an integer, got 200.0")):
         check_hypotheses(preset("linear"), samples=200.0)
+    for n in (True, 2.5, "8"):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            SampledFunction.from_callable(np.sin, 0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_a_sampled_function_from_a_callable_needs_one_cell(n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n}")):
+        SampledFunction.from_callable(np.sin, 0.0, 1.0, n)
+    assert SampledFunction.from_callable(np.sin, np.int64(0), 1, np.int64(1)).t.tolist() == [0.0, 1.0]
 
 
 def test_numpy_scalars_give_the_values_of_python_numbers(pair, sol, f):

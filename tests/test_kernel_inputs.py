@@ -36,7 +36,7 @@ def _kernel_calls(w, bh):
     x_c = _euler_solve_batch(coeffs, t[::4], w[::4], bh[::4], 1.0)
     x_f, x_c = _read_only(x_f), _read_only(x_c)
     tau = _read_only(np.arange(PATHS) * 3)
-    cells = _norm2_weight_cells(n, 1 / n, 0.35, 1.0)
+    cells = _norm2_weight_cells(n, 1 / n, 0.35)
     advanced, level_x = np.full((n // 4 + 1, PATHS), np.nan), np.full((n // 4 + 1, PATHS), 1.0)
     advanced[0] = 1.0
     level = _level_pass(coeffs, t[::4], level_x, t, w, bh, x_f, tau, 2, True)

@@ -22,7 +22,7 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
     cholesky = {name: args for name, args in everything.items() if "--method" in args}
     off_grid = {name: args for name, args in everything.items() if "--threshold" not in args and name not in cholesky}
     runs = {name: args for name, args in everything.items() if name not in off_grid and name not in cholesky}
-    assert len(runs) == 24 and len(everything) == 30
+    assert len(runs) == 24 and len(everything) == 31
     assert cholesky == {
         f"linear-independent-cholesky-workers{workers}": [
             "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers,
@@ -32,12 +32,18 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
     }
     assert all(args[-8:] == ["--paths", "300", "--levels", "16,32,64", "--m-fine", "3", "--eval-n", "64"]
                for args in runs.values())
-    assert sorted(off_grid) == [f"linear-{dep}-{label}-workers1" for dep in ("independent", "volterra")
-                                for label in ("levels2-8-mfine9", "t0.3")]
+    tails = {
+        "t0.3": ["--t", "0.3", *runs["linear-independent-threshold50-workers1"][-8:]],
+        "levels2-8-mfine9": ["--paths", "300", "--levels", "2,4,8", "--m-fine", "9", "--eval-n", "64"],
+        "eval49": ["--paths", "300", "--levels", "49,98,196", "--m-fine", "2", "--eval-n", "49"],
+    }
+    assert sorted(off_grid) == sorted(
+        [f"linear-{dep}-{label}-workers1" for dep in ("independent", "volterra") for label in ("levels2-8-mfine9", "t0.3")]
+        + ["linear-independent-eval49-workers1"]
+    )
     for name, args in off_grid.items():
         assert args[:6] == ["--preset", "linear", "--dependence", name.split("-")[1], "--workers", "1"]
-        assert args[6:] == (["--t", "0.3", *runs["linear-independent-threshold50-workers1"][-8:]] if "t0.3" in name
-                            else ["--paths", "300", "--levels", "2,4,8", "--m-fine", "9", "--eval-n", "64"])
+        assert args[6:] == tails[name.split("-", 2)[2].rsplit("-", 1)[0]]
     forced = [name for name, args in runs.items() if "--force" in args]
     assert len(forced) == 8 and all(name.startswith("unbounded-b-") for name in forced)
     for flag, values in (("--preset", {"linear", "bounded-smooth", "unbounded-b"}),

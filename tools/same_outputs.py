@@ -12,7 +12,9 @@ the non-dyadic horizon --t 0.3 and two at levels 2,4,8 with m_fine 9
 of the per-level pass cut the coarse cells), and for two runs of the
 linear preset with --method cholesky under independent noise on the same
 grid at workers 1 and 2 (its two chunks may each build the factor at
-workers 2), the script runs
+workers 2), and for one run of the linear preset at workers 1 under
+independent noise whose eval grid is not a power of two (levels 49,98,196,
+m_fine 2, eval_n 49, where n delta rounds below the horizon), the script runs
 `python -m mixedsde.cli converge` once in each tree, with that tree's src/
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
@@ -30,9 +32,10 @@ n, and `interpolate` at every 7th fine node, at refinement strides 1, 2,
 under independent and Volterra noise; then
 `increment_bracket`, `holder_cumulative`, `holder_functional` (on [0, T]
 and on [0, t] for one node t), `norm_inf_alpha`, `norm_2_alpha`,
-`integral_bound`, `young_integral` (on the whole grid and on a
-sub-interval (a, b)), `left_derivative` and `right_derivative` at four
-nodes each, and `stopping_time` on one pair; then `fbm_covariance` at a
+`integral_bound`, `norm_2_alpha` of the constant 1 on 50 nodes of [0, 1],
+`young_integral` (on the whole grid and on a sub-interval (a, b)),
+`left_derivative` and `right_derivative` at four nodes each, and
+`stopping_time` on one pair; then `fbm_covariance` at a
 point and on a node mesh, `kappa` at three betas and the text of the
 `check_hypotheses` report of the quadratic-c preset at seed 3; then the
 text that `write_path_csv`, `write_pair_csv` (independent, Volterra and
@@ -68,6 +71,8 @@ OFF_GRID = {
     "t0.3": ["--t", "0.3", *COMMON],
     "levels2-8-mfine9": ["--paths", "300", "--levels", "2,4,8", "--m-fine", "9", "--eval-n", "64"],
 }
+# an independent-noise linear-preset run on an eval grid that is not a power of two
+EVAL49 = ["--paths", "300", "--levels", "49,98,196", "--m-fine", "2", "--eval-n", "49"]
 
 
 def matrix() -> dict[str, list[str]]:
@@ -81,6 +86,9 @@ def matrix() -> dict[str, list[str]]:
                       "--workers", workers, *COMMON]
     for (label, args), dep in itertools.product(OFF_GRID.items(), ("independent", "volterra")):
         runs[f"linear-{dep}-{label}-workers1"] = ["--preset", "linear", "--dependence", dep, "--workers", "1", *args]
+    runs["linear-independent-eval49-workers1"] = [
+        "--preset", "linear", "--dependence", "independent", "--workers", "1", *EVAL49
+    ]
     for workers in ("1", "2"):
         runs[f"linear-independent-cholesky-workers{workers}"] = [
             "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers, *COMMON
@@ -131,6 +139,7 @@ def print_api_values() -> None:
     print(repr(holder_cumulative(pair.w.values, f.delta, 0.1, 10.0).tolist()))
     print(repr([holder_functional(path, 0.1, t).value for path in (pair.w, pair.bh) for t in (None, f.t[300])]))
     print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35), integral_bound(f, 0.35, 1.0))))
+    print(repr(norm_2_alpha(SampledFunction(np.linspace(0.0, 1.0, 50), np.ones(50)), 0.35)))
     w = SampledFunction(f.t, pair.w.values)
     print(repr((young_integral(w, f, 0.35), young_integral(w, f, 0.35, f.t[100], f.t[400]))))
     print(repr([left_derivative(f, 0.35, x) for x in f.t[[1, 7, 300, 512]]]))
