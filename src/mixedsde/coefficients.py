@@ -256,8 +256,10 @@ class HypothesisReport:
 
 
 def _ratio_result(name, statement, num, den, points, k_claimed) -> HypothesisResult:
-    """Worst num/den against the claimed K, with the witness of the worst point."""
-    num = np.asarray(num, dtype=float)
+    """Worst num/den over the samples with den > 0 against the claimed K, with
+    the witness of the worst point."""
+    keep = den > 0
+    num, den, points = np.asarray(num, dtype=float)[keep], den[keep], [p[keep] for p in points]
     bad = ~np.isfinite(num)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -306,58 +308,36 @@ def check_hypotheses(
     a, b, c, dc = coeffs.a, coeffs.b, coeffs.c, coeffs.dc
     one = np.ones_like(xx)
 
-    results = {}
+    dx, dt = np.abs(xx - y), np.abs(s - tt)
     with np.errstate(all="ignore"):  # non-finite values are reported, not raised
-        results["A"] = _ratio_result(
-            "A",
-            "|a(t,x)| + |c(t,x)| <= K (1 + |x|)",
-            np.abs(a(tt, xx) * one) + np.abs(c(tt, xx) * one),
-            1.0 + np.abs(xx),
-            (tt, xx),
-            coeffs.K,
-        )
-        dx = np.abs(xx - y)
-        keep = dx > 0
-        results["B"] = _ratio_result(
-            "B",
-            "|a(t,x)-a(t,y)| + |b(t,x)-b(t,y)| <= K |x-y|",
-            (np.abs(a(tt, xx) - a(tt, y)) + np.abs(b(tt, xx) - b(tt, y)) * one)[keep],
-            dx[keep],
-            (tt[keep], xx[keep], y[keep]),
-            coeffs.K,
-        )
-        dt = np.abs(s - tt)
-        keept = dt > 0
-        time_diff = (
-            np.abs(a(s, xx) - a(tt, xx))
-            + np.abs(b(s, xx) - b(tt, xx))
-            + np.abs(c(s, xx) - c(tt, xx))
-            + np.abs(dc(s, xx) - dc(tt, xx))
-        ) * one
-        results["C"] = _ratio_result(
-            "C",
-            "|a(s,x)-a(t,x)| + ... + |dc(s,x)-dc(t,x)| <= K |s-t|^beta",
-            time_diff[keept],
-            dt[keept] ** coeffs.beta,
-            (s[keept], tt[keept], xx[keept]),
-            coeffs.K,
-        )
-        results["D"] = _ratio_result(
-            "D",
-            "|dc(t,x)-dc(t,y)| <= K |x-y|",
-            (np.abs(dc(tt, xx) - dc(tt, y)) * one)[keep],
-            dx[keep],
-            (tt[keep], xx[keep], y[keep]),
-            coeffs.K,
-        )
-        results["E"] = _ratio_result(
-            "E",
-            "|b(t,x)| + |dc(t,x)| <= K",
-            (np.abs(b(tt, xx)) + np.abs(dc(tt, xx))) * one,
-            np.ones_like(xx),
-            (tt, xx),
-            coeffs.K,
-        )
+        # name -> (statement, numerator, denominator, witness coordinates); each
+        # numerator is computed when its row is checked, so one is alive at a time
+        table = {
+            "A": (
+                "|a(t,x)| + |c(t,x)| <= K (1 + |x|)",
+                lambda: np.abs(a(tt, xx) * one) + np.abs(c(tt, xx) * one),
+                1.0 + np.abs(xx),
+                (tt, xx),
+            ),
+            "B": (
+                "|a(t,x)-a(t,y)| + |b(t,x)-b(t,y)| <= K |x-y|",
+                lambda: np.abs(a(tt, xx) - a(tt, y)) + np.abs(b(tt, xx) - b(tt, y)) * one,
+                dx,
+                (tt, xx, y),
+            ),
+            "C": (
+                "|a(s,x)-a(t,x)| + ... + |dc(s,x)-dc(t,x)| <= K |s-t|^beta",
+                lambda: sum(np.abs(fn(s, xx) - fn(tt, xx)) for fn in (a, b, c, dc)) * one,
+                dt**coeffs.beta,
+                (s, tt, xx),
+            ),
+            "D": ("|dc(t,x)-dc(t,y)| <= K |x-y|", lambda: np.abs(dc(tt, xx) - dc(tt, y)) * one, dx, (tt, xx, y)),
+            "E": ("|b(t,x)| + |dc(t,x)| <= K", lambda: (np.abs(b(tt, xx)) + np.abs(dc(tt, xx))) * one, one, (tt, xx)),
+        }
+        results = {
+            name: _ratio_result(name, statement, num(), den, points, coeffs.K)
+            for name, (statement, num, den, points) in table.items()
+        }
     return HypothesisReport(
         coefficients=coeffs.name,
         results=results,

@@ -99,15 +99,15 @@ def _validate_norm2_order(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# product-integration cell weights
+# product-integration pair weights
 #
 # Every weight is a moment of a power over a cell, from _power_moments.
 # D^s_{a+} f(x) integrates (f(x) - f(x - v)) v^(-1-s) over v in [0, x - a],
 # f piecewise linear, with x in (t_j, t_j + d] and g_l = f(x) - f(t_{j-l}).
 # The tip v in [0, x - t_j] contributes B(1) g_0; cell m >= 2,
 # v in [tip + (m-2) d, tip + (m-1) d], contributes A(m) g_{m-2} + B(m) g_{m-1}.
-# At the node x = t_i the tip is d and the weights are Toeplitz:
-#   contribution = A(m) (f_i - f_{i-m+1}) + B(m) (f_i - f_{i-m}).
+# So the sum is sum_l w_l g_l, w_l = B(l+1) + A(l+2), but first_l = B(l+1) on
+# the pair reaching a, l = j; at the nodes (tip d) the bracket takes |g_l|.
 
 
 def _power_moments(k: np.ndarray, delta: float, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,22 +119,29 @@ def _power_moments(k: np.ndarray, delta: float, p: float) -> tuple[np.ndarray, n
 
 
 def _tip_weights(cells: int, delta: float, sigma: float, tip: float) -> tuple[np.ndarray, np.ndarray]:
-    """A(m), B(m) for m = 0..cells behind a tip of length tip; A(0), B(0) and A(1) are 0."""
+    """The pair weights (w, first), l = 0..cells-1, behind a tip of length tip:
+    w_l = B(l+1) + A(l+2), whose last entry is B(cells), and first_l = B(l+1)."""
     m0, m1 = _power_moments(tip / delta + np.arange(cells - 1, dtype=float), delta, -sigma)
-    a_w, b_w = np.zeros(cells + 1), np.zeros(cells + 1)
-    b_w[1] = _power_moments(0.0, tip, 1.0 - sigma)[0] / tip  # on the tip f(x) - f(x - v) = g_0 v / tip
-    b_w[2:] = m1 / delta
-    a_w[2:] = m0 - b_w[2:]
-    return a_w, b_w
+    first = np.empty(cells)
+    first[0] = _power_moments(0.0, tip, 1.0 - sigma)[0] / tip  # on the tip f(x) - f(x - v) = g_0 v / tip
+    first[1:] = m1 / delta
+    w = first.copy()
+    w[:-1] += m0 - first[1:]  # A(m) = m0 - B(m)
+    return w, first
 
 
 @lru_cache(maxsize=64)
 def _cell_weights(n: int, delta: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The node weights: _tip_weights with tip = delta, read-only."""
-    a_w, b_w = _tip_weights(n, delta, sigma, delta)
-    a_w.setflags(write=False)
-    b_w.setflags(write=False)
-    return a_w, b_w
+    """The node pair weights: _tip_weights with tip = delta, read-only."""
+    w, first = _tip_weights(n, delta, sigma, delta)
+    w.setflags(write=False)
+    first.setflags(write=False)
+    return w, first
+
+
+def _marchaud(fx, span, sigma: float, integral):
+    """D^sigma_{a+} f(x) = (f(x) (x-a)^(-sigma) + sigma integral) / Gamma(1-sigma), integral the pair sum."""
+    return (fx * span**-sigma + sigma * integral) / math.gamma(1.0 - sigma)
 
 
 def _singular_integral(v: np.ndarray, delta: float, alpha: float) -> float:
@@ -143,27 +150,20 @@ def _singular_integral(v: np.ndarray, delta: float, alpha: float) -> float:
     return float(np.sum(v[:-1] * m0 + np.diff(v) / delta * m1))
 
 
-def _conv_full(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Full linear convolution via real FFT."""
-    n = x.size + w.size - 1
-    nfft = 1 << (n - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(w, nfft), nfft)[:n]
-
-
 def _left_deriv_nodes(values: np.ndarray, delta: float, sigma: float) -> np.ndarray:
-    """(D^sigma_{a+} f) at all grid nodes; entry 0 is nan (undefined at a)."""
+    """(D^sigma_{a+} f) at all grid nodes; entry 0 is nan (undefined at a). At node i
+    the pair sum is first_{i-1} (f_i - f_0) plus sum_{l < i-1} w_l (f_i - f_{i-1-l})
+    = f_i cumsum(w)_{i-2} - (f[1:] conv w)_{i-2}, the convolution by one real FFT."""
     f = np.asarray(values, dtype=float)
     n = f.size - 1
-    a_w, b_w = _cell_weights(n, float(delta), float(sigma))
-    csum = np.cumsum(a_w + b_w)
-    conv_a = _conv_full(f[1:], a_w[1:])[:n]
-    conv_b = _conv_full(f[:-1], b_w[1:])[:n]
-    i = np.arange(1, n + 1, dtype=float)
-    integral = f[1:] * csum[1:] - conv_a - conv_b
-    bracket = f[1:] * (i * delta) ** -sigma + sigma * integral
+    w, first = _cell_weights(n, float(delta), float(sigma))
+    nfft = 1 << (2 * n - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(f[1:], nfft) * np.fft.rfft(w, nfft), nfft)
+    integral = first * (f[1:] - f[0])
+    integral[1:] += f[2:] * np.cumsum(w[:-1]) - conv[: n - 1]
     out = np.empty(n + 1)
     out[0] = np.nan
-    out[1:] = bracket / math.gamma(1.0 - sigma)
+    out[1:] = _marchaud(f[1:], np.arange(1, n + 1, dtype=float) * delta, sigma, integral)
     return out
 
 
@@ -172,28 +172,31 @@ def _right_deriv_nodes(values: np.ndarray, delta: float, sigma: float) -> np.nda
     return _left_deriv_nodes(np.asarray(values, dtype=float)[::-1], delta, sigma)[::-1]
 
 
+def _derivative_at(t: np.ndarray, y: np.ndarray, sigma: float, x: float) -> float:
+    """D^sigma_{a+} of the interpolant of y on the uniform nodes t at x in (a, b]; the tip is [t_j, x]."""
+    x = _in_span("x", x, float(t[0]), float(t[-1]))
+    if not x > t[0]:
+        raise ValueError(f"x must lie in (a, b], got {x}")
+    delta = t[1] - t[0]
+    # j in [0, n-1] also where x lies within 1e-9 cells of a or b
+    j = min(max(int(np.ceil((x - t[0]) / delta - 1e-9)), 1), t.size - 1) - 1
+    w, first = _tip_weights(j + 1, delta, sigma, x - t[j])
+    fx = np.interp(x, t, y)
+    g = fx - y[j::-1]
+    return _marchaud(fx, x - t[0], sigma, w[:j] @ g[:j] + first[j] * g[j])
+
+
 def left_derivative(f: SampledFunction, alpha: float, x: float) -> float:
     """(D^alpha_{a+} f)(x) for x in (a, b], singular kernel integrated exactly."""
-    alpha, x = _validate_order(alpha), _in_span("x", x, f.a, f.b)
-    if not x > f.a:
-        raise ValueError(f"x must lie in (a, b], got {x}")
-    # the tip [t_j, x]; j in [0, n-1] also where x lies within 1e-9 cells of a or b
-    j = min(max(int(np.ceil((x - f.a) / f.delta - 1e-9)), 1), f.t.size - 1) - 1
-    a_w, b_w = _tip_weights(j + 1, f.delta, alpha, x - f.t[j])
-    fx = f(x)
-    g = fx - f.y[j::-1]
-    integral = np.sum(b_w[1:] * g) + np.sum(a_w[2:] * g[:-1])
-    bracket = fx * (x - f.a) ** -alpha + alpha * integral
-    return bracket / math.gamma(1.0 - alpha)
+    return _derivative_at(f.t, f.y, _validate_order(alpha), x)
 
 
 def right_derivative(g: SampledFunction, alpha: float, x: float) -> float:
-    """(D^{1-alpha}_{b-} g)(x) for x in [a, b), with the phase factor dropped."""
+    """(D^{1-alpha}_{b-} g)(x) for x in [a, b), phase dropped: D^{1-alpha}_{a+} of g reversed, at a + (b - x)."""
     alpha, x = _validate_order(alpha), _in_span("x", x, g.a, g.b)
     if not x < g.b:
         raise ValueError(f"x must lie in [a, b), got {x}")
-    reflected = SampledFunction(g.t, g.y[::-1])
-    return left_derivative(reflected, 1.0 - alpha, g.a + (g.b - x))
+    return _derivative_at(g.t, g.y[::-1], _validate_order(1.0 - alpha), g.a + (g.b - x))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +217,9 @@ def young_integral(
     psi = D^{1-alpha}_{b-} (g - g(b)); the two unimodular phase factors
     cancel, and the endpoint compensation of g makes the real-valued form
     agree with the Riemann-Stieltjes integral (f == 1 gives g(b) - g(a)).
-    The f(a) (x-a)^{-alpha} singularity is split off and integrated against
-    analytic cell moments; the remainder is trapezoidal.
+    phi_f is D^alpha_{a+} (f - f(a)), integrated against psi by the
+    trapezoidal rule, plus f(a) (x-a)^{-alpha} / Gamma(1-alpha), whose
+    product with psi's interpolant is integrated by analytic cell moments.
 
     refine, a positive integer, resamples the piecewise-linear interpolants
     on a mesh that many times finer before quadrature (same function,
@@ -244,19 +248,14 @@ def young_integral(
     if refine > 1:
         nf = (f.t.size - 1) * refine
         f, g = (SampledFunction.from_callable(s, s.a, s.b, nf) for s in (f, g))
-    n = f.t.size - 1
     delta = f.delta
-    phi = _left_deriv_nodes(f.y, delta, alpha)
+    phi_reg = _left_deriv_nodes(f.y - f.y[0], delta, alpha)
+    phi_reg[0] = 0.0  # the derivative of f - f(a) vanishes at a
     psi = _right_deriv_nodes(g.y - g.y[-1], delta, 1.0 - alpha)
     psi[-1] = 0.0  # compensated integrator vanishes at b
-    if not (np.all(np.isfinite(phi[1:])) and np.all(np.isfinite(psi))):
+    if not (np.all(np.isfinite(phi_reg)) and np.all(np.isfinite(psi))):
         raise ValueError("non-finite fractional derivative (bad samples?)")
-    gamma1 = math.gamma(1.0 - alpha)
-    i = np.arange(1, n + 1, dtype=float)
-    phi_reg = np.empty(n + 1)
-    phi_reg[0] = 0.0
-    phi_reg[1:] = phi[1:] - f.y[0] * (i * delta) ** -alpha / gamma1
-    i_sing = f.y[0] / gamma1 * _singular_integral(psi, delta, alpha)
+    i_sing = f.y[0] / math.gamma(1.0 - alpha) * _singular_integral(psi, delta, alpha)
     i_reg = float(np.trapezoid(phi_reg * psi, dx=delta))
     return -(i_sing + i_reg)
 
@@ -317,12 +316,11 @@ def increment_bracket(values: np.ndarray, delta: float, alpha: float) -> np.ndar
 def _increment_bracket_batch(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:
     """Batched increment_bracket: values (n+1, ...) -> bracket (n+1, ...).
 
-    The weight on |f_i - f_{i-m}| is b_w[m] + a_w[m+1] [i-m >= 1], Toeplitz
-    in the offset m except for the column z = a, so the bracket is one
+    The weight on |f_i - f_{i-m}| is the node pair weight w_{m-1}, or
+    first_{m-1} on the pair that reaches z = a, so the bracket is one
     _offset_sum.
     """
-    a_w, b_w = _cell_weights(values.shape[0] - 1, float(delta), float(alpha))
-    return _offset_sum(values, b_w[1:] + np.append(a_w[2:], 0.0), b_w[1:])
+    return _offset_sum(values, *_cell_weights(values.shape[0] - 1, float(delta), float(alpha)))
 
 
 def norm_inf_alpha(f: SampledFunction, alpha: float) -> float:

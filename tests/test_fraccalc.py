@@ -18,10 +18,10 @@ from mixedsde import (
 )
 from mixedsde.fraccalc import (
     _abs_power_inplace,
-    _cell_weights,
     _increment_bracket_batch,
     _left_deriv_nodes,
     _offset_sum,
+    _power_moments,
     _right_deriv_nodes,
     increment_bracket,
 )
@@ -314,15 +314,26 @@ def test_increment_bracket_zero_for_constant():
     assert np.all(increment_bracket(np.full(65, 2.0), 1 / 64, 0.3) == 0.0)
 
 
+def _pair_weight(delta: float, sigma: float, i: int, j: int) -> float:
+    # the weight on f(t_i) - f(t_j) in int_0^{t_i - a} (f(t_i) - f(t_i - v)) v^(-1-sigma) dv,
+    # f linear on each cell: B(m) from the cell [(m-1) delta, m delta], m = i - j,
+    # plus A(m+1) from the cell behind it unless t_j is a
+    def a_b(m):  # the weights on the near and the far end of cell m
+        if m == 1:
+            return 0.0, _power_moments(0.0, delta, 1.0 - sigma)[0] / delta
+        m0, m1 = _power_moments(np.array(m - 1.0), delta, -sigma)
+        return float(m0 - m1 / delta), float(m1 / delta)
+
+    return a_b(i - j)[1] + (a_b(i - j + 1)[0] if j >= 1 else 0.0)
+
+
 def _bracket_double_loop(f: np.ndarray, delta: float, alpha: float) -> np.ndarray:
-    # the weight on |f_i - f_j| straight from the cell weights, one pair at a time
+    # the weight on |f_i - f_j| straight from the cell moments, one pair at a time
     n = f.size - 1
-    a_w, b_w = _cell_weights(n, delta, alpha)
     out = np.zeros(n + 1)
     for i in range(1, n + 1):
         for j in range(i):
-            w = b_w[i - j] + (a_w[i - j + 1] if j >= 1 else 0.0)
-            out[i] += w * abs(f[i] - f[j])
+            out[i] += _pair_weight(delta, alpha, i, j) * abs(f[i] - f[j])
     return out
 
 
@@ -334,6 +345,32 @@ def test_increment_bracket_batch_matches_double_loop(n):
     assert got.shape == values.T.shape
     for row, out in zip(values, got.T):
         np.testing.assert_allclose(out, _bracket_double_loop(row, 1.0 / n, 0.35), rtol=1e-12, atol=0.0)
+
+
+def _left_deriv_double_loop(f: np.ndarray, delta: float, sigma: float) -> np.ndarray:
+    # the bracket's signed twin: the Marchaud form on the same pair weights
+    out = np.full(f.size, np.nan)
+    for i in range(1, f.size):
+        integral = sum(_pair_weight(delta, sigma, i, j) * (f[i] - f[j]) for j in range(i))
+        out[i] = (f[i] * (i * delta) ** -sigma + sigma * integral) / G(1.0 - sigma)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, "linspace"])
+def test_left_deriv_nodes_matches_double_loop(n):
+    t = np.linspace(0.3, 1.9, 377) if n == "linspace" else np.arange(n + 1) / n
+    # positive and increasing, so every term of the Marchaud sum is positive and rel 1e-12 is meaningful
+    f = 2.0 + np.cumsum(np.abs(np.random.default_rng(t.size).normal(size=t.size)))
+    delta = t[1] - t[0]
+    np.testing.assert_allclose(_left_deriv_nodes(f, delta, 0.35), _left_deriv_double_loop(f, delta, 0.35), rtol=1e-12)
+
+
+def test_right_derivative_is_the_left_derivative_of_the_reflection():
+    g = SampledFunction(np.linspace(0.3, 1.9, 377), np.sin(3.0 * np.linspace(0.3, 1.9, 377)))
+    reflected = SampledFunction(g.t, g.y[::-1])
+    alpha = 0.35
+    for x in (g.t[0], g.t[1], g.t[300], g.t[300] + 0.37 * g.delta, g.t[5] + 0.81 * g.delta, g.t[-2]):
+        assert right_derivative(g, alpha, x) == left_derivative(reflected, 1.0 - alpha, g.a + (g.b - x))
 
 
 def test_increment_bracket_is_the_batch_on_one_row():

@@ -34,8 +34,9 @@ under independent and Volterra noise; then
 and on [0, t] for one node t), `norm_inf_alpha`, `norm_2_alpha`,
 `integral_bound`, `norm_2_alpha` of the constant 1 on 50 nodes of [0, 1],
 `young_integral` (on the whole grid and on a sub-interval (a, b)),
-`left_derivative` and `right_derivative` at four nodes each, and
-`stopping_time` on one pair; then `fbm_covariance` at a
+`left_derivative` and `right_derivative` at four nodes each and at two
+points between nodes (where the tip cell of the weights is shorter than a
+cell), and `stopping_time` on one pair; then `fbm_covariance` at a
 point and on a node mesh, `kappa` at three betas and the text of the
 `check_hypotheses` report of the quadratic-c preset at seed 3; then the
 text that `write_path_csv`, `write_pair_csv` (independent, Volterra and
@@ -144,6 +145,8 @@ def print_api_values() -> None:
     print(repr((young_integral(w, f, 0.35), young_integral(w, f, 0.35, f.t[100], f.t[400]))))
     print(repr([left_derivative(f, 0.35, x) for x in f.t[[1, 7, 300, 512]]]))
     print(repr([right_derivative(w, 0.35, x) for x in f.t[[0, 7, 300, 511]]]))
+    between = f.t[[7, 300]] + np.array([0.81, 0.37]) * f.delta  # tips shorter than a cell
+    print(repr([[left_derivative(f, 0.35, x), right_derivative(w, 0.35, x)] for x in between]))
     kinds = ("wiener", "fbm", "sum")
     print(repr([stopping_time(pair, 0.1, threshold, kind) for threshold in (2.0, 50.0) for kind in kinds]))
     print(repr((fbm_covariance(0.3, 0.8, 0.7), fbm_covariance(f.t[::32, None], f.t[::64], 0.7).tolist())))
