@@ -24,13 +24,17 @@ import numpy as np
 
 from . import __version__
 from .coefficients import (
+    _SAMPLES_MAX,
+    _SAMPLES_MIN,
     check_hypotheses,
     coefficients_from_expressions,
     compile_expression,
     preset,
     preset_names,
 )
-from .convergence import DEFAULT_R, SolverConfig, mc_strong_error
+from .convergence import (
+    _CHUNK, _EVAL_N_MAX, _FINE_N_MAX, _PATHS_MAX, _WORKERS_MAX, DEFAULT_R, SolverConfig, mc_strong_error
+)
 from .euler import EulerBlowupError, euler_solve, write_solution_csv
 from .fbm import (
     _DEPENDENCE_ALIASES,
@@ -152,9 +156,9 @@ def cmd_integrate(args) -> int:
 def cmd_solve(args) -> int:
     coeffs = _coefficients(vars(args))
     coeffs.validate_for_hurst(args.h)
-    grid = TimeGrid(args.t, args.n)
+    grid, x0 = TimeGrid(args.t, args.n), _real("x0", args.x0, finite=True)  # refused before any noise
     pair = generate_noise_pair(grid, args.h, args.seed, args.dependence, args.method)
-    sol = euler_solve(coeffs, pair, args.x0)
+    sol = euler_solve(coeffs, pair, x0)
     out = _out_path(args.out, f"solve_{coeffs.name}_h{args.h}_n{args.n}_seed{args.seed}.csv")
     with open(out, "w") as fh:
         write_solution_csv(sol, fh)
@@ -234,7 +238,10 @@ def _resolve_converge_settings(args) -> dict:
     given = {k: v for k, v in vars(args).items() if v is not None}
     settings.update((k, v) for k, v in given.items() if k in _CONVERGE_DEFAULTS)
     if args.levels is not None:
-        settings["levels"] = [int(x) for x in args.levels.split(",")]
+        try:
+            settings["levels"] = [int(x) for x in args.levels.split(",")]
+        except ValueError:
+            raise ValueError(f"--levels must be comma-separated integers, got {args.levels!r}") from None
     coefficient_flags = [k for k in _COEFFICIENT_KEYS if k in given]
     if coefficient_flags == ["preset"]:
         settings["coefficients"] = {"preset": given["preset"]}
@@ -319,18 +326,18 @@ _FLAGS = {
     "n": dict(type=int, help="number of grid steps, >= 1"),
     "t": dict(type=float, help="horizon T > 0"),
     "x0": dict(type=float, help="initial value"),
-    "seed": dict(type=int, help="RNG seed"),
+    "seed": dict(type=int, help="RNG seed, >= 0"),
     "alpha": dict(type=float, help="norm order, in (1-H, min(1/2, beta))"),
     "eta": dict(type=float, help="Holder functional exponent"),
     "threshold": dict(type=float, help="localization threshold N"),
     "epsilon": dict(type=float, help="rate slack, in (0, kappa - alpha)"),
     "r_bound": dict(type=float, help="restriction radius R > 0, inf for none"),
-    "levels": dict(help="comma-separated coarse level sizes"),
-    "m_fine": dict(type=int, help="fine grid is max(levels) * 2^m_fine cells, at most 2^16"),
-    "paths": dict(type=int, help="Monte Carlo paths, at most 2^22 = 4194304"),
+    "levels": dict(help="comma-separated coarse level sizes, each >= 2"),
+    "m_fine": dict(type=int, help=f"fine grid is max(levels) * 2^m_fine cells, at most {_FINE_N_MAX}"),
+    "paths": dict(type=int, help=f"Monte Carlo paths, 1..{_PATHS_MAX}"),
     "dependence": dict(choices=list(_DEPENDENCE_ALIASES), help="pair coupling"),
     "method": dict(choices=_METHODS, help="exact sampling method"),
-    "eval_n": dict(type=int, help="norm/functional evaluation subgrid"),
+    "eval_n": dict(type=int, help=f"evaluation subgrid, capped at the fine n and then at most {_EVAL_N_MAX}"),
     "out": dict(help="output CSV path (default derived, in $MIXEDSDE_OUT)"),
 }
 
@@ -381,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--t-max", type=float, default=1.0, help="time range upper end (default 1)")
     p.add_argument("--x-min", type=float, default=-10.0, help="state range lower end (default -10)")
     p.add_argument("--x-max", type=float, default=10.0, help="state range upper end (default 10)")
-    p.add_argument("--samples", type=int, default=200, help="samples per axis, >= 100")
+    p.add_argument("--samples", type=int, default=200, help=f"samples per axis, {_SAMPLES_MIN}..{_SAMPLES_MAX}")
     _add_flags(p, "seed")
     p.set_defaults(func=cmd_check)
 
@@ -394,8 +401,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        help="worker threads, at most 64 and at most one per 256-path chunk; 1 runs the chunks on the calling "
-        "thread, with no pool (default: usable CPUs, at most 64)",
+        help=f"worker threads, at most {_WORKERS_MAX} and at most one per {_CHUNK}-path chunk; 1 runs the chunks on "
+        f"the calling thread, with no pool (default: usable CPUs, at most {_WORKERS_MAX})",
     )
     p.add_argument("--force", action="store_true", help="skip the hypothesis gate")
     p.add_argument("--outdir", help="output directory (default $MIXEDSDE_OUT or .)")

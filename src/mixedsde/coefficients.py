@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _integer, _real
+from .grid import _integer, _interval, _real
 from .rng import stream
 
 __all__ = [
@@ -272,6 +272,11 @@ def _ratio_result(name, statement, num, den, points, k_claimed) -> HypothesisRes
     )
 
 
+# samples per axis of check_hypotheses: fewer probe too little, and the check holds samples^2 (t, x)
+# pairs at about 122 B each (tracemalloc, linear preset), 0.5 GB at the cap
+_SAMPLES_MIN, _SAMPLES_MAX = 100, 2048
+
+
 def check_hypotheses(
     coeffs: CoefficientSet,
     t_range: tuple[float, float] = (0.0, 1.0),
@@ -284,13 +289,12 @@ def check_hypotheses(
     (A) linear growth of a and c; (B) Lipschitz a, b in x; (C) Holder-beta
     of a, b, c, dc in t; (D) Lipschitz dc in x; (E) bounded b and dc.
     Pair separations are log-uniform down to 1e-6 so small-scale violations
-    are probed. Deterministic given (coeffs, ranges, samples, seed).
+    are probed. Deterministic given (coeffs, ranges, samples, seed). Ranges not finite with
+    lo < hi, and samples outside 100..2048 (0.5 GB at 2048), raise ValueError before any sampling.
     """
-    if _integer("samples", samples) < 100:
-        raise ValueError("at least 100 samples per axis are required")
+    samples = _integer("samples", samples, low=_SAMPLES_MIN, high=_SAMPLES_MAX, why="samples^2 (t, x) pairs at 122 B")
+    (t0, t1), (x0, x1) = _interval("t_range", *t_range), _interval("x_range", *x_range)
     rng = stream(seed, 900)
-    t0, t1 = (_real("t_range entry", v) for v in t_range)
-    x0, x1 = (_real("x_range entry", v) for v in x_range)
     t = rng.uniform(t0, t1, samples)
     x = rng.uniform(x0, x1, samples)
     tt, xx = np.meshgrid(t, x, indexing="ij")

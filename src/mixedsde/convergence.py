@@ -283,8 +283,8 @@ def pathwise_error(
         raise ValueError("stopped solutions must share one stopping time")
     fine_grid = fsol.grid
     csol.grid.refinement_stride(fine_grid)  # raises unless the fine grid refines the coarse one
-    norm_n = fine_grid.n if norm_grid_n is None else _integer("norm_grid_n", norm_grid_n)
-    if norm_n < 1 or fine_grid.n % norm_n:
+    norm_n = fine_grid.n if norm_grid_n is None else _integer("norm_grid_n", norm_grid_n, low=1)
+    if fine_grid.n % norm_n:
         raise ValueError(f"norm_grid_n must be a positive divisor of the fine grid size, got {norm_n}")
     noise_stride = fine_grid.refinement_stride(csol.noise.grid)
     w, bh = (p.values[::noise_stride, None] for p in (csol.noise.w, csol.noise.bh))
@@ -482,14 +482,13 @@ def mc_strong_error(
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
     rate_floor = config.validate(h, coeffs.beta)
-    levels = sorted(_integer("levels entry", n) for n in levels)
+    levels = sorted(_integer("levels entry", n, low=2) for n in levels)
     if not levels:
         raise ValueError("levels must name at least one coarse level")
-    m_fine, paths, seed = _integer("m_fine", m_fine), _integer("paths", paths), _integer("seed", seed)
+    m_fine, seed = _integer("m_fine", m_fine, low=1), _integer("seed", seed, low=0)  # stream's rule, before any thread
+    paths = _integer("paths", paths, low=1, high=_PATHS_MAX, why="the result rows take 26 B per path and level")
     if len(set(levels)) != len(levels):
         raise ValueError("levels must be distinct")
-    if m_fine < 1:
-        raise ValueError("m_fine must be at least 1")
     if m_fine > 16 or max(levels) << m_fine > _FINE_N_MAX:  # m_fine first: no huge shift
         raise ValueError(
             f"fine n = {max(levels)} * 2^{m_fine} exceeds {_FINE_N_MAX}: one chunk takes 31.5 B per fine node and "
@@ -498,34 +497,19 @@ def mc_strong_error(
     fine_n = max(levels) << m_fine
     for n in levels:
         ratio = fine_n // n
-        if n < 2 or fine_n % n or (ratio & (ratio - 1)):
+        if fine_n % n or (ratio & (ratio - 1)):
             raise ValueError(f"level n={n} is not a dyadic coarsening of fine n={fine_n}")
-    eval_n = min(_integer("eval_n", eval_n), fine_n)
-    if eval_n < 1:
-        raise ValueError(f"eval_n must be at least 1, got {eval_n}")
-    if eval_n > _EVAL_N_MAX:
-        raise ValueError(
-            f"eval_n={eval_n} exceeds {_EVAL_N_MAX}: the increment bracket and the Holder "
-            "functional cost O(paths * eval_n^2) time"
-        )
+    eval_n = min(_integer("eval_n", eval_n, low=1), fine_n)  # capped at fine n before its own cap
+    eval_n = _integer("eval_n", eval_n, high=_EVAL_N_MAX, why="the bracket and Holder kernels cost O(paths * eval_n^2)")
     if fine_n % eval_n or (fine_n // eval_n) & (fine_n // eval_n - 1):
         raise ValueError(f"eval_n={eval_n} must be a dyadic divisor of fine n={fine_n}")
-    if paths < 1:
-        raise ValueError("need at least one path")
-    if paths > _PATHS_MAX:
-        raise ValueError(f"paths={paths} exceeds {_PATHS_MAX}: the result rows take 26 B per path and level")
-    r_bound, x0 = _real("r_bound", r_bound), _real("x0", x0)
+    r_bound, x0 = _real("r_bound", r_bound), _real("x0", x0, finite=True)
     if not r_bound > 0.0:
         raise ValueError(f"r_bound must be positive (inf for no restriction), got {r_bound}")
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
     if workers is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
         workers = min(cpus, _WORKERS_MAX)
-    if _integer("workers", workers) < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers > _WORKERS_MAX:
-        raise ValueError(f"workers={workers} exceeds {_WORKERS_MAX}: each worker holds a chunk, up to 0.42 GB")
+    workers = _integer("workers", workers, low=1, high=_WORKERS_MAX, why="each worker holds a chunk, up to 0.42 GB")
 
     fine = TimeGrid(_real("t_horizon", t_horizon), fine_n)
     dep = _resolve_dependence(dependence)

@@ -64,7 +64,7 @@ def euler_solve(
     X_{k+1} = X_k + a dt + b dW + c dB^H with coefficients frozen at the
     left node. Deterministic in its inputs; no refinement happens here.
     """
-    grid, x0 = noise.grid if grid is None else grid, _real("x0", x0)
+    grid, x0 = noise.grid if grid is None else grid, _real("x0", x0, finite=True)
     stride = grid.refinement_stride(noise.grid)
     x = _euler_solve_batch(coeffs, grid.nodes, noise.w.values[::stride], noise.bh.values[::stride], x0)
     if np.isnan(x[-1]):

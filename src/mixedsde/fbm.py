@@ -8,6 +8,7 @@ Garsia-Rodemich-Rumsey Holder-constant functionals used for localization.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,9 +41,10 @@ __all__ = [
 # -CIRCULANT_EIG_TOL * max(eig) signals a covariance bug, not roundoff.
 CIRCULANT_EIG_TOL = 1e-10
 # larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time), and a larger 2n
-# by the joint-gaussian one. Its cached factor takes 8n^2 B (128 MiB at 4096), the build peaks
-# at about 384 MiB, and chunks that start together may each build it once
+# by the joint-gaussian one. Its cached factor takes 8n^2 B (128 MiB at 4096) and the build
+# peaks at about 384 MiB; _CHOLESKY_LOCK makes chunks that start together wait for one build
 _CHOLESKY_N_MAX = 4096
+_CHOLESKY_LOCK = threading.Lock()
 _METHODS = ("cholesky", "circulant-embedding", "circulant")  # independent B^H only; others ignore it
 # holder_functional refuses fewer grid steps (nodes - 1) in [0, t]
 _HOLDER_MIN_STEPS = 8
@@ -251,7 +253,8 @@ def _fbm_values_batch(
                 f"cholesky sampling of n={n} > {_CHOLESKY_N_MAX} steps refused: the n x n covariance needs "
                 "O(n^2) memory and its factorisation O(n^3) time; use circulant-embedding"
             )
-        chol = _cholesky_factor(grid, h)
+        with _CHOLESKY_LOCK:  # lru_cache alone lets concurrent misses each build the factor
+            chol = _cholesky_factor(grid, h)
         z = rng.standard_normal((size, n))
         out = np.zeros((size, n + 1))
         out[:, 1:] = z @ chol.T
@@ -465,12 +468,7 @@ def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: fl
 def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> HolderFunctional:
     """GRR Holder-constant functional of a sampled path on [0, t]."""
     t = path.grid.horizon if t is None else _real("t", t)
-    k = path.grid.node_index(t)
-    if k < _HOLDER_MIN_STEPS:
-        raise ValueError(
-            f"holder_functional needs at least {_HOLDER_MIN_STEPS} grid steps "
-            f"({_HOLDER_MIN_STEPS + 1} nodes) in [0, t], got {k}"
-        )
+    k = _integer("holder_functional's grid steps in [0, t]", path.grid.node_index(t), low=_HOLDER_MIN_STEPS)
     q = _holder_exponents(path.kind, eta, path.hurst)
     value = holder_cumulative(path.values[: k + 1], path.grid.delta, eta, q)[-1]
     return HolderFunctional(eta=float(eta), horizon=t, kind=path.kind, value=float(value))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import TimeGrid, _in_span, _integer, _node_of, _node_values, _real
+from .grid import TimeGrid, _in_span, _integer, _interval, _node_of, _node_values, _real
 
 __all__ = [
     "SampledFunction",
@@ -52,9 +52,7 @@ class SampledFunction:
     @classmethod
     def from_callable(cls, fn, a: float, b: float, n: int) -> "SampledFunction":
         a, b, n = _real("a", a), _real("b", b), _integer("n", n)
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
-        t = a + (b - a) * np.arange(n + 1) / n
+        t = a + TimeGrid(b - a, n).nodes
         return cls(t, np.asarray(fn(t), dtype=float) * np.ones(n + 1))
 
     @classmethod
@@ -224,12 +222,10 @@ def young_integral(
     refine, a positive integer, resamples the piecewise-linear interpolants
     on a mesh that many times finer before quadrature (same function,
     better resolution of the product of the two derivatives; rough
-    integrands need it).
+    integrands need it; more than MAX_STEPS cells raise GridResourceError).
     """
     alpha = _validate_order(alpha)
-    refine = _integer("refine", refine)
-    if refine < 1:
-        raise ValueError(f"refine must be a positive integer, got {refine}")
+    refine = _integer("refine", refine, low=1)
     if alpha > 0.5:
         warnings.warn(
             "alpha > 1/2: the Young construction is only guaranteed for "
@@ -243,8 +239,7 @@ def young_integral(
         b = f.b if b is None else b
         f = f.restrict(a, b)
         g = g.restrict(a, b)
-    if f.t.size - 1 < 4:
-        raise ValueError("Young quadrature needs at least 4 cells")
+    _integer("Young quadrature cells", f.t.size - 1, low=4)
     if refine > 1:
         nf = (f.t.size - 1) * refine
         f, g = (SampledFunction.from_callable(s, s.a, s.b, nf) for s in (f, g))
@@ -360,9 +355,7 @@ def norm_2_alpha(f: SampledFunction, alpha: float) -> float:
 
 def norms_comparison_constant(alpha: float, a: float, b: float) -> float:
     """C with norm_2_alpha <= C * norm_inf_alpha on [a, b], a finite interval with a < b."""
-    alpha, a, b = _validate_norm2_order(alpha), _real("a", a), _real("b", b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"the interval [a, b] must be finite with a < b, got [{a}, {b}]")
+    alpha, (a, b) = _validate_norm2_order(alpha), _interval("[a, b]", a, b)
     length = b - a
     return math.sqrt(
         length ** (1.0 - alpha) / (1.0 - alpha) + length ** (0.5 - alpha) / (0.5 - alpha)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,18 +16,36 @@ class GridResourceError(RuntimeError):
     """Requested grid exceeds MAX_STEPS."""
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; all but Python and numpy integers (bool, 64.0, "20") raise ValueError."""
+def _integer(name: str, value, low: int | None = None, high: int | None = None, why: str = "") -> int:
+    """value as an int; all but Python and numpy integers (bool, 64.0, "20") raise ValueError,
+    and so does a value below low or above high (the cap's message ends with why, its cost)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name}={value} exceeds {high}" + (f": {why}" if why else ""))
+    return value
 
 
-def _real(name: str, value) -> float:
-    """value as a float; all but Python and numpy ints and floats (bool, "0.5") raise ValueError."""
+def _real(name: str, value, finite: bool = False) -> float:
+    """value as a float; all but Python and numpy ints and floats (bool, "0.5") raise ValueError,
+    and so do nan and inf when finite is set."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _interval(name: str, lo, hi) -> tuple[float, float]:
+    """(lo, hi) as finite numbers (_real, as "name entry") with lo < hi; an empty or inverted one raises ValueError."""
+    lo, hi = (_real(f"{name} entry", v, finite=True) for v in (lo, hi))
+    if not lo < hi:
+        raise ValueError(f"{name} must be an interval with lo < hi, got [{lo}, {hi}]")
+    return lo, hi
 
 
 def _in_span(name: str, u, a: float, b: float) -> float:
@@ -90,9 +109,7 @@ class TimeGrid:
         object.__setattr__(self, "horizon", _real("horizon", self.horizon))
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if _integer("step count", self.n) < 1:
-            raise ValueError(f"step count must be a positive integer, got {self.n}")
-        if self.n > MAX_STEPS:
+        if _integer("step count", self.n, low=1) > MAX_STEPS:
             raise GridResourceError(f"n={self.n} exceeds MAX_STEPS={MAX_STEPS}")
 
     @property
@@ -125,10 +142,6 @@ class TimeGrid:
 
 
 def refine_dyadic(grid: TimeGrid, m: int) -> TimeGrid:
-    """Fine grid {j*T/(n*2^m)}; contains the coarse nodes exactly."""
-    if _integer("refinement exponent m", m) < 1:
-        raise ValueError(f"refinement exponent m must be a positive integer, got {m}")
-    fine_n = grid.n * (1 << int(m))
-    if fine_n > MAX_STEPS:
-        raise GridResourceError(f"refined grid n={fine_n} exceeds MAX_STEPS={MAX_STEPS}")
-    return TimeGrid(grid.horizon, fine_n)
+    """Fine grid {j*T/(n*2^m)}; contains the coarse nodes exactly. m <= log2(MAX_STEPS), checked before the shift."""
+    m = _integer("refinement exponent m", m, low=1, high=MAX_STEPS.bit_length() - 1)
+    return TimeGrid(grid.horizon, grid.n << m)

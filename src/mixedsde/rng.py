@@ -13,6 +13,6 @@ from .grid import _integer
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by (seed, *key); seed is an integer (grid._integer)."""
-    ss = np.random.SeedSequence(entropy=_integer("seed", seed), spawn_key=tuple(int(k) for k in key))
+    """Generator for the stream identified by (seed, *key); seed is an integer >= 0 (grid._integer)."""
+    ss = np.random.SeedSequence(entropy=_integer("seed", seed, low=0), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mixedsde import cli, convergence
+from mixedsde import cli, coefficients, convergence, fbm
 from mixedsde.cli import _CONVERGE_DEFAULTS, _resolve_converge_settings, build_parser, main
 
 
@@ -493,8 +493,10 @@ def test_fbm_holder_bound_is_inclusive(capsys, monkeypatch):
         (["--x0", "nan"], "x0 must be finite, got nan"),
         (["--paths", "4194305"], "paths=4194305 exceeds 4194304"),
         (["--workers", "65"], "workers=65 exceeds 64"),
+        (["--seed", "-1"], "seed must be at least 0, got -1"),
     ],
-    ids=["eval-n-0", "r-bound-negative", "r-bound-nan", "x0-nan", "paths-above-2-22", "workers-above-64"],
+    ids=["eval-n-0", "r-bound-negative", "r-bound-nan", "x0-nan", "paths-above-2-22", "workers-above-64",
+         "seed-negative"],
 )
 def test_converge_refuses_a_bad_setting_before_any_noise(outdir, capsys, monkeypatch, flags, message):
     drawn = []
@@ -504,6 +506,47 @@ def test_converge_refuses_a_bad_setting_before_any_noise(outdir, capsys, monkeyp
                "--workers", "2", *flags, "--outdir", str(outdir / "b")])
     assert rc == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert drawn == []
+    assert not any(outdir.iterdir())
+
+
+_SOLVE = ["solve", "--preset", "linear", "--h", "0.7", "--n", "16"]
+# (arguments, what stderr states); each names the refused input
+_REFUSED = {
+    "check-x-degenerate": (["check", "--preset", "linear", "--x-min", "0", "--x-max", "0"],
+                           "error: x_range must be an interval with lo < hi, got [0.0, 0.0]"),
+    "check-x-inverted": (["check", "--preset", "linear", "--x-min", "1", "--x-max", "-1"],
+                         "error: x_range must be an interval with lo < hi, got [1.0, -1.0]"),
+    "check-t-inverted": (["check", "--preset", "linear", "--t-min", "1", "--t-max", "0"],
+                         "error: t_range must be an interval with lo < hi, got [1.0, 0.0]"),
+    "check-x-nan": (["check", "--preset", "linear", "--x-min", "nan"], "error: x_range entry must be finite, got nan"),
+    "check-t-inf": (["check", "--preset", "linear", "--t-max", "inf"], "error: t_range entry must be finite, got inf"),
+    "check-samples-2049": (["check", "--preset", "linear", "--samples", "2049"], "error: samples=2049 exceeds 2048"),
+    "solve-x0-nan": ([*_SOLVE, "--x0", "nan"], "error: x0 must be finite, got nan"),
+    "solve-x0-inf": ([*_SOLVE, "--x0", "inf"], "error: x0 must be finite, got inf"),
+    "fbm-seed-negative": (["fbm", "--h", "0.7", "--n", "16", "--seed", "-1"], "error: seed must be at least 0, got -1"),
+    "fbm-pair-seed-negative": (["fbm", "--h", "0.7", "--n", "16", "--seed", "-1", "--pair"],
+                               "error: seed must be at least 0, got -1"),
+    "converge-levels-not-integers": (["converge", "--preset", "linear", "--levels", "16,x", "--paths", "4"],
+                                     "error: --levels must be comma-separated integers, got '16,x'"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_a_refused_input_exits_1_naming_it_before_any_noise(outdir, capsys, monkeypatch, name):
+    argv, message = _REFUSED[name]
+    drawn, real_stream = [], fbm.stream
+
+    def spy_stream(*args):
+        generator = real_stream(*args)  # refuses a bad seed before any generator exists
+        drawn.append(args)
+        return generator
+
+    for module in (fbm, coefficients, convergence):
+        monkeypatch.setattr(module, "stream", spy_stream)
+    monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
     assert drawn == []
     assert not any(outdir.iterdir())
 

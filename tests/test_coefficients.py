@@ -71,8 +71,10 @@ def test_report_deterministic():
 
 
 def test_sample_count_gate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be at least 100, got 50"):
         check_hypotheses(preset("linear"), samples=50)
+    with pytest.raises(ValueError, match=r"samples=2049 exceeds 2048: samples\^2 \(t, x\) pairs at 122 B"):
+        check_hypotheses(preset("linear"), samples=2049)
 
 
 def test_beta_windows():

@@ -102,7 +102,7 @@ def test_pathwise_error_refuses_norm_grid_below_one(norm_grid_n):
     pair = generate_noise_pair(TimeGrid(1.0, 256), 0.7, 5)
     coarse = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 32))
     fine = euler_solve(preset("linear"), pair, 1.0)
-    with pytest.raises(ValueError, match="norm_grid_n must be a positive divisor"):
+    with pytest.raises(ValueError, match=f"norm_grid_n must be at least 1, got {norm_grid_n}"):
         pathwise_error(stop(coarse, 1.0), stop(fine, 1.0), 0.35, norm_grid_n)
 
 
@@ -378,6 +378,8 @@ def test_empty_levels_refused_by_name_before_any_noise(monkeypatch):
     monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
     with pytest.raises(ValueError, match="levels must name at least one coarse level"):
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [], 3, 4, workers=1)
+    with pytest.raises(ValueError, match="levels entry must be at least 2, got 1"):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [1, 2, 4], 3, 4, workers=1)
 
 
 @pytest.mark.parametrize(
@@ -627,12 +629,13 @@ def test_the_harness_shares_no_array_between_chunks():
         (dict(x0=-math.inf), "x0 must be finite"),
         (dict(m_fine=0), "m_fine must be at least 1"),
         (dict(eval_n=24), "eval_n=24 must be a dyadic divisor of fine n=128"),
-        (dict(paths=0), "need at least one path"),
+        (dict(paths=0), "paths must be at least 1, got 0"),
+        (dict(seed=-1), "seed must be at least 0, got -1"),
         (dict(method="bogus"), "unknown method 'bogus'"),
         (dict(method="bogus", dependence="volterra"), "unknown method 'bogus'"),
     ],
     ids=["paths-above-2-22", "eval-n-0", "eval-n-negative", "r-bound-negative", "r-bound-0", "r-bound-nan",
-         "x0-nan", "x0-minus-inf", "m-fine-0", "eval-n-not-dyadic", "paths-0", "method-unknown",
+         "x0-nan", "x0-minus-inf", "m-fine-0", "eval-n-not-dyadic", "paths-0", "seed-negative", "method-unknown",
          "method-unknown-volterra"],
 )
 def test_a_bad_setting_is_refused_before_any_noise_or_thread(monkeypatch, kwargs, message):

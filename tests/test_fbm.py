@@ -1,5 +1,6 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -126,12 +127,20 @@ def test_cholesky_accepts_n_at_its_bound(monkeypatch):
 
 def test_cholesky_factor_is_built_once_per_grid(monkeypatch):
     calls, factor = [], np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda cov: calls.append(cov.shape) or factor(cov))
-    fbm._cholesky_factor.cache_clear()
-    # 600 paths: three chunks on the 64-step fine grid
-    mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 2, 600, method="cholesky",
-                    eval_n=32, workers=1)
-    assert calls == [(64, 64)]
+
+    def slow_factor(cov):  # held long enough that chunks starting together would all miss the cache
+        calls.append(cov.shape)
+        time.sleep(0.2)
+        return factor(cov)
+
+    monkeypatch.setattr(np.linalg, "cholesky", slow_factor)
+    for workers in (1, 2, 3):  # 3: one thread per chunk
+        calls.clear()
+        fbm._cholesky_factor.cache_clear()
+        # 600 paths: three chunks on the 64-step fine grid
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 2, 600, method="cholesky",
+                        eval_n=32, workers=workers)
+        assert calls == [(64, 64)], workers
 
 
 def test_cholesky_draw_equals_a_fresh_factor():
@@ -537,7 +546,7 @@ def test_holder_validation():
         holder_functional(w, 0.6)  # eta >= 1/2 invalid for Wiener
     with pytest.raises(ValueError):
         holder_functional(b, 0.75)  # eta >= H invalid for fBm
-    with pytest.raises(ValueError, match=r"at least 8 grid steps \(9 nodes\) in \[0, t\], got 7"):
+    with pytest.raises(ValueError, match=r"holder_functional's grid steps in \[0, t\] must be at least 8, got 7"):
         holder_functional(w, 0.2, t=grid.nodes[7])
     assert holder_functional(w, 0.2, t=grid.nodes[8]).value > 0.0
     for t in (np.nan, np.inf):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixedsde import (
+    GridResourceError,
     SampledFunction,
     TimeGrid,
     generate_fbm,
@@ -25,6 +26,7 @@ from mixedsde.fraccalc import (
     _right_deriv_nodes,
     increment_bracket,
 )
+from mixedsde.grid import MAX_STEPS
 from mixedsde.rng import stream
 
 G = math.gamma
@@ -467,17 +469,40 @@ def test_node_arrays_match_single_point():
 @pytest.mark.parametrize("refine", [0, -2, True, 2.5])
 def test_young_refine_must_be_a_positive_integer(refine):
     f = _sf(lambda u: u, n=64)
-    with pytest.raises(ValueError, match=rf"refine must be (a positive integer|an integer), got {refine!r}"):
+    with pytest.raises(ValueError, match=rf"refine must be (at least 1|an integer), got {refine!r}"):
         young_integral(f, f, 0.3, refine=refine)
     assert young_integral(f, f, 0.3, refine=1) == pytest.approx(0.5, rel=1e-2)  # int_0^1 u du, unrefined
 
 
+def test_a_resampled_mesh_above_max_steps_is_refused_before_the_function_is_called():
+    def never(u):
+        raise AssertionError("sampled above MAX_STEPS")
+
+    with pytest.raises(GridResourceError, match=f"n={MAX_STEPS + 1} exceeds MAX_STEPS"):
+        SampledFunction.from_callable(never, 0.0, 1.0, MAX_STEPS + 1)
+    f = _sf(lambda u: u, n=64)
+    refine = MAX_STEPS // 64 + 1
+    with pytest.raises(GridResourceError, match=f"n={64 * refine} exceeds MAX_STEPS"):
+        young_integral(f, f, 0.3, refine=refine)
+
+
+def test_from_callable_takes_the_nodes_of_a_time_grid():
+    # a + TimeGrid(b - a, n).nodes, k (b - a) / n, is bit for bit a + (b - a) k / n: IEEE products commute
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a, n = rng.uniform(-5.0, 5.0), int(rng.integers(1, 2000))
+        b = a + rng.uniform(1e-3, 10.0)
+        t = SampledFunction.from_callable(np.sin, a, b, n).t
+        assert np.array_equal(t, a + TimeGrid(b - a, n).nodes)
+        assert np.array_equal(t, a + (b - a) * np.arange(n + 1) / n)
+
+
 def test_young_refuses_fewer_than_4_cells():
     f = _sf(lambda u: u, n=3)
-    with pytest.raises(ValueError, match="Young quadrature needs at least 4 cells"):
+    with pytest.raises(ValueError, match="Young quadrature cells must be at least 4, got 3"):
         young_integral(f, f, 0.3)
     f = _sf(lambda u: u, n=64)
-    with pytest.raises(ValueError, match="Young quadrature needs at least 4 cells"):
+    with pytest.raises(ValueError, match="Young quadrature cells must be at least 4, got 3"):
         young_integral(f, f, 0.3, 0.0, 3 / 64)
 
 

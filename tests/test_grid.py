@@ -37,6 +37,10 @@ def test_refine_rejects_m_zero():
 def test_refine_resource_error():
     with pytest.raises(GridResourceError):
         refine_dyadic(TimeGrid(1.0, MAX_STEPS // 2 + 1), 1)
+    assert refine_dyadic(TimeGrid(1.0, 1), 24).n == MAX_STEPS
+    for m in (25, 10**9):  # refused before the shift, which at 10**9 would build a 125 MB integer
+        with pytest.raises(ValueError, match=f"refinement exponent m={m} exceeds 24"):
+            refine_dyadic(TimeGrid(1.0, 1), m)
 
 
 def test_floor_property():

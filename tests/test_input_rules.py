@@ -1,7 +1,9 @@
 """One rule per kind of scalar input, refused by name instead of coerced:
 a number (grid._real) is a Python or numpy int or float, never a bool or a
-string; a seed or a count is an integer (grid._integer, which rng.stream
-applies to every seed); the 2-norm's order lies in (0, 1/2)
+string, and finite where it must be (grid._real's finite); a seed or a
+count is an integer within its bounds (grid._integer, which rng.stream
+applies to every seed, at least 0); an interval is finite with lo < hi
+(grid._interval); the 2-norm's order lies in (0, 1/2)
 (fraccalc._validate_norm2_order); the localization threshold is positive
 (convergence._check_threshold); a path's node values are a read-only,
 finite copy with one entry per node (grid._node_values); a time lies in
@@ -214,6 +216,17 @@ def test_an_api_scalar_refuses_a_bool_or_a_string_by_name(pair, sol, f, name, va
         call(fixtures, value)
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_one_finite_start_rule_for_the_solver_and_the_harness(pair, monkeypatch, x0):
+    monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: pytest.fail("noise drawn for a bad x0"))
+    messages = set()
+    for call in (lambda: euler_solve(preset("linear"), pair, x0), lambda: _mc(x0=x0)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {f"x0 must be finite, got {x0}"}
+
+
 def test_a_count_is_an_integer():
     with pytest.raises(ValueError, match=re.escape("samples must be an integer, got 200.0")):
         check_hypotheses(preset("linear"), samples=200.0)
@@ -224,7 +237,7 @@ def test_a_count_is_an_integer():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_a_sampled_function_from_a_callable_needs_one_cell(n):
-    with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n}")):
+    with pytest.raises(ValueError, match=re.escape(f"step count must be at least 1, got {n}")):
         SampledFunction.from_callable(np.sin, 0.0, 1.0, n)
     assert SampledFunction.from_callable(np.sin, np.int64(0), 1, np.int64(1)).t.tolist() == [0.0, 1.0]
 
@@ -254,12 +267,16 @@ def test_solver_config_stores_the_float_of_a_number():
 
 @pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.0, 0.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
 def test_the_norm_comparison_constant_refuses_an_interval_that_is_not_finite_and_increasing(a, b):
-    with pytest.raises(ValueError, match=re.escape(f"the interval [a, b] must be finite with a < b, got [{a}, {b}]")):
+    if math.isfinite(a) and math.isfinite(b):
+        message = f"[a, b] must be an interval with lo < hi, got [{a}, {b}]"
+    else:
+        message = f"[a, b] entry must be finite, got {b if math.isfinite(a) else a}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         norms_comparison_constant(0.35, a, b)
 
 
 def test_the_norm_comparison_constant_takes_its_ends_as_numbers():
-    with pytest.raises(ValueError, match=re.escape("b must be a number, got '1'")):
+    with pytest.raises(ValueError, match=re.escape("[a, b] entry must be a number, got '1'")):
         norms_comparison_constant(0.35, 0.0, "1")
     assert norms_comparison_constant(0.35, np.int64(0), 1) == norms_comparison_constant(0.35, 0.0, 1.0)
 

@@ -11,8 +11,7 @@ the non-dyadic horizon --t 0.3 and two at levels 2,4,8 with m_fine 9
 (coarse strides of 2048, 1024 and 512 fine nodes, so the 256-node blocks
 of the per-level pass cut the coarse cells), and for two runs of the
 linear preset with --method cholesky under independent noise on the same
-grid at workers 1 and 2 (its two chunks may each build the factor at
-workers 2), and for one run of the linear preset at workers 1 under
+grid at workers 1 and 2, and for one run of the linear preset at workers 1 under
 independent noise whose eval grid is not a power of two (levels 49,98,196,
 m_fine 2, eval_n 49, where n delta rounds below the horizon), the script runs
 `python -m mixedsde.cli converge` once in each tree, with that tree's src/
@@ -33,7 +32,10 @@ under independent and Volterra noise; then
 `increment_bracket`, `holder_cumulative`, `holder_functional` (on [0, T]
 and on [0, t] for one node t), `norm_inf_alpha`, `norm_2_alpha`,
 `integral_bound`, `norm_2_alpha` of the constant 1 on 50 nodes of [0, 1],
-`young_integral` (on the whole grid and on a sub-interval (a, b)),
+`young_integral` (on the whole grid and on a sub-interval (a, b)), the
+nodes of `SampledFunction.from_callable(np.sin, 0.3, 1.9, 376)` (the node
+rule it takes from `TimeGrid`) and the default-refined `young_integral` of
+sin against cos sampled so on that non-dyadic span,
 `left_derivative` and `right_derivative` at four nodes each and at two
 points between nodes (where the tip cell of the weights is shorter than a
 cell), and `stopping_time` on one pair; then `fbm_covariance` at a
@@ -143,6 +145,8 @@ def print_api_values() -> None:
     print(repr(norm_2_alpha(SampledFunction(np.linspace(0.0, 1.0, 50), np.ones(50)), 0.35)))
     w = SampledFunction(f.t, pair.w.values)
     print(repr((young_integral(w, f, 0.35), young_integral(w, f, 0.35, f.t[100], f.t[400]))))
+    sin, cos = (SampledFunction.from_callable(fn, 0.3, 1.9, 376) for fn in (np.sin, np.cos))
+    print(repr(sin.t.tolist()), repr(young_integral(sin, cos, 0.35)))
     print(repr([left_derivative(f, 0.35, x) for x in f.t[[1, 7, 300, 512]]]))
     print(repr([right_derivative(w, 0.35, x) for x in f.t[[0, 7, 300, 511]]]))
     between = f.t[[7, 300]] + np.array([0.81, 0.37]) * f.delta  # tips shorter than a cell
