@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fraccalc
 from .coefficients import (
     _SAMPLES_MAX,
     _SAMPLES_MIN,
@@ -95,10 +95,6 @@ def _coefficients(spec: dict):
 # fbm
 
 
-# the Holder functional costs O(n^2); above this many steps fbm skips it
-_FBM_HOLDER_MAX_N = 1 << 14
-
-
 def cmd_fbm(args) -> int:
     grid = TimeGrid(args.t, args.n)
     if args.pair:
@@ -113,8 +109,8 @@ def cmd_fbm(args) -> int:
     with open(out, "w") as fh:
         write(fh)
     for label, path in paths.items():
-        if args.n > _FBM_HOLDER_MAX_N:
-            k = f" not computed (n > {_FBM_HOLDER_MAX_N}, O(n^2))"
+        if args.n > fraccalc._PAIR_N_MAX:  # the functional's kernel would refuse it
+            k = f" not computed (n > {fraccalc._PAIR_N_MAX}, O(n^2))"
         elif args.n < _HOLDER_MIN_STEPS:
             k = f" not computed (n < {_HOLDER_MIN_STEPS}, too few steps)"
         else:

@@ -96,10 +96,8 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def _int_power(base, k: int):
-    """base**k for an integer k >= 1 as products (repeated squaring). A
-    product rounds the same on a scalar and on every array shape, while
-    `**` goes through libm pow on numpy scalars and a SIMD pow on arrays
-    (x**2 of an array is already x*x)."""
+    """base**k for an integer k >= 1 as products (repeated squaring), which round the same
+    at every shape, as np.float_power does, and take less time."""
     out = None
     while True:
         if k & 1:
@@ -111,14 +109,15 @@ def _int_power(base, k: int):
 
 
 class _IntPowers(ast.NodeTransformer):
-    """Rewrites `base ** k` for an int literal k >= 2 into _int_power(base, k);
-    pow is exact for k = 0 and 1, and other exponents keep `**`."""
+    """Rewrites `base ** k` into _int_power(base, k) for an int literal k >= 2
+    and into np.float_power(base, k), libm pow at every shape, for any other k."""
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
-        k = node.right
-        if isinstance(node.op, ast.Pow) and isinstance(k, ast.Constant) and type(k.value) is int and k.value >= 2:
-            return ast.Call(ast.Name("_int_power", ast.Load()), [node.left, k], [])
+        if isinstance(node.op, ast.Pow):
+            k = node.right
+            small = isinstance(k, ast.Constant) and type(k.value) is int and k.value >= 2
+            node = ast.Call(ast.Name("_int_power" if small else "_float_power", ast.Load()), [node.left, k], [])
         return node
 
 
@@ -162,7 +161,7 @@ def compile_expression(src: str, variables: tuple[str, ...] = ("t", "x")):
     lam = ast.parse("lambda t, x=None: 0", mode="eval")
     lam.body.body = _IntPowers().visit(tree.body)
     ast.fix_missing_locations(lam)
-    names = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, "_int_power": _int_power}
+    names = {"__builtins__": {}, **_FUNCTIONS, **_CONSTANTS, "_int_power": _int_power, "_float_power": np.float_power}
     return eval(compile(lam, "<coefficient>", "eval"), names)
 
 

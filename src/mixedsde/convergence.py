@@ -34,7 +34,7 @@ from .fbm import (
     _wiener_values_batch, validate_hurst,
 )
 from .fraccalc import (
-    _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _validate_norm2_order, norms_comparison_constant
+    _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _pair_n, _validate_norm2_order, norms_comparison_constant
 )
 from .grid import TimeGrid, _integer, _node_values, _real, _write_csv
 from .rng import stream
@@ -46,7 +46,7 @@ __all__ = [
 
 DEFAULT_R = 1000.0
 _CHUNK = 256  # fixed path chunk; results never depend on worker count
-# larger eval_n is refused: the bracket and Holder kernels cost O(paths * eval_n^2)
+# larger eval_n is refused: kernels of O(paths * eval_n^2) time, so below the one-path fraccalc._PAIR_N_MAX
 _EVAL_N_MAX = 4096
 # larger fine n is refused: a 256-path chunk holds W, B^H and the fine
 # solution (8 B per fine node and path each), and with either noise kind it
@@ -140,8 +140,8 @@ def _fit_from_levels(levels: list, functional: str) -> tuple[float, float, float
     pick = [(d, e) for d, e in pick if e > 0.0]
     if len(pick) < 3:
         raise ValueError("fewer than 3 usable levels; cannot fit a rate")
-    x = np.log(np.array([d for d, _ in pick]))
-    y = np.log(np.array([e for _, e in pick]))
+    x = np.array([math.log(d) for d, _ in pick])
+    y = np.array([math.log(e) for _, e in pick])
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx == 0.0:
@@ -283,7 +283,7 @@ def pathwise_error(
         raise ValueError("stopped solutions must share one stopping time")
     fine_grid = fsol.grid
     csol.grid.refinement_stride(fine_grid)  # raises unless the fine grid refines the coarse one
-    norm_n = fine_grid.n if norm_grid_n is None else _integer("norm_grid_n", norm_grid_n, low=1)
+    norm_n = _pair_n(fine_grid.n if norm_grid_n is None else _integer("norm_grid_n", norm_grid_n, low=1))
     if fine_grid.n % norm_n:
         raise ValueError(f"norm_grid_n must be a positive divisor of the fine grid size, got {norm_n}")
     noise_stride = fine_grid.refinement_stride(csol.noise.grid)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fraccalc import _offset_sum, _power_moments
+from .fraccalc import _offset_sum, _pair_n, _power_moments
 from .grid import TimeGrid, _integer, _node_values, _real, _write_csv
 from .rng import stream
 
@@ -76,7 +76,7 @@ def fbm_covariance(s, t, h: float):
     if not (0.0 < h < 1.0):
         raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
     two_h = 2.0 * h
-    out = 0.5 * (s**two_h + t**two_h - np.abs(t - s) ** two_h)
+    out = 0.5 * (np.float_power(s, two_h) + np.float_power(t, two_h) - np.float_power(np.abs(t - s), two_h))
     return out if out.ndim else float(out)
 
 
@@ -184,8 +184,8 @@ def _circulant_sqrt_eigs(n: int, h: float) -> np.ndarray:
     """Square roots of the half spectrum of the 2n circulant that embeds the
     unit-step fGn covariance: sqrt(e_0), sqrt(e_k / 2) for k = 1..n-1 and
     sqrt(e_n), read-only. Each entry holds 8(n+1) bytes."""
-    k = np.arange(n + 1, dtype=float)
-    gamma = 0.5 * ((k + 1.0) ** (2 * h) - 2.0 * k ** (2 * h) + np.abs(k - 1.0) ** (2 * h))
+    kp = np.float_power(np.arange(n + 2, dtype=float), 2 * h)  # k^(2H), k = 0..n+1
+    gamma = 0.5 * (kp[1:] - 2.0 * kp[:-1] + kp[np.abs(np.arange(-1, n))])  # (k+1)^2H - 2k^2H + |k-1|^2H
     # first row of the 2n circulant: [gamma_0..gamma_n, gamma_{n-1}..gamma_1]
     row = np.concatenate([gamma, gamma[n - 1 : 0 : -1]])
     eigs = np.fft.rfft(row).real
@@ -248,11 +248,8 @@ def _fbm_values_batch(
     _check_method(method)
     n = grid.n
     if method == "cholesky":
-        if n > _CHOLESKY_N_MAX:
-            raise ValueError(
-                f"cholesky sampling of n={n} > {_CHOLESKY_N_MAX} steps refused: the n x n covariance needs "
-                "O(n^2) memory and its factorisation O(n^3) time; use circulant-embedding"
-            )
+        _integer("cholesky sampling's n", n, high=_CHOLESKY_N_MAX, why="the n x n covariance needs O(n^2) memory "
+                 "and its factorisation O(n^3) time; use circulant-embedding")
         with _CHOLESKY_LOCK:  # lru_cache alone lets concurrent misses each build the factor
             chol = _cholesky_factor(grid, h)
         z = rng.standard_normal((size, n))
@@ -321,16 +318,16 @@ def _volterra_weights(n: int, horizon: float, h: float) -> _VolterraWeights | No
     p = h - 0.5
     delta = horizon / n
     nodes = np.arange(n + 1, dtype=float) * horizon / n
-    g = nodes**p  # u^{H-1/2} at the nodes
+    g = np.float_power(nodes, p)  # u^{H-1/2} at the nodes
     c_h = math.sqrt(
         h * (2.0 * h - 1.0) * math.gamma(1.5 - h) / (math.gamma(2.0 - 2.0 * h) * math.gamma(p))
     )
     scale = np.zeros(n)
-    scale[1:] = c_h * nodes[1:n] ** (-p)
+    scale[1:] = c_h * np.float_power(nodes[1:n], -p)
     m0, m1 = _power_moments(np.arange(n - 1, dtype=float), delta, p)
     nfft = 1 << (2 * n - 2).bit_length()  # >= 2n-1: no wrap-around at indices < n
     j = np.arange(1, n + 1, dtype=float)
-    k0 = c_h * (delta ** (-p) / (1.0 - p)) * (j * delta) ** (2.0 * p) / (2.0 * p)
+    k0 = c_h * (delta ** (-p) / (1.0 - p)) * np.float_power(j * delta, 2.0 * p) / (2.0 * p)
     return _VolterraWeights(
         scale, g[:n], np.diff(g) / delta, k0, np.fft.rfft(m0, nfft), np.fft.rfft(m1, nfft), nfft
     )
@@ -393,11 +390,8 @@ def generate_noise_pair(
         b_vals = np.zeros(n + 1)
         _volterra_fbm(_volterra_weights(n, grid.horizon, h), np.diff(w.values), out=b_vals[1:])
         return NoisePair(w, NoisePath(grid, b_vals, "fbm", h), dep, seed)
-    if 2 * n > _CHOLESKY_N_MAX:
-        raise ValueError(
-            f"joint-gaussian sampling of n={n} steps refused: the 2n x 2n joint covariance needs "
-            f"O(n^2) memory and its factorisation O(n^3) time (2n <= {_CHOLESKY_N_MAX})"
-        )
+    _integer("joint-gaussian sampling's 2n", 2 * n, high=_CHOLESKY_N_MAX, why="the 2n x 2n joint covariance needs "
+             "O(n^2) memory and its factorisation O(n^3) time")
     t = grid.nodes[1:]
     cov = np.empty((2 * n, 2 * n))
     cov[:n, :n] = np.minimum(t[:, None], t[None, :])
@@ -458,11 +452,11 @@ def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: fl
     """Batched holder_cumulative: values (n+1, ...) -> K (n+1, ...).
 
     The sums over earlier nodes, |x_i - x_{i-m}|^(2/eta) (m delta)^(-q), are
-    one _offset_sum; then a cumulative sum over nodes.
+    one _offset_sum; then a cumulative sum over nodes. n above _PAIR_N_MAX is refused before any table.
     """
-    inv_sep = (np.arange(1, values.shape[0], dtype=float) * delta) ** (-q)
+    inv_sep = np.float_power(np.arange(1.0, _pair_n(values.shape[0] - 1) + 1) * delta, -q)
     total = 2.0 * np.cumsum(_offset_sum(values, inv_sep, inv_sep, 2.0 / eta), axis=0)
-    return (total * delta * delta) ** (eta / 2.0)
+    return np.float_power(total * delta * delta, eta / 2.0)
 
 
 def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> HolderFunctional:

@@ -16,6 +16,14 @@ class GridResourceError(RuntimeError):
     """Requested grid exceeds MAX_STEPS."""
 
 
+def _shown(value: int) -> str:
+    """value as a message states it; an int past Python's str digit limit by its bit length."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a {value.bit_length()}-bit integer>"
+
+
 def _integer(name: str, value, low: int | None = None, high: int | None = None, why: str = "") -> int:
     """value as an int; all but Python and numpy integers (bool, 64.0, "20") raise ValueError,
     and so does a value below low or above high (the cap's message ends with why, its cost)."""
@@ -23,9 +31,9 @@ def _integer(name: str, value, low: int | None = None, high: int | None = None, 
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
+        raise ValueError(f"{name} must be at least {low}, got {_shown(value)}")
     if high is not None and value > high:
-        raise ValueError(f"{name}={value} exceeds {high}" + (f": {why}" if why else ""))
+        raise ValueError(f"{name}={_shown(value)} exceeds {high}" + (f": {why}" if why else ""))
     return value
 
 
@@ -109,8 +117,8 @@ class TimeGrid:
         object.__setattr__(self, "horizon", _real("horizon", self.horizon))
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if _integer("step count", self.n, low=1) > MAX_STEPS:
-            raise GridResourceError(f"n={self.n} exceeds MAX_STEPS={MAX_STEPS}")
+        if (n := _integer("step count", self.n, low=1)) > MAX_STEPS:
+            raise GridResourceError(f"n={_shown(n)} exceeds MAX_STEPS={MAX_STEPS}")
 
     @property
     def delta(self) -> float:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mixedsde import cli, coefficients, convergence, fbm
+from mixedsde import cli, coefficients, convergence, fbm, fraccalc
 from mixedsde.cli import _CONVERGE_DEFAULTS, _resolve_converge_settings, build_parser, main
 
 
@@ -477,7 +477,7 @@ def test_fbm_skips_holder_functional_above_bound(outdir, capsys, monkeypatch, ex
 
 
 def test_fbm_holder_bound_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_FBM_HOLDER_MAX_N", 64)
+    monkeypatch.setattr(fraccalc, "_PAIR_N_MAX", 64)
     assert main(["fbm", "--h", "0.7", "--n", "64"]) == 0
     assert "K^(0.1)_T=" in capsys.readouterr().out
     assert main(["fbm", "--h", "0.7", "--n", "128"]) == 0

@@ -170,7 +170,9 @@ def test_integer_powers_are_repeated_products():
     assert np.array_equal(compile_expression("x**2")(0.0, x), x * x)
     assert np.array_equal(compile_expression("x**3")(0.0, x), x * (x * x))
     assert np.array_equal(compile_expression("x**6")(0.0, x), (x * x) * ((x * x) * (x * x)))
-    # k = 0 and 1 keep pow, which is exact there; other exponents keep pow too
+    # every other exponent is np.float_power, libm pow, exact at k = 0 and 1
     assert np.array_equal(compile_expression("x**0 + x**1")(0.0, x), 1.0 + x)
-    assert np.array_equal(compile_expression("x**2.5")(0.0, np.abs(x)), np.abs(x) ** 2.5)
+    root = compile_expression("x**2.5")
+    assert np.array_equal(root(0.0, np.abs(x)), np.float_power(np.abs(x), 2.5))
+    assert np.array_equal([root(0.0, v) for v in np.abs(x)], root(0.0, np.abs(x)))  # scalars round as the row
     assert compile_expression("2**3 + t**2", variables=("t",))(3.0) == 17.0

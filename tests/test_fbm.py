@@ -108,7 +108,7 @@ def test_cholesky_refuses_n_above_its_bound(monkeypatch):
         raise AssertionError("covariance built for a refused n")
 
     monkeypatch.setattr(fbm, "_fbm_node_covariance", never)
-    with pytest.raises(ValueError, match=r"n=4097 > 4096 .*O\(n\^2\) memory .*O\(n\^3\) time"):
+    with pytest.raises(ValueError, match=r"n=4097 exceeds 4096: .*O\(n\^2\) memory .*O\(n\^3\) time"):
         _fbm_values_batch(TimeGrid(1.0, 4097), 0.7, stream(1, 1), 1, "cholesky")
 
 
@@ -198,7 +198,7 @@ def test_increment_stationarity():
 def _fgn_complex_reference(n: int, h: float, rng: np.random.Generator, size: int) -> np.ndarray:
     # Davies-Harte on the full 2n spectrum: a mirrored conjugate array and a complex ifft
     k = np.arange(n + 1, dtype=float)
-    gamma = 0.5 * ((k + 1.0) ** (2 * h) - 2.0 * k ** (2 * h) + np.abs(k - 1.0) ** (2 * h))
+    gamma = 0.5 * (np.float_power(k + 1.0, 2 * h) - 2.0 * np.float_power(k, 2 * h) + np.float_power(np.abs(k - 1.0), 2 * h))
     row = np.concatenate([gamma, gamma[n - 1 : 0 : -1]])
     eigs = np.clip(np.fft.fft(row).real, 0.0, None)
     m = 2 * n

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixedsde import GridResourceError, TimeGrid, refine_dyadic
-from mixedsde.grid import MAX_STEPS
+from mixedsde.grid import MAX_STEPS, _integer
 
 
 def test_nodes_uniform_and_exact():
@@ -79,6 +79,11 @@ def test_invalid_grids():
         TimeGrid(1.0, 0)
     with pytest.raises(ValueError, match="step count must be an integer, got True"):
         TimeGrid(1.0, True)
+    # past Python's 4300-digit str limit the messages state the bit length
+    with pytest.raises(GridResourceError, match="n=<a 16610-bit integer> exceeds MAX_STEPS"):
+        TimeGrid(1.0, 10**5000)
+    with pytest.raises(ValueError, match="paths=<a 16610-bit integer> exceeds 5"):
+        _integer("paths", 10**5000, high=5)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 8).refinement_stride(TimeGrid(1.0, 12))
 
