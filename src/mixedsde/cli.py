@@ -33,7 +33,7 @@ from .coefficients import (
     preset_names,
 )
 from .convergence import (
-    _CHUNK, _EVAL_N_MAX, _FINE_N_MAX, _PATHS_MAX, _WORKERS_MAX, DEFAULT_R, SolverConfig, mc_strong_error
+    _CHUNK, _EVAL_N_MAX, _FINE_N_MAX, _PATHS_MAX, _WORKERS_MAX, DEFAULT_R, SolverConfig, _checked_run, mc_strong_error
 )
 from .euler import EulerBlowupError, euler_solve, write_solution_csv
 from .fbm import (
@@ -255,6 +255,10 @@ def _resolve_converge_settings(args) -> dict:
 def cmd_converge(args) -> int:
     settings = _resolve_converge_settings(args)
     coeffs = _coefficients(settings["coefficients"])
+    config = SolverConfig(**{k: settings[k] for k in ("alpha", "eta", "threshold", "epsilon")})
+    names = ("h", "levels", "m_fine", "paths", "r_bound", "x0", "seed", "dependence", "method", "eval_n")
+    run = dict(config=config, t_horizon=settings["t"], workers=args.workers, **{k: settings[k] for k in names})
+    _checked_run(coeffs, **run)  # a refused setting costs no gate
     if not args.force:
         gate = check_hypotheses(coeffs)
         if not gate.all_passed:
@@ -263,15 +267,7 @@ def cmd_converge(args) -> int:
                 "coefficient hypotheses failed (rerun with --force to override):\n"
                 + "\n".join(lines)
             )
-    config = SolverConfig(**{k: settings[k] for k in ("alpha", "eta", "threshold", "epsilon")})
-    run = ("h", "levels", "m_fine", "paths", "r_bound", "x0", "seed", "dependence", "method", "eval_n")
-    report = mc_strong_error(
-        coeffs,
-        config=config,
-        t_horizon=settings["t"],
-        workers=args.workers,
-        **{k: settings[k] for k in run},
-    )
+    report = mc_strong_error(coeffs, **run)
     outdir = _out_dir(args.outdir)
     (outdir / "report.json").write_text(report.to_json() + "\n")
     with open(outdir / "report.csv", "w") as fh:

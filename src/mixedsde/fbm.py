@@ -459,6 +459,30 @@ def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: fl
     return np.float_power(total * delta * delta, eta / 2.0)
 
 
+def _holder_bound(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
+    """An upper bound on the last node of _holder_cumulative_batch(values, delta, eta, q) per path, in O(n log n).
+
+    Every pair at lag m lies in a window of m + 1 nodes, so |x_i - x_{i-m}| is at most the largest max - min over
+    the windows of any w >= m + 1 nodes. Running max/min over windows of 2, 4, 8, ... nodes (the last one capped
+    at all n + 1) come by doubling; each window size w bounds the lags from the previous size up to w - 1, with
+    their weights (n + 1 - m) (m delta)^(-q). Rounding is monotone, so the computed max - min also bounds the
+    computed differences; a nan path gives nan.
+    """
+    n = values.shape[0] - 1
+    lags = np.arange(1.0, n + 1)
+    weights = np.float_power(lags * delta, -q) * (n + 1 - lags)
+    hi = lo = values
+    total = np.zeros(values.shape[1:])
+    width = 1  # nodes per window of hi and lo
+    while width <= n:
+        step = min(width, n + 1 - width)
+        hi, lo = np.maximum(hi[:-step], hi[step:]), np.minimum(lo[:-step], lo[step:])
+        osc = np.max(hi - lo, axis=0)
+        total += np.sum(weights[width - 1 : width + step - 1]) * np.float_power(osc, 2.0 / eta)
+        width += step
+    return np.float_power(2.0 * total * delta * delta, eta / 2.0)
+
+
 def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> HolderFunctional:
     """GRR Holder-constant functional of a sampled path on [0, t]."""
     t = path.grid.horizon if t is None else _real("t", t)

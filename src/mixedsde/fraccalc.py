@@ -33,8 +33,8 @@ __all__ = [
 _PAIR_N_MAX = 1 << 14
 
 
-def _pair_n(n) -> int:
-    return _integer("n", n, high=_PAIR_N_MAX, why="the pair kernels cost O(n^2) time, increment_bracket 0.09 / 0.24 / "
+def _pair_n(n, name: str = "n") -> int:
+    return _integer(name, n, high=_PAIR_N_MAX, why="the pair kernels cost O(n^2) time, increment_bracket 0.09 / 0.24 / "
                     "0.94 s and holder_functional 0.14 / 0.55 / 1.75 s at n = 2^13 / 2^14 / 2^15 on 2 vCPUs")
 
 

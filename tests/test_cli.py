@@ -80,6 +80,18 @@ def test_converge_fine_n_above_2_16_exits_1_before_any_noise(outdir, capsys, mon
     assert not any(outdir.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--paths", "4194305"], "paths=4194305 exceeds 4194304"), (["--eval-n", "8192"], "eval_n=8192 exceeds 4096"),
+     (["--h", "0.3"], "Hurst"), (["--workers", "65"], "workers=65 exceeds 64")],
+)
+def test_converge_refuses_a_setting_before_the_hypothesis_gate(outdir, capsys, monkeypatch, args, message):
+    monkeypatch.setattr(cli, "check_hypotheses", lambda *a, **k: pytest.fail("gate ran before the settings check"))
+    rc = main(["converge", "--preset", "linear", "--m-fine", "6", *args, "--outdir", str(outdir / "g")])
+    assert rc == 1 and message in capsys.readouterr().err
+    assert not any(outdir.iterdir())
+
+
 def test_converge_norm_comparison_failure_exits_3_naming_the_path(outdir, capsys, monkeypatch):
     monkeypatch.setattr(convergence, "norms_comparison_constant", lambda *args: 1e-6)
     assert main(["converge", "--preset", "linear", *_SMALL_RUN, "--outdir", str(outdir / "c")]) == 3

@@ -75,3 +75,11 @@ def test_the_pair_cap_is_inclusive():
 def test_fbm_skips_the_holder_functional_just_above_the_pair_cap(tmp_path, capsys):
     assert main(["fbm", "--h", "0.7", "--n", str(_N), "--out", str(tmp_path / "b.csv")]) == 0
     assert f"K^(0.1)_T not computed (n > {_PAIR_N_MAX}, O(n^2))" in capsys.readouterr().out
+
+
+def test_pathwise_error_names_norm_grid_n_when_it_is_above_the_cap():
+    pair = generate_noise_pair(TimeGrid(1.0, 2 * _PAIR_N_MAX), 0.7, 3)
+    coarse, fine = (stop(euler_solve(preset("linear"), pair, 1.0, grid), 1.0) for grid in (TimeGrid(1.0, 4), None))
+    with pytest.raises(ValueError, match=rf"^norm_grid_n={2 * _PAIR_N_MAX} exceeds {_PAIR_N_MAX}: the pair kernels"):
+        pathwise_error(coarse, fine, 0.35, norm_grid_n=2 * _PAIR_N_MAX)
+    assert pathwise_error(coarse, fine, 0.35, norm_grid_n=4)[1] > 0.0

@@ -21,8 +21,15 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
     everything = same_outputs.matrix()
     cholesky = {name: args for name, args in everything.items() if "--method" in args}
     off_grid = {name: args for name, args in everything.items() if "--threshold" not in args and name not in cholesky}
-    runs = {name: args for name, args in everything.items() if name not in off_grid and name not in cholesky}
-    assert len(runs) == 24 and len(everything) == 31
+    threshold5 = {name: args for name, args in everything.items() if "-threshold5-" in name}
+    runs = {name: args for name, args in everything.items() if name not in {**off_grid, **cholesky, **threshold5}}
+    assert len(runs) == 24 and len(everything) == 33
+    assert threshold5 == {
+        f"linear-{dep}-threshold5-workers1": [
+            "--preset", "linear", "--dependence", dep, "--workers", "1", "--threshold", "5", *same_outputs.COMMON
+        ]
+        for dep in ("independent", "volterra")
+    }
     assert cholesky == {
         f"linear-independent-cholesky-workers{workers}": [
             "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers,

@@ -13,7 +13,10 @@ of the per-level pass cut the coarse cells), and for two runs of the
 linear preset with --method cholesky under independent noise on the same
 grid at workers 1 and 2, and for one run of the linear preset at workers 1 under
 independent noise whose eval grid is not a power of two (levels 49,98,196,
-m_fine 2, eval_n 49, where n delta rounds below the horizon), the script runs
+m_fine 2, eval_n 49, where n delta rounds below the horizon), and for two
+runs of the linear preset at workers 1 under independent and Volterra noise
+at threshold 5 (on the COMMON grid; there the tau_N screen clears some paths
+of each chunk and leaves others open, crossing or not), the script runs
 `python -m mixedsde.cli converge` once in each tree, with that tree's src/
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
@@ -76,6 +79,9 @@ OFF_GRID = {
 }
 # an independent-noise linear-preset run on an eval grid that is not a power of two
 EVAL49 = ["--paths", "300", "--levels", "49,98,196", "--m-fine", "2", "--eval-n", "49"]
+# a linear-preset threshold at which each chunk holds paths the tau_N bound
+# clears, paths it leaves open that do not cross, and paths that cross
+THRESHOLD5 = ["--threshold", "5", *COMMON]
 
 
 def matrix() -> dict[str, list[str]]:
@@ -92,6 +98,10 @@ def matrix() -> dict[str, list[str]]:
     runs["linear-independent-eval49-workers1"] = [
         "--preset", "linear", "--dependence", "independent", "--workers", "1", *EVAL49
     ]
+    for dep in ("independent", "volterra"):
+        runs[f"linear-{dep}-threshold5-workers1"] = [
+            "--preset", "linear", "--dependence", dep, "--workers", "1", *THRESHOLD5
+        ]
     for workers in ("1", "2"):
         runs[f"linear-independent-cholesky-workers{workers}"] = [
             "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers, *COMMON
