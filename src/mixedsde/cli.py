@@ -40,9 +40,11 @@ from .fbm import (
     _DEPENDENCE_ALIASES,
     _HOLDER_MIN_STEPS,
     _METHODS,
+    _holder_exponents,
     generate_fbm,
     generate_noise_pair,
     holder_functional,
+    validate_hurst,
     write_pair_csv,
     write_path_csv,
 )
@@ -96,7 +98,10 @@ def _coefficients(spec: dict):
 
 
 def cmd_fbm(args) -> int:
+    h = validate_hurst(args.h)
     grid = TimeGrid(args.t, args.n)
+    for kind in ("wiener", "fbm") if args.pair else ("fbm",):  # eta of each printed K, at every n, before any file
+        _holder_exponents(kind, args.eta, h)
     if args.pair:
         pair = generate_noise_pair(grid, args.h, args.seed, args.dependence, args.method)
         paths = {"w": pair.w, "bh": pair.bh}

@@ -12,6 +12,8 @@ level. The Holder functionals and both norms are quadratured on a fixed
 dyadic evaluation subgrid (default 256 cells) for runtime; sup errors use
 every fine node up to tau, in one blocked pass per level. Every batched
 kernel takes and returns node-major arrays: (n+1, paths), nodes first.
+A run is checked once (_checked_run returns a _Run); each fixed 256-path
+chunk is _run_chunk(run, ci), a function of the run and its index only.
 
 tau_N is screened by a certified upper bound on K at the last node
 (fbm._holder_bound, O(n log n) per path, 1.07 to 1.86 times the exact K
@@ -28,8 +30,9 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from . import __version__ as _version
 from .coefficients import CoefficientSet, kappa
 from .euler import _BLOCK_NODES, EulerSolution, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
-    _ROW_GROUP, JointGaussian, NoisePair, VolterraFromWiener, _check_method, _fbm_values_batch,
+    _ROW_GROUP, Independent, JointGaussian, NoisePair, VolterraFromWiener, _check_method, _fbm_values_batch,
     _holder_bound, _holder_cumulative_batch, _holder_exponents, _resolve_dependence, _volterra_fbm, _volterra_weights,
     _wiener_values_batch, validate_hurst,
 )
@@ -110,7 +113,7 @@ class ErrorReport:
     fit_norm2: tuple | None  # (slope, slope stderr, intercept) of log err2 vs log delta
     fit_sup: tuple | None
     degenerate: bool
-    version: str = field(default=_version)
+    version: str = _version
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -439,49 +442,68 @@ def _chunk_noise(
     return w, b
 
 
-def _run_chunk(
-    coeffs: CoefficientSet, h: float, config: SolverConfig, levels: list[int], fine: TimeGrid, eval_n: int,
-    paths: int, r_bound: float, x0: float, seed: int, dep, method: str, ci: int,
-) -> tuple[np.ndarray, ...]:
-    """The rows of chunk ci of a validated mc_strong_error run: sup2,
-    norm2sq, ninf_sq, in_b and aborted as (levels, size), and tau_N < T as
-    (size,), for its paths ci * _CHUNK up to the next chunk or `paths`."""
+class _Run(NamedTuple):
+    """A run of mc_strong_error after every check (_checked_run), with the
+    per-run values every chunk reads."""
+
+    coeffs: CoefficientSet
+    h: float
+    config: SolverConfig
+    rate_floor: float
+    levels: list[int]  # sorted
+    fine: TimeGrid
+    eval_n: int
+    paths: int
+    r_bound: float
+    x0: float
+    seed: int
+    dependence: Independent | VolterraFromWiener
+    method: str
+    workers: int
+    eval_stride: int  # fine nodes per eval cell
+    delta_eval: float
+    eval_cells: np.ndarray  # the 2-norm cell weights on the eval subgrid
+    comparison_sq: float  # C^2 of ||f||_2 <= C ||f||_inf on [0, T]
+
+
+def _run_chunk(run: _Run, ci: int) -> tuple[np.ndarray, ...]:
+    """The rows of chunk ci of a checked run: sup2, norm2sq, ninf_sq, in_b
+    and aborted as (levels, size), and tau_N < T as (size,), for its paths
+    ci * _CHUNK up to the next chunk or run.paths."""
     lo = ci * _CHUNK
-    size = min(lo + _CHUNK, paths) - lo
-    eval_stride = fine.n // eval_n
-    delta_eval = fine.horizon / eval_n
-    alpha = config.alpha
-    comparison_sq = norms_comparison_constant(alpha, 0.0, fine.horizon) ** 2
-    eval_cells = _norm2_weight_cells(eval_n, delta_eval, float(alpha))
-    w, bh = _chunk_noise(dep, fine, h, seed, ci, size, method)
-    x_fine = _euler_solve_batch(coeffs, fine.nodes, w, bh, x0)
-    tau_eval, _ = _crossing(w[::eval_stride], bh[::eval_stride], delta_eval, config.eta, h, config.threshold)
-    tau_fine = tau_eval * eval_stride
-    fs_eval = _stop_batch(x_fine[::eval_stride], tau_eval)
-    ninf_fine = np.max(_value_bracket(fs_eval, delta_eval, alpha), axis=0)
+    size = min(lo + _CHUNK, run.paths) - lo
+    w, bh = _chunk_noise(run.dependence, run.fine, run.h, run.seed, ci, size, run.method)
+    x_fine = _euler_solve_batch(run.coeffs, run.fine.nodes, w, bh, run.x0)
+    tau_eval, _ = _crossing(
+        w[:: run.eval_stride], bh[:: run.eval_stride], run.delta_eval, run.config.eta, run.h, run.config.threshold
+    )
+    tau_fine = tau_eval * run.eval_stride
+    fs_eval = _stop_batch(x_fine[:: run.eval_stride], tau_eval)
+    ninf_fine = np.max(_value_bracket(fs_eval, run.delta_eval, run.config.alpha), axis=0)
     rows = []  # per level: sup2, norm2sq, ninf_sq, in_b, aborted
-    for n in levels:
-        stride = fine.n // n
-        x_coarse = np.full((n + 1, size), x0)  # the pass runs the recursion from x0 in it
+    for n in run.levels:
+        stride = run.fine.n // n
+        x_coarse = np.full((n + 1, size), run.x0)  # the pass runs the recursion from x0 in it
         sup2, c_eval = _level_pass(
-            coeffs, fine.nodes[::stride], x_coarse, fine.nodes, w, bh, x_fine, tau_fine, eval_stride, True
+            run.coeffs, run.fine.nodes[::stride], x_coarse, run.fine.nodes, w, bh, x_fine, tau_fine, run.eval_stride,
+            True,
         )
         cs_eval = _stop_batch(c_eval, tau_eval)
         bad = np.isnan(x_fine[-1]) | np.isnan(x_coarse[-1])
-        n2, ninf_d_sq = _error_norms(cs_eval, fs_eval, delta_eval, alpha, eval_cells)
+        n2, ninf_d_sq = _error_norms(cs_eval, fs_eval, run.delta_eval, run.config.alpha, run.eval_cells)
         with np.errstate(invalid="ignore"):
-            violated = ~bad & (n2 > comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
+            violated = ~bad & (n2 > run.comparison_sq * ninf_d_sq * (1.0 + 1e-9) + 1e-300)
             if np.any(violated):
                 p = int(violated.argmax())
                 with np.errstate(divide="ignore"):
-                    ratio = np.sqrt(n2[p] / (comparison_sq * ninf_d_sq[p]))
+                    ratio = np.sqrt(n2[p] / (run.comparison_sq * ninf_d_sq[p]))
                 raise AssertionError(
                     f"norm comparison ||f||_2 <= C ||f||_inf violated in chunk {ci}, level n={n}, "
                     f"path {lo + p}: ||f||_2 / (C ||f||_inf) = {ratio:.6g}"
                 )
-            ninf_coarse = np.max(_value_bracket(cs_eval, delta_eval, alpha), axis=0)
-            rows.append((sup2, n2, ninf_coarse**2, (ninf_coarse + ninf_fine) <= r_bound, bad))
-    return (*(np.array(level_rows) for level_rows in zip(*rows)), tau_eval < eval_n)
+            ninf_coarse = np.max(_value_bracket(cs_eval, run.delta_eval, run.config.alpha), axis=0)
+            rows.append((sup2, n2, ninf_coarse**2, (ninf_coarse + ninf_fine) <= run.r_bound, bad))
+    return (*(np.array(level_rows) for level_rows in zip(*rows)), tau_eval < run.eval_n)
 
 
 def _mean_se(rows: np.ndarray) -> tuple[float, float]:
@@ -492,14 +514,18 @@ def _mean_se(rows: np.ndarray) -> tuple[float, float]:
     return float(np.sum(rows) / rows.size), se
 
 
+def _dyadic_divisor(n: int, fine_n: int) -> bool:
+    """n divides fine_n with a power-of-two quotient."""
+    return fine_n % n == 0 and (fine_n // n) & (fine_n // n - 1) == 0
+
+
 def _checked_run(
     coeffs: CoefficientSet, h, config: SolverConfig, levels, m_fine, paths, r_bound, *, t_horizon, x0, seed, dependence,
     method, eval_n, workers,
-) -> tuple:
-    """mc_strong_error's arguments after each of its checks, none of which
-    draws noise: (h, rate floor, sorted levels, seed, paths, fine grid,
-    eval_n, r_bound, x0, workers, dependence); the converge CLI runs it
-    before the hypothesis gate, so a refused setting costs no gate."""
+) -> _Run:
+    """mc_strong_error's run after each of its checks, none of which draws
+    noise; the converge CLI runs it before the hypothesis gate, so a
+    refused setting costs no gate."""
     h = validate_hurst(h)
     coeffs.validate_for_hurst(h)
     rate_floor = config.validate(h, coeffs.beta)
@@ -517,12 +543,11 @@ def _checked_run(
         )
     fine_n = max(levels) << m_fine
     for n in levels:
-        ratio = fine_n // n
-        if fine_n % n or (ratio & (ratio - 1)):
+        if not _dyadic_divisor(n, fine_n):
             raise ValueError(f"level n={n} is not a dyadic coarsening of fine n={fine_n}")
     eval_n = min(_integer("eval_n", eval_n, low=1), fine_n)  # capped at fine n before its own cap
     eval_n = _integer("eval_n", eval_n, high=_EVAL_N_MAX, why="the bracket and Holder kernels cost O(paths * eval_n^2)")
-    if fine_n % eval_n or (fine_n // eval_n) & (fine_n // eval_n - 1):
+    if not _dyadic_divisor(eval_n, fine_n):
         raise ValueError(f"eval_n={eval_n} must be a dyadic divisor of fine n={fine_n}")
     r_bound, x0 = _real("r_bound", r_bound), _real("x0", x0, finite=True)
     if not r_bound > 0.0:
@@ -533,11 +558,18 @@ def _checked_run(
     workers = _integer("workers", workers, low=1, high=_WORKERS_MAX, why="each worker holds a chunk, up to 0.42 GB")
 
     fine = TimeGrid(_real("t_horizon", t_horizon), fine_n)
-    dep = _resolve_dependence(dependence)
-    if isinstance(dep, JointGaussian):
+    dependence = _resolve_dependence(dependence)
+    if isinstance(dependence, JointGaussian):
         raise ValueError("mc_strong_error has no joint-gaussian sampler; use independent or volterra")
     _check_method(method)
-    return h, rate_floor, levels, seed, paths, fine, eval_n, r_bound, x0, workers, dep
+    delta_eval = fine.horizon / eval_n
+    return _Run(
+        coeffs=coeffs, h=h, config=config, rate_floor=rate_floor, levels=levels, fine=fine, eval_n=eval_n, paths=paths,
+        r_bound=r_bound, x0=x0, seed=seed, dependence=dependence, method=method, workers=workers,
+        eval_stride=fine_n // eval_n, delta_eval=delta_eval,
+        eval_cells=_norm2_weight_cells(eval_n, delta_eval, config.alpha),
+        comparison_sq=norms_comparison_constant(config.alpha, 0.0, fine.horizon) ** 2,
+    )
 
 
 def mc_strong_error(
@@ -568,23 +600,21 @@ def mc_strong_error(
     CPUs this process may run on, at most 64), is capped at one per chunk;
     one worker runs the chunks on the calling thread, with no pool.
     """
-    h, rate_floor, levels, seed, paths, fine, eval_n, r_bound, x0, workers, dep = _checked_run(
+    run = _checked_run(
         coeffs, h, config, levels, m_fine, paths, r_bound, t_horizon=t_horizon, x0=x0, seed=seed,
         dependence=dependence, method=method, eval_n=eval_n, workers=workers,
     )
-
-    run = partial(_run_chunk, coeffs, h, config, levels, fine, eval_n, paths, r_bound, x0, seed, dep, method)
-    chunks = range((paths + _CHUNK - 1) // _CHUNK)
-    workers = min(workers, len(chunks))
+    chunks = range((run.paths + _CHUNK - 1) // _CHUNK)
+    workers, run_chunk = min(run.workers, len(chunks)), partial(_run_chunk, run)
     if workers == 1:
-        results = list(map(run, chunks))
+        results = list(map(run_chunk, chunks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
+            results = list(pool.map(run_chunk, chunks))
     sup2, norm2sq, ninf_sq, in_b, aborted, tau_lt_t = (np.concatenate(rows, axis=-1) for rows in zip(*results))
 
     level_stats = []
-    for li, n in enumerate(levels):
+    for li, n in enumerate(run.levels):
         keep = ~aborted[li] & in_b[li]
         retained = int(keep.sum())
         discarded = int((~aborted[li] & ~in_b[li]).sum())
@@ -593,7 +623,7 @@ def mc_strong_error(
         level_stats.append(
             LevelStats(
                 n=n,
-                delta=fine.horizon / n,
+                delta=run.fine.horizon / n,
                 err2_norm2=e_n2,
                 err2_sup=e_sup,
                 se_norm2=se_n2,
@@ -612,27 +642,9 @@ def mc_strong_error(
         except ValueError:
             fits[functional] = None
     return ErrorReport(
-        coefficients=coeffs.name,
-        h=h,
-        t_horizon=fine.horizon,
-        x0=x0,
-        seed=seed,
-        paths=paths,
-        levels=level_stats,
-        fine_n=fine.n,
-        eval_n=eval_n,
-        r_bound=r_bound,
-        alpha=config.alpha,
-        eta=config.eta,
-        threshold=config.threshold,
-        epsilon=config.epsilon,
-        kappa=coeffs.kappa,
-        rate_floor=rate_floor,
-        localization_fraction=float(np.mean(tau_lt_t)),
-        dependence=dep.name,
-        method=method,
-        fit_norm2=fits["norm2"],
-        fit_sup=fits["sup"],
+        coefficients=run.coeffs.name, h=run.h, t_horizon=run.fine.horizon, x0=run.x0, seed=run.seed, paths=run.paths,
+        levels=level_stats, fine_n=run.fine.n, eval_n=run.eval_n, r_bound=run.r_bound, **asdict(run.config),
+        kappa=run.coeffs.kappa, rate_floor=run.rate_floor, localization_fraction=float(np.mean(tau_lt_t)),
+        dependence=run.dependence.name, method=run.method, fit_norm2=fits["norm2"], fit_sup=fits["sup"],
         degenerate=all(l.err2_norm2 == 0.0 and l.err2_sup == 0.0 for l in level_stats),
-        version=_version,
     )

@@ -1,7 +1,10 @@
-"""The zeroed-layer check of tools/bench_pairs.py."""
+"""The zeroed-layer check and the work-tree check of tools/bench_pairs.py."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -33,3 +36,36 @@ def test_zeroed_layers_ignores_metrics_that_are_not_per_layer():
     trace1 = {"single-path": _trace({"paths_per_s": 3.0, "fbm.fgn_s": 0.1}, {"paths_per_s": 0.0, "fbm.fgn_s": 0.1})}
     assert bench_pairs.zeroed_layers(LAYERS, trace1) == {}
     assert bench_pairs.zeroed_layers(LAYERS, {}) == {}
+
+
+def _git(tree, *args):
+    cmd = ["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t", *args]
+    subprocess.run(cmd, check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("bare", ["parent", "change"])
+def test_a_tree_that_is_not_a_git_work_tree_is_refused_before_any_run(tmp_path, monkeypatch, bare):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for side, tree in trees.items():
+        tree.mkdir()
+        if side != bare:
+            _git(tree, "init", "-q")
+            _git(tree, "commit", "-q", "--allow-empty", "-m", "c")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--topic", "t", "--what", "w",
+            "--workloads", "mc-accept", "--seeds", "1", "2", "--seconds", "1"]
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main(argv)
+    message = str(refused.value)
+    assert message.startswith(f"--{bare} {trees[bare]} is not the top of a git work tree")
+    assert "git worktree add" in message
+
+
+def test_work_tree_sha_reads_head_only_at_the_top_of_a_work_tree(tmp_path):
+    _git(tmp_path, "init", "-q")
+    assert bench_pairs.work_tree_sha(tmp_path) is None  # no commit to name yet
+    _git(tmp_path, "commit", "-q", "--allow-empty", "-m", "c")
+    head = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"], capture_output=True, text=True).stdout
+    assert bench_pairs.work_tree_sha(tmp_path) == head.strip()
+    (tmp_path / "sub").mkdir()
+    assert bench_pairs.work_tree_sha(tmp_path / "sub") is None  # inside a work tree, not its top

@@ -539,6 +539,18 @@ _REFUSED = {
     "fbm-seed-negative": (["fbm", "--h", "0.7", "--n", "16", "--seed", "-1"], "error: seed must be at least 0, got -1"),
     "fbm-pair-seed-negative": (["fbm", "--h", "0.7", "--n", "16", "--seed", "-1", "--pair"],
                                "error: seed must be at least 0, got -1"),
+    # eta of each path fbm prints, at every n: below 1/2 for W (with --pair), below H for B^H
+    "fbm-pair-eta-wiener": (["fbm", "--h", "0.7", "--n", "64", "--pair", "--eta", "0.6"],
+                            "error: eta must lie in (0, 1/2) for Wiener paths, got 0.6"),
+    "fbm-eta-above-h": (["fbm", "--h", "0.7", "--n", "64", "--eta", "0.8"],
+                        "error: eta must lie in (0, H) for fBm paths, got 0.8"),
+    "fbm-eta-n-4": (["fbm", "--h", "0.7", "--n", "4", "--eta", "0.8"], "error: eta must lie in (0, H) for fBm paths"),
+    "fbm-pair-eta-n-4": (["fbm", "--h", "0.7", "--n", "4", "--pair", "--eta", "0.6"],
+                         "error: eta must lie in (0, 1/2) for Wiener paths"),
+    "fbm-eta-above-pair-cap": (["fbm", "--h", "0.7", "--n", "16385", "--eta", "0.8"],
+                               "error: eta must lie in (0, H) for fBm paths"),
+    "fbm-hurst-before-eta": (["fbm", "--h", "0.3", "--n", "64", "--eta", "0.4"],
+                             "error: Hurst index must lie in (1/2, 1), got 0.3"),
     "converge-levels-not-integers": (["converge", "--preset", "linear", "--levels", "16,x", "--paths", "4"],
                                      "error: --levels must be comma-separated integers, got '16,x'"),
 }
@@ -574,6 +586,11 @@ def test_converge_refuses_an_unknown_method_before_any_noise(outdir, capsys, mon
     assert rc == 1
     assert "error: unknown method 'bogus'" in capsys.readouterr().err
     assert drawn == [] and [p.name for p in outdir.iterdir()] == ["m.json"]
+
+
+def test_fbm_takes_an_eta_above_1_2_without_a_wiener_path(outdir, capsys):
+    assert main(["fbm", "--h", "0.7", "--n", "64", "--eta", "0.6"]) == 0
+    assert "K^(0.6)_T=" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("extra", [[], ["--pair"]])

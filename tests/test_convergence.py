@@ -35,7 +35,6 @@ from mixedsde.fbm import (
     Independent,
     VolterraFromWiener,
     _fbm_values_batch,
-    _resolve_dependence,
     _volterra_fbm,
     _volterra_weights,
     _wiener_values_batch,
@@ -390,13 +389,15 @@ def test_chunk_peak_memory_per_fine_node_and_path(dependence, per_node, fine_n):
     # the figures convergence._FINE_N_MAX states: with the noise drawn in
     # row groups the chunk peaks in its per-level passes, over W, B^H and
     # the fine solution, alike for both noise kinds
-    dep = _resolve_dependence(dependence)
-    args = (preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], TimeGrid(1.0, fine_n), 256, 256,
-            1000.0, 1.0, 3, dep, "circulant-embedding", 0)
-    convergence._run_chunk(*args)  # fills the spectrum and weight caches
+    run = convergence._checked_run(
+        preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64], {2048: 5, 4096: 6}[fine_n], 256, 1000.0,
+        t_horizon=1.0, x0=1.0, seed=3, dependence=dependence, method="circulant-embedding", eval_n=256, workers=1,
+    )
+    assert run.fine.n == fine_n
+    convergence._run_chunk(run, 0)  # fills the spectrum and weight caches
     tracemalloc.start()
     try:
-        convergence._run_chunk(*args)
+        convergence._run_chunk(run, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -589,10 +590,11 @@ def test_a_chunk_called_alone_returns_the_rows_the_harness_reduced(monkeypatch, 
     rep = mc_strong_error(coeffs, 0.7, config, levels, 3, 600, seed=4, eval_n=64, workers=workers)
     used = {ci: rows for ci, _, rows in calls}
     assert sorted(used) == [0, 1, 2]
-    alone = convergence._run_chunk(
-        coeffs, 0.7, config, levels, TimeGrid(1.0, 256), 64, 600, convergence.DEFAULT_R, 1.0, 4, Independent(),
-        "circulant-embedding", 1,
+    run = convergence._checked_run(
+        coeffs, 0.7, config, levels, 3, 600, convergence.DEFAULT_R, t_horizon=1.0, x0=1.0, seed=4,
+        dependence="independent", method="circulant-embedding", eval_n=64, workers=workers,
     )
+    alone = convergence._run_chunk(run, 1)
     assert [r.shape for r in alone] == [(3, 256)] * 5 + [(256,)]  # paths 256..511
     for got, want in zip(alone, used[1], strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=got.dtype == float)
@@ -604,6 +606,27 @@ def test_a_chunk_called_alone_returns_the_rows_the_harness_reduced(monkeypatch, 
         assert level.err2_sup == float(np.sum(sup2[li][keep]) / keep.sum())
         assert level.err2_norm2 == float(np.sum(norm2sq[li][keep]) / keep.sum())
     assert rep.localization_fraction == float(np.mean(tau_lt_t))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_is_checked_once_and_every_chunk_receives_it(monkeypatch, workers):
+    checked, received = [], []
+    real_check, real_chunk = convergence._checked_run, convergence._run_chunk
+
+    def check(*args, **kwargs):
+        checked.append(real_check(*args, **kwargs))
+        return checked[-1]
+
+    def chunk(run, ci):
+        received.append((run, ci))
+        return real_chunk(run, ci)
+
+    monkeypatch.setattr(convergence, "_checked_run", check)
+    monkeypatch.setattr(convergence, "_run_chunk", chunk)
+    mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=workers)
+    assert len(checked) == 1 and isinstance(checked[0], convergence._Run)
+    assert sorted(ci for _, ci in received) == [0, 1, 2]
+    assert all(run is checked[0] for run, _ in received)
 
 
 def test_the_harness_shares_no_array_between_chunks():

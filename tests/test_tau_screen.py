@@ -9,7 +9,8 @@ import pytest
 from mixedsde import TimeGrid, generate_noise_pair, preset, stopping_time
 from mixedsde import convergence
 from mixedsde.convergence import (
-    SolverConfig, _chunk_noise, _crossing, _first_crossing, _holder_parts, _pair_holder_cumulative, _run_chunk
+    SolverConfig, _checked_run, _chunk_noise, _crossing, _first_crossing, _holder_parts, _pair_holder_cumulative,
+    _run_chunk,
 )
 from mixedsde.fbm import (
     _fbm_values_batch, _holder_bound, _holder_cumulative_batch, _holder_exponents, _resolve_dependence,
@@ -98,10 +99,11 @@ def test_the_exact_sum_runs_on_the_open_paths_only(monkeypatch):
 def test_an_acceptance_chunk_at_threshold_50_runs_no_exact_sum(monkeypatch, dependence):
     calls = []
     monkeypatch.setattr(convergence, "_holder_cumulative_batch", lambda *args: calls.append(args))
-    rows = _run_chunk(
-        preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64, 128, 256], TimeGrid(1.0, 4096), 256, 256,
-        1000.0, 1.0, 5, _resolve_dependence(dependence), "circulant-embedding", 0,
+    run = _checked_run(
+        preset("linear"), 0.7, SolverConfig(alpha=0.35), [16, 32, 64, 128, 256], 4, 256, 1000.0, t_horizon=1.0,
+        x0=1.0, seed=5, dependence=dependence, method="circulant-embedding", eval_n=256, workers=1,
     )
+    rows = _run_chunk(run, 0)
     assert calls == [] and not rows[-1].any()
 
 

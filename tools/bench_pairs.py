@@ -14,6 +14,10 @@ end-to-end metric of BENCHMARK.json, the traced per-layer metrics, the
 machine block, the commands and the protocol. A run that exits non-zero
 stops the script with its stderr.
 
+Each DIR must be the top of a git work tree (a clone, or `git worktree
+add`), so that the file can name the parent commit; any other tree, such
+as a `git archive` export, is refused before the first run.
+
 A per-layer metric that is nonzero on the parent and exactly 0 on the
 change usually means the change moved code out of reach of the trace, not
 that the layer got free. Such metrics are listed under "zeroed_layers" in
@@ -24,12 +28,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 RUN = "perfbench/run.py"
+
+
+def work_tree_sha(tree: Path) -> str | None:
+    """HEAD of tree when tree is the top of a git work tree, else None: the
+    rule of perfbench/run.py's git_state."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(tree.parent))  # no search above the tree
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True, timeout=30, env=env)
+
+    try:
+        top, head = git("rev-parse", "--show-toplevel"), git("rev-parse", "--verify", "HEAD")
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if top.returncode or head.returncode or Path(top.stdout.strip()).resolve() != tree:
+        return None
+    return head.stdout.strip()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -97,10 +119,17 @@ def main(argv=None) -> int:
     if args.trace_workloads and args.trace_seed is None:
         p.error("--trace-workloads needs --trace-seed")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    shas = {side: work_tree_sha(tree) for side, tree in trees.items()}
+    for side, sha in shas.items():
+        if sha is None:
+            raise SystemExit(
+                f"--{side} {trees[side]} is not the top of a git work tree with a commit, so the file could not name "
+                "its commit; check the commit out with `git worktree add` (or clone it) and pass that directory"
+            )
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     spec = declared["end_to_end"]
 
-    machine, parent_sha, trace0, trace1 = None, None, {}, {}
+    machine, trace0, trace1 = None, {}, {}
     for workload in args.workloads:
         results = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
@@ -109,8 +138,6 @@ def main(argv=None) -> int:
                 record, result = run_once(trees[side], workload, seed, args.seconds, 0)
                 results[side].append(result)
                 print(f"{workload} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
-                if side == "parent":
-                    parent_sha = record["machine"]["git"]["sha"]
                 machine = machine or {k: v for k, v in record["machine"].items() if k != "git"}
         trace0[workload] = {
             "workers": record["workers"],
@@ -138,7 +165,7 @@ def main(argv=None) -> int:
     bench = {
         "topic": args.topic,
         "what": args.what,
-        "parent": parent_sha,
+        "parent": shas["parent"],
         "commands": {
             "pairs": (
                 f"python3 tools/bench_pairs.py --parent PARENT --change CHANGE --topic {args.topic} --what TEXT "
