@@ -398,8 +398,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--workers",
         type=int,
-        help=f"worker threads, at most {_WORKERS_MAX} and at most one per {_CHUNK}-path chunk; 1 runs the chunks on "
-        f"the calling thread, with no pool (default: usable CPUs, at most {_WORKERS_MAX})",
+        help=f"worker processes, at most {_WORKERS_MAX} and at most one per {_CHUNK}-path chunk; 1 runs the chunks "
+        f"in this process, more fork the rest (default: usable CPUs, at most {_WORKERS_MAX}; 1 without fork)",
     )
     p.add_argument("--force", action="store_true", help="skip the hypothesis gate")
     p.add_argument("--outdir", help="output directory (default $MIXEDSDE_OUT or .)")

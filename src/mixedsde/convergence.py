@@ -14,6 +14,9 @@ every fine node up to tau, in one blocked pass per level. Every batched
 kernel takes and returns node-major arrays: (n+1, paths), nodes first.
 A run is checked once (_checked_run returns a _Run); each fixed 256-path
 chunk is _run_chunk(run, ci), a function of the run and its index only.
+With more than one worker the chunks run in worker processes: the caller
+forks a child per extra worker and runs its own share meanwhile, and each
+child returns its rows through a pipe (_forked_rows).
 
 tau_N is screened by a certified upper bound on K at the last node
 (fbm._holder_bound, O(n log n) per path, 1.07 to 1.86 times the exact K
@@ -29,9 +32,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, asdict
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +43,9 @@ from . import __version__ as _version
 from .coefficients import CoefficientSet, kappa
 from .euler import _BLOCK_NODES, EulerSolution, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
-    _ROW_GROUP, Independent, JointGaussian, NoisePair, VolterraFromWiener, _check_method, _fbm_values_batch,
-    _holder_bound, _holder_cumulative_batch, _holder_exponents, _resolve_dependence, _volterra_fbm, _volterra_weights,
-    _wiener_values_batch, validate_hurst,
+    _ROW_GROUP, Independent, JointGaussian, NoisePair, VolterraFromWiener, _check_method, _cholesky_factor,
+    _circulant_sqrt_eigs, _fbm_values_batch, _holder_bound, _holder_cumulative_batch, _holder_exponents,
+    _resolve_dependence, _volterra_fbm, _volterra_weights, _wiener_values_batch, validate_hurst,
 )
 from .fraccalc import (
     _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _pair_n, _validate_norm2_order, norms_comparison_constant
@@ -63,12 +66,13 @@ _EVAL_N_MAX = 4096
 # solution (8 B per fine node and path each), and with either noise kind it
 # peaks at 31.5 B per fine node and path at fine n 2048, 27.75 B at 4096 and
 # 25.1 B at 2^16 (tracemalloc; below 2048 the eval_n-sized arrays weigh more
-# per node): at most 0.42 GB in each worker at 2^16
+# per node): at most 0.42 GB in each worker process at 2^16
 _FINE_N_MAX = 1 << 16
 # more paths are refused: the result rows take 26 B per path and level, 1.6 GB
 # at 2^22 paths and the most levels (15), and 2^22 paths take over an hour
 _PATHS_MAX = 1 << 22
-# more workers are refused: each one holds a chunk, 0.42 GB at fine n 2^16
+# more workers are refused: each one is a process that holds a chunk, 0.42 GB
+# at fine n 2^16, besides the pages it shares with the caller
 _WORKERS_MAX = 64
 
 
@@ -506,6 +510,84 @@ def _run_chunk(run: _Run, ci: int) -> tuple[np.ndarray, ...]:
     return (*(np.array(level_rows) for level_rows in zip(*rows)), tau_eval < run.eval_n)
 
 
+def _noise_table(run: _Run) -> None:
+    """Build the cached read-only table that the run's chunks draw noise
+    with: the Volterra weights, the Cholesky factor (refused above its n
+    cap) or the circulant roots."""
+    if isinstance(run.dependence, VolterraFromWiener):
+        _volterra_weights(run.fine.n, run.fine.horizon, run.h)
+    elif run.method == "cholesky":
+        _cholesky_factor(run.fine, run.h)
+    else:
+        _circulant_sqrt_eigs(run.fine.n, run.h)
+
+
+def _child_exit(run: _Run, chunks: range, sink) -> None:
+    """A forked child's whole life: the rows of its chunks as [(ci, rows),
+    ...], or the exception they raised, pickled into sink; then os._exit,
+    so it never returns into the caller's stack (no atexit handler runs and
+    no inherited stdio buffer is flushed). Status 0 only once all is sent."""
+    status = 1
+    try:
+        try:
+            out = [(ci, _run_chunk(run, ci)) for ci in chunks]
+        except BaseException as exc:  # sent to the caller, which raises it again
+            out = exc
+        pickle.dump(out, sink, pickle.HIGHEST_PROTOCOL)
+        sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_rows(run: _Run, chunks: int, workers: int) -> list[tuple[np.ndarray, ...]]:
+    """_run_chunk(run, ci) for ci < chunks, in chunk order, from workers
+    processes: workers - 1 children forked here run chunks k, k + workers,
+    ... (k = 1 .. workers - 1) while the caller runs 0, workers, ....
+
+    The noise table is built first, so the children inherit it and the
+    caller's cache stays warm. A child's pickle is read whole before the
+    child is reaped (its rows can outgrow the pipe buffer). A child's
+    exception is raised here with its type and message; a child that ends
+    without its rows raises RuntimeError with its chunks and wait status.
+    Whatever leaves this function, no child is left: the ones still
+    running are killed and every one is reaped.
+    """
+    _noise_table(run)
+    children, sources = {}, []  # pid -> (read end of its pipe, its chunks); every read end opened
+    try:
+        for k in range(1, workers):
+            mine, (read, write) = range(k, chunks, workers), os.pipe()
+            sources.append(open(read, "rb"))
+            with open(write, "wb") as sink:  # the caller's write end closes once the child holds its copy
+                pid = os.fork()
+                if pid == 0:
+                    _child_exit(run, mine, sink)
+                children[pid] = sources[-1], mine
+        rows = {ci: _run_chunk(run, ci) for ci in range(0, chunks, workers)}
+        for pid, (source, mine) in list(children.items()):
+            try:
+                out = pickle.load(source)
+            except (EOFError, pickle.UnpicklingError):  # the child died before or while it wrote
+                out = None
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if out is None or status:
+                raise RuntimeError(
+                    f"the worker process of chunks {list(mine)} ended with wait status {status} without its rows"
+                )
+            if isinstance(out, BaseException):
+                raise out
+            rows.update(out)
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for source in sources:
+            source.close()
+    return [rows[ci] for ci in range(chunks)]
+
+
 def _mean_se(rows: np.ndarray) -> tuple[float, float]:
     """Mean and Monte Carlo standard error of 1-d rows: nan for none, an error of 0 for one."""
     if not rows.size:
@@ -532,7 +614,7 @@ def _checked_run(
     levels = sorted(_integer("levels entry", n, low=2) for n in levels)
     if not levels:
         raise ValueError("levels must name at least one coarse level")
-    m_fine, seed = _integer("m_fine", m_fine, low=1), _integer("seed", seed, low=0)  # stream's rule, before any thread
+    m_fine, seed = _integer("m_fine", m_fine, low=1), _integer("seed", seed, low=0)  # stream's rule, before any fork
     paths = _integer("paths", paths, low=1, high=_PATHS_MAX, why="the result rows take 26 B per path and level")
     if len(set(levels)) != len(levels):
         raise ValueError("levels must be distinct")
@@ -554,8 +636,10 @@ def _checked_run(
         raise ValueError(f"r_bound must be positive (inf for no restriction), got {r_bound}")
     if workers is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        workers = min(cpus, _WORKERS_MAX)
+        workers = min(cpus, _WORKERS_MAX) if hasattr(os, "fork") else 1
     workers = _integer("workers", workers, low=1, high=_WORKERS_MAX, why="each worker holds a chunk, up to 0.42 GB")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"workers={workers} needs the fork start method, which this platform lacks; use workers=1")
 
     fine = TimeGrid(_real("t_horizon", t_horizon), fine_n)
     dependence = _resolve_dependence(dependence)
@@ -597,20 +681,21 @@ def mc_strong_error(
     outside B^R are reported as discarded instead of entering the
     restricted means; paths whose state explodes are aborted and counted
     separately. paths is at most 2^22. workers, at most 64 (default: the
-    CPUs this process may run on, at most 64), is capped at one per chunk;
-    one worker runs the chunks on the calling thread, with no pool.
+    CPUs this process may run on, at most 64; 1 where os.fork is missing,
+    as on Windows, which refuses more), is capped at one per chunk. One
+    worker runs the chunks on the calling thread; w > 1 worker processes
+    are the caller and w - 1 children it forks (see _forked_rows).
     """
     run = _checked_run(
         coeffs, h, config, levels, m_fine, paths, r_bound, t_horizon=t_horizon, x0=x0, seed=seed,
         dependence=dependence, method=method, eval_n=eval_n, workers=workers,
     )
-    chunks = range((run.paths + _CHUNK - 1) // _CHUNK)
-    workers, run_chunk = min(run.workers, len(chunks)), partial(_run_chunk, run)
+    chunks = (run.paths + _CHUNK - 1) // _CHUNK
+    workers = min(run.workers, chunks)
     if workers == 1:
-        results = list(map(run_chunk, chunks))
+        results = [_run_chunk(run, ci) for ci in range(chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
+        results = _forked_rows(run, chunks, workers)
     sup2, norm2sq, ninf_sq, in_b, aborted, tau_lt_t = (np.concatenate(rows, axis=-1) for rows in zip(*results))
 
     level_stats = []

@@ -8,7 +8,6 @@ Garsia-Rodemich-Rumsey Holder-constant functionals used for localization.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -42,9 +41,8 @@ __all__ = [
 CIRCULANT_EIG_TOL = 1e-10
 # larger n is refused by the cholesky sampler (O(n^2) memory, O(n^3) time), and a larger 2n
 # by the joint-gaussian one. Its cached factor takes 8n^2 B (128 MiB at 4096) and the build
-# peaks at about 384 MiB; _CHOLESKY_LOCK makes chunks that start together wait for one build
+# peaks at about 384 MiB
 _CHOLESKY_N_MAX = 4096
-_CHOLESKY_LOCK = threading.Lock()
 _METHODS = ("cholesky", "circulant-embedding", "circulant")  # independent B^H only; others ignore it
 # holder_functional refuses fewer grid steps (nodes - 1) in [0, t]
 _HOLDER_MIN_STEPS = 8
@@ -233,7 +231,10 @@ def _check_method(method: str) -> None:
 
 @lru_cache(maxsize=1)
 def _cholesky_factor(grid: TimeGrid, h: float) -> np.ndarray:
-    """Lower Cholesky factor of the fBm node covariance on grid, read-only."""
+    """Lower Cholesky factor of the fBm node covariance on grid, read-only;
+    a grid of more than _CHOLESKY_N_MAX steps is refused before any build."""
+    _integer("cholesky sampling's n", grid.n, high=_CHOLESKY_N_MAX, why="the n x n covariance needs O(n^2) memory "
+             "and its factorisation O(n^3) time; use circulant-embedding")
     try:
         chol = np.linalg.cholesky(_fbm_node_covariance(grid, h))
     except np.linalg.LinAlgError as exc:
@@ -249,10 +250,7 @@ def _fbm_values_batch(
     _check_method(method)
     n = grid.n
     if method == "cholesky":
-        _integer("cholesky sampling's n", n, high=_CHOLESKY_N_MAX, why="the n x n covariance needs O(n^2) memory "
-                 "and its factorisation O(n^3) time; use circulant-embedding")
-        with _CHOLESKY_LOCK:  # lru_cache alone lets concurrent misses each build the factor
-            chol = _cholesky_factor(grid, h)
+        chol = _cholesky_factor(grid, h)
         z = rng.standard_normal((size, n))
         out = np.zeros((size, n + 1))
         out[:, 1:] = z @ chol.T

@@ -1,6 +1,7 @@
-"""The zeroed-layer check and the work-tree check of tools/bench_pairs.py."""
+"""The zeroed-layer check, the work-tree check and the recorded commits of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -69,3 +70,41 @@ def test_work_tree_sha_reads_head_only_at_the_top_of_a_work_tree(tmp_path):
     assert bench_pairs.work_tree_sha(tmp_path) == head.strip()
     (tmp_path / "sub").mkdir()
     assert bench_pairs.work_tree_sha(tmp_path / "sub") is None  # inside a work tree, not its top
+
+
+def _head(tree) -> str:
+    return subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True).stdout.strip()
+
+
+def test_the_file_names_both_commits_and_whether_each_tree_was_dirty(tmp_path, monkeypatch):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for side, tree in trees.items():
+        tree.mkdir()
+        _git(tree, "init", "-q")
+        _git(tree, "commit", "-q", "--allow-empty", "-m", side)
+    declared = {"end_to_end": [{"name": "paths_per_s", "unit": "1/s", "better": "higher"}],
+                "per_layer": [{"name": "fbm.fgn_s", "unit": "s", "better": "lower"}]}
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps(declared))
+    runs = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        side = tree.name
+        runs.append((side, trace))
+        # the change tree reads dirty in its traced run only; the parent in none
+        git = {"sha": _head(tree), "dirty": side == "change" and trace == 1}
+        record = {"workers": 2, "machine": {"nproc": 2, "blas": {"threads": 1}, "git": git}}
+        metric = "fbm.fgn_s" if trace else "paths_per_s"
+        return record, {"correct": True, "attempted": 1, "failed": 0, "metrics": {metric: {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--topic", "t", "--what", "w",
+            "--workloads", "mc-accept", "--seeds", "1", "2", "--seconds", "1", "--trace-workloads", "mc-accept",
+            "--trace-seed", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    bench = json.loads(out.read_text())
+    assert sorted(runs) == sorted([("parent", 0), ("change", 0)] * 2 + [("parent", 1), ("change", 1)])
+    assert (bench["parent"], bench["change"]) == (_head(trees["parent"]), _head(trees["change"]))
+    assert bench["parent"] != bench["change"]
+    assert bench["dirty"] == {"parent": False, "change": True}
+    assert "git" not in bench["machine"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -513,7 +514,7 @@ def test_fbm_holder_bound_is_inclusive(capsys, monkeypatch):
 def test_converge_refuses_a_bad_setting_before_any_noise(outdir, capsys, monkeypatch, flags, message):
     drawn = []
     monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
-    monkeypatch.setattr(convergence, "ThreadPoolExecutor", lambda *args, **kwargs: drawn.append("pool"))
+    monkeypatch.setattr(os, "fork", lambda: drawn.append("fork"))
     rc = main(["converge", "--preset", "linear", "--paths", "4", "--levels", "8,16,32", "--m-fine", "2",
                "--workers", "2", *flags, "--outdir", str(outdir / "b")])
     assert rc == 1

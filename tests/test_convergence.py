@@ -5,7 +5,9 @@ import io
 import math
 import os
 import re
+import signal
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -502,16 +504,18 @@ def test_workers_must_be_positive(workers):
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 2, 4, workers=workers)
 
 
-def _spy_pool_sizes(monkeypatch) -> list:
-    """The max_workers of every thread pool mc_strong_error starts."""
-    sizes, real = [], convergence.ThreadPoolExecutor
+def _spy_forks(monkeypatch) -> list:
+    """The pid of every child that mc_strong_error forks, as the calling process sees it."""
+    pids, real = [], os.fork
 
-    def pool(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers)
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(convergence, "ThreadPoolExecutor", pool)
-    return sizes
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 @pytest.mark.parametrize(
@@ -519,52 +523,63 @@ def _spy_pool_sizes(monkeypatch) -> list:
     [(None, 3, 600, 3), (None, 64, 600, 3), (None, 2, 600, 2), (None, 64, 1, 1), (5, 2, 300, 2), (1, 64, 600, 1)],
 )
 def test_pool_takes_the_available_parallelism_at_most_one_per_chunk(monkeypatch, workers, cpus, paths, expected):
-    # cpus is only what the platform reports; the pool starts `expected` threads
-    sizes = _spy_pool_sizes(monkeypatch)
+    # cpus is only what the platform reports; `expected` processes run chunks: the caller and expected - 1 children
+    forks = _spy_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, paths, workers=workers)
-    assert sizes == ([] if expected == 1 else [expected])  # one worker after the cap: the calling thread, no pool
+    assert len(forks) == expected - 1  # one worker after the cap: the calling thread, no fork
 
 
-def _no_thread_run(monkeypatch, workers) -> tuple[list, list, str]:
-    """(pool sizes asked for, noise draws, error) of a 2^22-path run (16384 chunks) on 1000 usable CPUs;
-    the pool fails when asked for, so no thread starts."""
-    sizes, drawn = [], []
+def _no_fork_run(monkeypatch, workers) -> tuple[list, list, str]:
+    """(worker counts the fork point was called with, noise draws, error) of a 2^22-path run (16384 chunks) on
+    1000 usable CPUs; the fork point fails when called, so no child starts."""
+    asked, drawn, forks = [], [], _spy_forks(monkeypatch)
 
-    def pool(max_workers):
-        sizes.append(max_workers)
-        raise RuntimeError("no pool in this test")
+    def forked_rows(run, chunks, workers):
+        asked.append(workers)
+        raise RuntimeError("no fork in this test")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
     monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
-    monkeypatch.setattr(convergence, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(convergence, "_forked_rows", forked_rows)
     with pytest.raises((RuntimeError, ValueError)) as err:
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 1 << 22, workers=workers)
-    return sizes, drawn, str(err.value)
+    assert forks == []
+    return asked, drawn, str(err.value)
 
 
 @pytest.mark.parametrize("workers", [None, 64])
 def test_workers_default_to_the_usable_cpus_at_most_64(monkeypatch, workers):
-    assert _no_thread_run(monkeypatch, workers) == ([64], [], "no pool in this test")
+    assert _no_fork_run(monkeypatch, workers) == ([64], [], "no fork in this test")
 
 
 @pytest.mark.parametrize("workers", [65, 10**5])
 def test_more_than_64_workers_are_refused_before_any_noise_or_thread(monkeypatch, workers):
-    sizes, drawn, message = _no_thread_run(monkeypatch, workers)
-    assert (sizes, drawn) == ([], []) and message.startswith(f"workers={workers} exceeds 64")
+    asked, drawn, message = _no_fork_run(monkeypatch, workers)
+    assert (asked, drawn) == ([], []) and message.startswith(f"workers={workers} exceeds 64")
 
 
 @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
 def test_pool_falls_back_to_the_cpu_count_without_affinity(monkeypatch, cpus, expected):
-    sizes = _spy_pool_sizes(monkeypatch)
+    forks = _spy_forks(monkeypatch)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600)
-    assert sizes == ([expected] if cpus else [])  # no CPU count: one worker, the calling thread
+    assert len(forks) == expected - 1  # no CPU count: one worker, the calling thread
+
+
+def test_without_fork_the_default_is_one_worker_and_more_are_refused_before_any_noise(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    rep = mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600)  # no fork needed
+    assert rep.paths == 600
+    monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
+    with pytest.raises(ValueError, match="^workers=2 needs the fork start method, which this platform lacks"):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=2)
 
 
 def _spy_chunks(monkeypatch) -> list:
-    """(chunk index, thread, rows) of every _run_chunk call of mc_strong_error."""
+    """(chunk index, thread, rows) of every _run_chunk call that the calling process makes."""
     calls, real = [], convergence._run_chunk
 
     def spy(*args):
@@ -576,20 +591,34 @@ def _spy_chunks(monkeypatch) -> list:
     return calls
 
 
+def _assert_same_rows(got: tuple, want: tuple) -> None:
+    """Two chunks' rows hold the same arrays, byte for byte."""
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
 def test_one_worker_runs_every_chunk_on_the_calling_thread_with_no_pool(monkeypatch):
-    sizes, calls = _spy_pool_sizes(monkeypatch), _spy_chunks(monkeypatch)
+    forks, calls = _spy_forks(monkeypatch), _spy_chunks(monkeypatch)
     mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=1)
-    assert sizes == []
+    assert forks == []
     assert [(ci, thread) for ci, thread, _ in calls] == [(ci, threading.get_ident()) for ci in range(3)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_chunk_called_alone_returns_the_rows_the_harness_reduced(monkeypatch, workers):
+    # the spy sees the chunks the calling process runs: all three at one worker, 0 and 2 at two, where a
+    # child runs chunk 1; so the rows of every chunk are read from a one-worker run of the same settings
     coeffs, config, levels = preset("linear"), SolverConfig(alpha=0.35), [8, 16, 32]
     calls = _spy_chunks(monkeypatch)
-    rep = mc_strong_error(coeffs, 0.7, config, levels, 3, 600, seed=4, eval_n=64, workers=workers)
+    serial = mc_strong_error(coeffs, 0.7, config, levels, 3, 600, seed=4, eval_n=64, workers=1)
     used = {ci: rows for ci, _, rows in calls}
     assert sorted(used) == [0, 1, 2]
+    calls.clear()
+    rep = mc_strong_error(coeffs, 0.7, config, levels, 3, 600, seed=4, eval_n=64, workers=workers)
+    assert sorted(ci for ci, _, _ in calls) == ([0, 1, 2] if workers == 1 else [0, 2])
+    for ci, _, rows in calls:
+        _assert_same_rows(rows, used[ci])
+    assert rep.to_json() == serial.to_json()
     run = convergence._checked_run(
         coeffs, 0.7, config, levels, 3, 600, convergence.DEFAULT_R, t_horizon=1.0, x0=1.0, seed=4,
         dependence="independent", method="circulant-embedding", eval_n=64, workers=workers,
@@ -609,8 +638,10 @@ def test_a_chunk_called_alone_returns_the_rows_the_harness_reduced(monkeypatch, 
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_run_is_checked_once_and_every_chunk_receives_it(monkeypatch, workers):
-    checked, received = [], []
+def test_a_run_is_checked_once_and_every_chunk_receives_it(monkeypatch, tmp_path, workers):
+    # every chunk appends its index, its process and whether it received the checked run to one
+    # file, so the chunks a forked child runs are counted too
+    checked, log = [], tmp_path / "chunks.log"
     real_check, real_chunk = convergence._checked_run, convergence._run_chunk
 
     def check(*args, **kwargs):
@@ -618,15 +649,129 @@ def test_a_run_is_checked_once_and_every_chunk_receives_it(monkeypatch, workers)
         return checked[-1]
 
     def chunk(run, ci):
-        received.append((run, ci))
+        with open(log, "a") as f:
+            f.write(f"{ci} {os.getpid()} {run is checked[0]}\n")
         return real_chunk(run, ci)
 
     monkeypatch.setattr(convergence, "_checked_run", check)
     monkeypatch.setattr(convergence, "_run_chunk", chunk)
     mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=workers)
     assert len(checked) == 1 and isinstance(checked[0], convergence._Run)
-    assert sorted(ci for _, ci in received) == [0, 1, 2]
-    assert all(run is checked[0] for run, _ in received)
+    received = sorted(line.split() for line in log.read_text().splitlines())
+    assert [ci for ci, _, _ in received] == ["0", "1", "2"]
+    assert all(same == "True" for _, _, same in received)
+    pids = [int(pid) for _, pid, _ in received]
+    assert pids[0] == pids[2] == os.getpid() and (pids[1] != os.getpid()) == (workers == 2)
+
+
+# 1100 paths: five chunks, the last of 76 paths; at 2 workers a child runs chunks 1 and 3, at 3 one runs 1 and 4
+_FORKED = dict(levels=[8, 16, 32], m_fine=2, paths=1100, seed=5, eval_n=32)
+
+
+@pytest.mark.parametrize(
+    "dependence, method",
+    [("independent", "circulant-embedding"), ("volterra", "circulant-embedding"), ("independent", "cholesky")],
+)
+def test_rows_are_byte_identical_at_one_two_and_three_workers(dependence, method):
+    coeffs, config = preset("linear"), SolverConfig(alpha=0.35)
+    run = convergence._checked_run(
+        coeffs, 0.7, config, _FORKED["levels"], _FORKED["m_fine"], _FORKED["paths"], convergence.DEFAULT_R,
+        t_horizon=1.0, x0=1.0, seed=_FORKED["seed"], dependence=dependence, method=method,
+        eval_n=_FORKED["eval_n"], workers=3,
+    )
+    serial = [convergence._run_chunk(run, ci) for ci in range(5)]
+    assert serial[-1][-1].shape == (76,)
+    for workers in (2, 3):
+        forked = convergence._forked_rows(run, 5, workers)
+        assert len(forked) == 5
+        for got, want in zip(forked, serial):
+            _assert_same_rows(got, want)
+    reports = [
+        mc_strong_error(coeffs, 0.7, config, dependence=dependence, method=method, workers=workers, **_FORKED).to_json()
+        for workers in (1, 2, 3)
+    ]
+    assert reports[0] == reports[1] == reports[2]
+
+
+class _ChunkFault(Exception):
+    pass
+
+
+def _fault_in_chunk(monkeypatch, fault) -> None:
+    """Every _run_chunk call first calls fault(ci), in whichever process runs the chunk."""
+    real = convergence._run_chunk
+
+    def chunk(run, ci):
+        fault(ci)
+        return real(run, ci)
+
+    monkeypatch.setattr(convergence, "_run_chunk", chunk)
+
+
+def test_a_child_s_exception_reaches_the_caller_with_its_type_and_message(monkeypatch):
+    def fault(ci):
+        if ci == 1:
+            exc = _ChunkFault("chunk 1 failed")
+            exc.pid = os.getpid()
+            raise exc
+
+    _fault_in_chunk(monkeypatch, fault)
+    raised = {}
+    for workers in (1, 2):
+        with pytest.raises(_ChunkFault) as err:
+            mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=workers)
+        raised[workers] = type(err.value), str(err.value), err.value.pid == os.getpid()
+    assert raised == {1: (_ChunkFault, "chunk 1 failed", True), 2: (_ChunkFault, "chunk 1 failed", False)}
+
+
+def test_a_norm_comparison_failure_in_a_child_names_its_chunk_level_and_path(monkeypatch):
+    error_norms = convergence._error_norms
+
+    def inflated(coarse_eval, *args):
+        n2, ninf_sq = error_norms(coarse_eval, *args)
+        if coarse_eval.shape[1] == 44:  # the second chunk of 300 paths, which the child runs
+            n2[5:] *= 1e6
+        return n2, ninf_sq
+
+    monkeypatch.setattr(convergence, "_error_norms", inflated)
+    with pytest.raises(AssertionError, match=_NORM_MESSAGE) as exc:
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], 3, 300, seed=4, workers=2)
+    chunk, level, path, ratio = re.search(_NORM_MESSAGE, str(exc.value)).groups()
+    assert (chunk, level, path) == ("1", "8", "261")
+    assert float(ratio) > 1.0
+
+
+def test_a_child_that_dies_without_its_rows_is_named_with_its_wait_status(monkeypatch):
+    caller = os.getpid()
+
+    def fault(ci):
+        if ci == 1 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _fault_in_chunk(monkeypatch, fault)
+    with pytest.raises(RuntimeError, match=r"^the worker process of chunks \[1\] ended with wait status 9 "):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure", [_ChunkFault, KeyboardInterrupt])
+def test_a_failure_in_the_caller_s_own_chunk_leaves_no_child(monkeypatch, failure):
+    caller = os.getpid()
+
+    def fault(ci):
+        if os.getpid() != caller:
+            time.sleep(60)  # the children still run when the caller's chunk fails
+        elif ci == 0:
+            raise failure("chunk 0 failed")
+
+    _fault_in_chunk(monkeypatch, fault)
+    started = time.monotonic()
+    with pytest.raises(failure, match="chunk 0 failed"):
+        mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=3)
+    assert time.monotonic() - started < 30  # the children were killed, not waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_harness_shares_no_array_between_chunks():
@@ -662,12 +807,12 @@ def test_the_harness_shares_no_array_between_chunks():
          "method-unknown-volterra"],
 )
 def test_a_bad_setting_is_refused_before_any_noise_or_thread(monkeypatch, kwargs, message):
-    sizes = _spy_pool_sizes(monkeypatch)
+    forks = _spy_forks(monkeypatch)
     monkeypatch.setattr(convergence, "_chunk_noise", _no_noise)
     settings = {"m_fine": 2, "paths": 4, "workers": 2, **kwargs}
     with pytest.raises(ValueError, match=message):
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [8, 16, 32], **settings)
-    assert sizes == []
+    assert forks == []
 
 
 def test_paths_bound_is_inclusive(monkeypatch):

@@ -1,6 +1,6 @@
 import io
 import math
-import time
+import os
 
 import numpy as np
 import pytest
@@ -126,15 +126,16 @@ def test_cholesky_accepts_n_at_its_bound(monkeypatch):
 
 
 def test_cholesky_factor_is_built_once_per_grid(monkeypatch):
-    calls, factor = [], np.linalg.cholesky
+    calls, factor, caller = [], np.linalg.cholesky, os.getpid()
 
-    def slow_factor(cov):  # held long enough that chunks starting together would all miss the cache
+    def caller_factor(cov):  # a factor built in a forked child fails the run
+        if os.getpid() != caller:
+            raise RuntimeError("the Cholesky factor was built in a worker process")
         calls.append(cov.shape)
-        time.sleep(0.2)
         return factor(cov)
 
-    monkeypatch.setattr(np.linalg, "cholesky", slow_factor)
-    for workers in (1, 2, 3):  # 3: one thread per chunk
+    monkeypatch.setattr(np.linalg, "cholesky", caller_factor)
+    for workers in (1, 2, 3):  # 3: one process per chunk
         calls.clear()
         fbm._cholesky_factor.cache_clear()
         # 600 paths: three chunks on the 64-step fine grid

@@ -363,22 +363,30 @@ def test_public_localization_agrees_with_the_harness(monkeypatch):
 
 
 @pytest.mark.parametrize("dependence", ["independent", "volterra"])
-def test_chunk_streams_are_disjoint(monkeypatch, dependence):
-    keys, noise = [], []
-    original_stream = convergence.stream
+def test_chunk_streams_are_disjoint(monkeypatch, tmp_path, dependence):
+    # the spies write to files, so the chunk that a forked child runs is seen too
+    original_stream, original_noise = convergence.stream, convergence._chunk_noise
 
     def spy_stream(*key):
-        keys.append(key)
+        with open(tmp_path / "keys", "a") as f:
+            f.write(" ".join(map(str, key)) + "\n")
         return original_stream(*key)
 
+    def spy_noise(*args):
+        w, b = original_noise(*args)
+        np.save(tmp_path / f"first-path-{args[4]}.npy", np.stack([w[:, 0], b[:, 0]]))
+        return w, b
+
     monkeypatch.setattr(convergence, "stream", spy_stream)
-    _spy(monkeypatch, "_chunk_noise", noise)
+    monkeypatch.setattr(convergence, "_chunk_noise", spy_noise)
     config = SolverConfig(alpha=ALPHA)
     mc_strong_error(preset("linear"), 0.7, config, [4, 8, 16], 1, 600, seed=9, dependence=dependence, eval_n=32, workers=2)
-    chunks = sorted(args[4] for args, _ in noise)
+    first = {int(p.stem.rsplit("-", 1)[1]): np.load(p) for p in tmp_path.glob("first-path-*.npy")}
+    chunks = sorted(first)
     assert chunks == [0, 1, 2]
+    keys = [tuple(map(int, line.split())) for line in (tmp_path / "keys").read_text().splitlines()]
     roles = {0, 1} if dependence == "independent" else {0}
     assert sorted(keys) == sorted((9, role, ci) for role in roles for ci in chunks)
-    w_first, b_first = ([out[i][:, 0] for _, out in noise] for i in (0, 1))
+    w_first, b_first = ([first[ci][i] for ci in chunks] for i in (0, 1))
     for rows in (w_first, b_first):
         assert all(not np.array_equal(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])

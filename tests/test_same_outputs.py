@@ -22,8 +22,18 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
     cholesky = {name: args for name, args in everything.items() if "--method" in args}
     off_grid = {name: args for name, args in everything.items() if "--threshold" not in args and name not in cholesky}
     threshold5 = {name: args for name, args in everything.items() if "-threshold5-" in name}
-    runs = {name: args for name, args in everything.items() if name not in {**off_grid, **cholesky, **threshold5}}
-    assert len(runs) == 24 and len(everything) == 33
+    paths1100 = {name: args for name, args in everything.items() if "-paths1100-" in name}
+    off_grid = {name: args for name, args in off_grid.items() if name not in paths1100}
+    special = {**off_grid, **cholesky, **threshold5, **paths1100}
+    runs = {name: args for name, args in everything.items() if name not in special}
+    assert len(runs) == 24 and len(everything) == 35
+    assert paths1100 == {
+        f"linear-independent-paths1100-workers{workers}": [
+            "--preset", "linear", "--dependence", "independent", "--workers", workers, "--paths", "1100",
+            *same_outputs.COMMON[2:],
+        ]
+        for workers in ("1", "3")
+    }
     assert threshold5 == {
         f"linear-{dep}-threshold5-workers1": [
             "--preset", "linear", "--dependence", dep, "--workers", "1", "--threshold", "5", *same_outputs.COMMON

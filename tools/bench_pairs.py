@@ -15,8 +15,10 @@ machine block, the commands and the protocol. A run that exits non-zero
 stops the script with its stderr.
 
 Each DIR must be the top of a git work tree (a clone, or `git worktree
-add`), so that the file can name the parent commit; any other tree, such
-as a `git archive` export, is refused before the first run.
+add`), so that the file can name the commit of each side; any other tree,
+such as a `git archive` export, is refused before the first run. The file
+also says whether each tree had uncommitted changes in any of its runs,
+as perfbench/run.py's records report.
 
 A per-layer metric that is nonzero on the parent and exactly 0 on the
 change usually means the change moved code out of reach of the trace, not
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     spec = declared["end_to_end"]
 
-    machine, trace0, trace1 = None, {}, {}
+    machine, trace0, trace1, dirty = None, {}, {}, {"parent": False, "change": False}
     for workload in args.workloads:
         results = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
@@ -137,6 +139,7 @@ def main(argv=None) -> int:
             for side in order:
                 record, result = run_once(trees[side], workload, seed, args.seconds, 0)
                 results[side].append(result)
+                dirty[side] |= bool(record["machine"]["git"]["dirty"])
                 print(f"{workload} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
                 machine = machine or {k: v for k, v in record["machine"].items() if k != "git"}
         trace0[workload] = {
@@ -151,7 +154,8 @@ def main(argv=None) -> int:
     for workload in args.trace_workloads:
         trace1[workload] = {}
         for side in ("parent", "change"):
-            _, result = run_once(trees[side], workload, args.trace_seed, args.seconds, 1)
+            record, result = run_once(trees[side], workload, args.trace_seed, args.seconds, 1)
+            dirty[side] |= bool(record["machine"]["git"]["dirty"])
             print(f"{workload} traced {side}: correct={result['correct']}", file=sys.stderr)
             trace1[workload][side] = {
                 "seed": args.trace_seed,
@@ -166,6 +170,8 @@ def main(argv=None) -> int:
         "topic": args.topic,
         "what": args.what,
         "parent": shas["parent"],
+        "change": shas["change"],
+        "dirty": dirty,
         "commands": {
             "pairs": (
                 f"python3 tools/bench_pairs.py --parent PARENT --change CHANGE --topic {args.topic} --what TEXT "

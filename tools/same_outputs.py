@@ -16,7 +16,10 @@ independent noise whose eval grid is not a power of two (levels 49,98,196,
 m_fine 2, eval_n 49, where n delta rounds below the horizon), and for two
 runs of the linear preset at workers 1 under independent and Volterra noise
 at threshold 5 (on the COMMON grid; there the tau_N screen clears some paths
-of each chunk and leaves others open, crossing or not), the script runs
+of each chunk and leaves others open, crossing or not), and for two runs of
+the linear preset under independent noise with 1100 paths on the COMMON
+grid at workers 1 and 3 (five chunks, the last of 76 paths; at workers 3
+one forked child runs chunks 1 and 4, the partial one), the script runs
 `python -m mixedsde.cli converge` once in each tree, with that tree's src/
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
@@ -82,6 +85,8 @@ EVAL49 = ["--paths", "300", "--levels", "49,98,196", "--m-fine", "2", "--eval-n"
 # a linear-preset threshold at which each chunk holds paths the tau_N bound
 # clears, paths it leaves open that do not cross, and paths that cross
 THRESHOLD5 = ["--threshold", "5", *COMMON]
+# five chunks, the last partial: at workers 3 a forked child runs two chunks
+PATHS1100 = ["--paths", "1100", *COMMON[2:]]
 
 
 def matrix() -> dict[str, list[str]]:
@@ -105,6 +110,10 @@ def matrix() -> dict[str, list[str]]:
     for workers in ("1", "2"):
         runs[f"linear-independent-cholesky-workers{workers}"] = [
             "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers, *COMMON
+        ]
+    for workers in ("1", "3"):
+        runs[f"linear-independent-paths1100-workers{workers}"] = [
+            "--preset", "linear", "--dependence", "independent", "--workers", workers, *PATHS1100
         ]
     return runs
 
