@@ -14,9 +14,9 @@ every fine node up to tau, in one blocked pass per level. Every batched
 kernel takes and returns node-major arrays: (n+1, paths), nodes first.
 A run is checked once (_checked_run returns a _Run); each fixed 256-path
 chunk is _run_chunk(run, ci), a function of the run and its index only.
-With more than one worker the chunks run in worker processes: the caller
-forks a child per extra worker and runs its own share meanwhile, and each
-child returns its rows through a pipe (_forked_rows).
+_chunk_rows turns the run into rows at any worker count: the caller runs
+its share of the chunks and forks a child per extra worker, and each child
+returns its rows through a pipe.
 
 tau_N is screened by a certified upper bound on K at the last node
 (fbm._holder_bound, O(n log n) per path, 1.07 to 1.86 times the exact K
@@ -34,6 +34,7 @@ import math
 import os
 import pickle
 import signal
+import traceback
 from dataclasses import dataclass, asdict
 from typing import NamedTuple
 
@@ -44,8 +45,8 @@ from .coefficients import CoefficientSet, kappa
 from .euler import _BLOCK_NODES, EulerSolution, _euler_solve_batch, _interpolate_on_fine
 from .fbm import (
     _ROW_GROUP, Independent, JointGaussian, NoisePair, VolterraFromWiener, _check_method, _cholesky_factor,
-    _circulant_sqrt_eigs, _fbm_values_batch, _holder_bound, _holder_cumulative_batch, _holder_exponents,
-    _resolve_dependence, _volterra_fbm, _volterra_weights, _wiener_values_batch, validate_hurst,
+    _fbm_values_batch, _holder_bound, _holder_cumulative_batch, _holder_exponents, _resolve_dependence, _volterra_fbm,
+    _volterra_weights, _wiener_values_batch, validate_hurst,
 )
 from .fraccalc import (
     _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _pair_n, _validate_norm2_order, norms_comparison_constant
@@ -510,29 +511,19 @@ def _run_chunk(run: _Run, ci: int) -> tuple[np.ndarray, ...]:
     return (*(np.array(level_rows) for level_rows in zip(*rows)), tau_eval < run.eval_n)
 
 
-def _noise_table(run: _Run) -> None:
-    """Build the cached read-only table that the run's chunks draw noise
-    with: the Volterra weights, the Cholesky factor (refused above its n
-    cap) or the circulant roots."""
-    if isinstance(run.dependence, VolterraFromWiener):
-        _volterra_weights(run.fine.n, run.fine.horizon, run.h)
-    elif run.method == "cholesky":
-        _cholesky_factor(run.fine, run.h)
-    else:
-        _circulant_sqrt_eigs(run.fine.n, run.h)
-
-
 def _child_exit(run: _Run, chunks: range, sink) -> None:
-    """A forked child's whole life: the rows of its chunks as [(ci, rows),
-    ...], or the exception they raised, pickled into sink; then os._exit,
-    so it never returns into the caller's stack (no atexit handler runs and
-    no inherited stdio buffer is flushed). Status 0 only once all is sent."""
+    """A forked child's whole life: its traceback text (None if its chunks
+    ran), then the rows of its chunks as a list in stripe order or the
+    exception they raised, pickled into sink; then os._exit, so it never
+    returns into the caller's stack (no atexit handler, no flush of
+    inherited stdio buffers). Status 0 only once all is sent."""
     status = 1
     try:
         try:
-            out = [(ci, _run_chunk(run, ci)) for ci in chunks]
+            out, trace = [_run_chunk(run, ci) for ci in chunks], None
         except BaseException as exc:  # sent to the caller, which raises it again
-            out = exc
+            out, trace = exc, traceback.format_exc()
+        pickle.dump(trace, sink, pickle.HIGHEST_PROTOCOL)
         pickle.dump(out, sink, pickle.HIGHEST_PROTOCOL)
         sink.flush()
         status = 0
@@ -540,52 +531,60 @@ def _child_exit(run: _Run, chunks: range, sink) -> None:
         os._exit(status)
 
 
-def _forked_rows(run: _Run, chunks: int, workers: int) -> list[tuple[np.ndarray, ...]]:
-    """_run_chunk(run, ci) for ci < chunks, in chunk order, from workers
-    processes: workers - 1 children forked here run chunks k, k + workers,
-    ... (k = 1 .. workers - 1) while the caller runs 0, workers, ....
+def _chunk_rows(run: _Run) -> list[tuple[np.ndarray, ...]]:
+    """_run_chunk(run, ci) for every chunk, in chunk order, from w =
+    min(run.workers, chunks) processes: the caller runs chunks 0, w, 2w, ...
+    while w - 1 children forked here run k, k + w, ... (k = 1 .. w - 1).
 
-    The noise table is built first, so the children inherit it and the
-    caller's cache stays warm. A child's pickle is read whole before the
-    child is reaped (its rows can outgrow the pipe buffer). A child's
-    exception is raised here with its type and message; a child that ends
-    without its rows raises RuntimeError with its chunks and wait status.
-    Whatever leaves this function, no child is left: the ones still
-    running are killed and every one is reaped.
+    Only the Cholesky factor is built before the first fork; the cheap
+    circulant roots and Volterra weights are built by whichever process
+    misses them. A child's pickles are read whole before it is reaped (its
+    rows can outgrow the pipe buffer). A child's exception is raised here
+    from a RuntimeError with the child's traceback, or is that RuntimeError
+    when it cannot be rebuilt here; a child that ends without its rows gives
+    a RuntimeError with its chunks and wait status. Whatever leaves, the
+    children still running are killed, and every one is reaped.
     """
-    _noise_table(run)
-    children, sources = {}, []  # pid -> (read end of its pipe, its chunks); every read end opened
+    chunks = -(-run.paths // _CHUNK)
+    w = min(run.workers, chunks)
+    if isinstance(run.dependence, Independent) and run.method == "cholesky":
+        _cholesky_factor(run.fine, run.h)  # refused above its n cap
+    rows: list = [None] * chunks
+    children, sources = {}, []  # pid -> (read end of its pipe, k); every read end opened
     try:
-        for k in range(1, workers):
-            mine, (read, write) = range(k, chunks, workers), os.pipe()
+        for k in range(1, w):
+            read, write = os.pipe()
             sources.append(open(read, "rb"))
             with open(write, "wb") as sink:  # the caller's write end closes once the child holds its copy
                 pid = os.fork()
                 if pid == 0:
-                    _child_exit(run, mine, sink)
-                children[pid] = sources[-1], mine
-        rows = {ci: _run_chunk(run, ci) for ci in range(0, chunks, workers)}
-        for pid, (source, mine) in list(children.items()):
+                    _child_exit(run, range(k, chunks, w), sink)
+                children[pid] = sources[-1], k
+        rows[::w] = [_run_chunk(run, ci) for ci in range(0, chunks, w)]
+        for pid, (source, k) in list(children.items()):
+            child, trace, lost = f"the worker process of chunks {list(range(k, chunks, w))}", None, None
             try:
+                trace = pickle.load(source)
                 out = pickle.load(source)
-            except (EOFError, pickle.UnpicklingError):  # the child died before or while it wrote
-                out = None
+            except Exception as exc:  # it died before or while it wrote, or its exception cannot be rebuilt
+                lost = exc
             status = os.waitpid(pid, 0)[1]
             del children[pid]
-            if out is None or status:
-                raise RuntimeError(
-                    f"the worker process of chunks {list(mine)} ended with wait status {status} without its rows"
-                )
-            if isinstance(out, BaseException):
-                raise out
-            rows.update(out)
+            if trace is not None:
+                cause = RuntimeError(f"{child} failed:\n{trace}")
+                if lost is None:
+                    raise out from cause
+                raise cause from lost
+            if lost is not None or status:
+                raise RuntimeError(f"{child} ended with wait status {status} without its rows") from lost
+            rows[k::w] = out
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for source in sources:
             source.close()
-    return [rows[ci] for ci in range(chunks)]
+    return rows
 
 
 def _mean_se(rows: np.ndarray) -> tuple[float, float]:
@@ -682,21 +681,15 @@ def mc_strong_error(
     restricted means; paths whose state explodes are aborted and counted
     separately. paths is at most 2^22. workers, at most 64 (default: the
     CPUs this process may run on, at most 64; 1 where os.fork is missing,
-    as on Windows, which refuses more), is capped at one per chunk. One
-    worker runs the chunks on the calling thread; w > 1 worker processes
-    are the caller and w - 1 children it forks (see _forked_rows).
+    as on Windows, which refuses more), is capped at one per chunk: w
+    worker processes are the caller and w - 1 children it forks, none at
+    w = 1 (see _chunk_rows).
     """
     run = _checked_run(
         coeffs, h, config, levels, m_fine, paths, r_bound, t_horizon=t_horizon, x0=x0, seed=seed,
         dependence=dependence, method=method, eval_n=eval_n, workers=workers,
     )
-    chunks = (run.paths + _CHUNK - 1) // _CHUNK
-    workers = min(run.workers, chunks)
-    if workers == 1:
-        results = [_run_chunk(run, ci) for ci in range(chunks)]
-    else:
-        results = _forked_rows(run, chunks, workers)
-    sup2, norm2sq, ninf_sq, in_b, aborted, tau_lt_t = (np.concatenate(rows, axis=-1) for rows in zip(*results))
+    sup2, norm2sq, ninf_sq, in_b, aborted, tau_lt_t = (np.concatenate(rows, axis=-1) for rows in zip(*_chunk_rows(run)))
 
     level_stats = []
     for li, n in enumerate(run.levels):

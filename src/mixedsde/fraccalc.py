@@ -136,9 +136,11 @@ def _tip_weights(cells: int, delta: float, sigma: float, tip: float) -> tuple[np
     return w, first
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def _cell_weights(n: int, delta: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The node pair weights: _tip_weights with tip = delta, read-only."""
+    """The node pair weights: _tip_weights with tip = delta, read-only. An
+    entry holds 16n B and n reaches MAX_STEPS on young_integral's refined
+    mesh, so the 4 entries keep at most 1.07 GB (a session reads 3 keys)."""
     w, first = _tip_weights(n, delta, sigma, delta)
     w.setflags(write=False)
     first.setflags(write=False)
@@ -335,7 +337,8 @@ def norm_inf_alpha(f: SampledFunction, alpha: float) -> float:
 @lru_cache(maxsize=32)
 def _norm2_weight_cells(n: int, delta: float, alpha: float) -> np.ndarray:
     """Cell integrals of (s-a)^(-alpha) + (b-s)^(-alpha-1/2) on [a, b] = [a, a + n delta]:
-    the moments of both powers, the second read from b."""
+    the moments of both powers, the second read from b. An entry holds 8n B
+    and n is at most _PAIR_N_MAX, so the 32 entries keep at most 4 MiB."""
     k = np.arange(n, dtype=float)
     cells = _power_moments(k, delta, 1.0 - alpha)[0] + _power_moments(k, delta, 0.5 - alpha)[0][::-1]
     cells.setflags(write=False)

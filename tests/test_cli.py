@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -459,6 +460,18 @@ def test_every_converge_setting_can_be_overridden(outdir, key):
     )
     assert overridden[key] not in (default, manifest_value)
     assert overridden == dict(_CONVERGE_DEFAULTS, **{key: overridden[key]})
+
+
+def test_converge_defaults_are_the_api_defaults():
+    # the CLI restates these defaults, and its fbm and solve flags take method and dependence from them too
+    run = inspect.signature(convergence.mc_strong_error).parameters
+    config = {f.name: f.default for f in dataclasses.fields(convergence.SolverConfig)}
+    noise = inspect.signature(fbm.generate_noise_pair).parameters
+    pairs = {key: (run["t_horizon" if key == "t" else key].default, _CONVERGE_DEFAULTS[key])
+             for key in ("t", "x0", "seed", "r_bound", "dependence", "method", "eval_n")}
+    pairs.update((key, (config[key], _CONVERGE_DEFAULTS[key])) for key in ("eta", "threshold", "epsilon"))
+    pairs.update((f"noise {key}", (noise[key].default, _CONVERGE_DEFAULTS[key])) for key in ("dependence", "method"))
+    assert all((type(api), api) == (type(given), given) for api, given in pairs.values()), pairs
 
 
 def test_eval_n_above_4096_refused(outdir, capsys):

@@ -531,17 +531,17 @@ def test_pool_takes_the_available_parallelism_at_most_one_per_chunk(monkeypatch,
 
 
 def _no_fork_run(monkeypatch, workers) -> tuple[list, list, str]:
-    """(worker counts the fork point was called with, noise draws, error) of a 2^22-path run (16384 chunks) on
-    1000 usable CPUs; the fork point fails when called, so no child starts."""
+    """(worker counts of the runs that reached the chunk rows, noise draws, error) of a 2^22-path run (16384
+    chunks) on 1000 usable CPUs; the chunk rows fail when called, so no child starts."""
     asked, drawn, forks = [], [], _spy_forks(monkeypatch)
 
-    def forked_rows(run, chunks, workers):
-        asked.append(workers)
+    def chunk_rows(run):
+        asked.append(run.workers)
         raise RuntimeError("no fork in this test")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
     monkeypatch.setattr(convergence, "_chunk_noise", lambda *args: drawn.append(args))
-    monkeypatch.setattr(convergence, "_forked_rows", forked_rows)
+    monkeypatch.setattr(convergence, "_chunk_rows", chunk_rows)
     with pytest.raises((RuntimeError, ValueError)) as err:
         mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 1 << 22, workers=workers)
     assert forks == []
@@ -682,7 +682,7 @@ def test_rows_are_byte_identical_at_one_two_and_three_workers(dependence, method
     serial = [convergence._run_chunk(run, ci) for ci in range(5)]
     assert serial[-1][-1].shape == (76,)
     for workers in (2, 3):
-        forked = convergence._forked_rows(run, 5, workers)
+        forked = convergence._chunk_rows(run._replace(workers=workers))
         assert len(forked) == 5
         for got, want in zip(forked, serial):
             _assert_same_rows(got, want)
@@ -716,12 +716,43 @@ def test_a_child_s_exception_reaches_the_caller_with_its_type_and_message(monkey
             raise exc
 
     _fault_in_chunk(monkeypatch, fault)
-    raised = {}
+    raised, causes = {}, {}
     for workers in (1, 2):
         with pytest.raises(_ChunkFault) as err:
             mc_strong_error(preset("linear"), 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 600, workers=workers)
         raised[workers] = type(err.value), str(err.value), err.value.pid == os.getpid()
+        causes[workers] = err.value.__cause__
     assert raised == {1: (_ChunkFault, "chunk 1 failed", True), 2: (_ChunkFault, "chunk 1 failed", False)}
+    # the child's traceback comes with it, down to the frame that raised
+    assert causes[1] is None and type(causes[2]) is RuntimeError
+    trace = str(causes[2])
+    assert trace.startswith("the worker process of chunks [1] failed:\nTraceback (most recent call last):\n")
+    assert 'in fault\n    raise exc\n' in trace and trace.endswith("_ChunkFault: chunk 1 failed\n")
+
+
+class _StepError(Exception):
+    """An exception that pickles but cannot be rebuilt: its __init__ takes two arguments, args holds one."""
+
+    def __init__(self, t, why):
+        super().__init__(f"step at t={t} failed: {why}")
+
+
+def test_a_child_s_exception_that_cannot_be_rebuilt_arrives_as_its_traceback():
+    def a(t, x):
+        if x.ndim and x.shape[-1] == 44:  # the second chunk of 300 paths, which the child runs
+            raise _StepError(t, "drift refused")
+        return preset("linear").a(t, x)
+
+    coeffs = dataclasses.replace(preset("linear"), a=a)
+    with pytest.raises(_StepError, match="drift refused"):
+        mc_strong_error(coeffs, 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 300, workers=1)
+    with pytest.raises(RuntimeError, match=r"^the worker process of chunks \[1\] failed:\n") as err:
+        mc_strong_error(coeffs, 0.7, SolverConfig(alpha=0.35), [4, 8, 16], 1, 300, workers=2)
+    assert "in a\n    raise _StepError(t, \"drift refused\")\n" in str(err.value)
+    assert str(err.value).endswith("_StepError: step at t=0.0 failed: drift refused\n")
+    assert type(err.value.__cause__) is TypeError  # the rebuild that failed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_norm_comparison_failure_in_a_child_names_its_chunk_level_and_path(monkeypatch):

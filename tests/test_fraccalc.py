@@ -7,6 +7,7 @@ from mixedsde import (
     GridResourceError,
     SampledFunction,
     TimeGrid,
+    fraccalc,
     generate_fbm,
     holder_functional,
     integral_bound,
@@ -518,3 +519,13 @@ def test_restriction_to_fewer_than_two_nodes_refused(a, b):
     f = _sf(np.sin, n=16)
     with pytest.raises(ValueError, match="restriction interval contains fewer than two nodes"):
         f.restrict(a, b)
+
+
+def test_cell_weight_cache_keeps_at_most_four_tables():
+    # an entry holds 16n B, and young_integral's refined mesh takes n up to MAX_STEPS (268 MB per entry there)
+    fraccalc._cell_weights.cache_clear()
+    for n in range(40, 46):
+        t = np.linspace(0.0, 1.0, n + 1)
+        young_integral(SampledFunction(t, np.sin(t)), SampledFunction(t, np.cos(t)), 0.35)
+    info = fraccalc._cell_weights.cache_info()
+    assert info.misses == 12 and info.currsize <= 4  # alpha and 1 - alpha on each of the 6 refined meshes

@@ -26,13 +26,13 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
     off_grid = {name: args for name, args in off_grid.items() if name not in paths1100}
     special = {**off_grid, **cholesky, **threshold5, **paths1100}
     runs = {name: args for name, args in everything.items() if name not in special}
-    assert len(runs) == 24 and len(everything) == 35
+    assert len(runs) == 24 and len(everything) == 37
     assert paths1100 == {
-        f"linear-independent-paths1100-workers{workers}": [
-            "--preset", "linear", "--dependence", "independent", "--workers", workers, "--paths", "1100",
+        f"linear-{dep}-paths1100-workers{workers}": [
+            "--preset", "linear", "--dependence", dep, "--workers", workers, "--paths", "1100",
             *same_outputs.COMMON[2:],
         ]
-        for workers in ("1", "3")
+        for dep in ("independent", "volterra") for workers in ("1", "3")
     }
     assert threshold5 == {
         f"linear-{dep}-threshold5-workers1": [

@@ -16,10 +16,11 @@ independent noise whose eval grid is not a power of two (levels 49,98,196,
 m_fine 2, eval_n 49, where n delta rounds below the horizon), and for two
 runs of the linear preset at workers 1 under independent and Volterra noise
 at threshold 5 (on the COMMON grid; there the tau_N screen clears some paths
-of each chunk and leaves others open, crossing or not), and for two runs of
-the linear preset under independent noise with 1100 paths on the COMMON
-grid at workers 1 and 3 (five chunks, the last of 76 paths; at workers 3
-one forked child runs chunks 1 and 4, the partial one), the script runs
+of each chunk and leaves others open, crossing or not), and for four runs of
+the linear preset under independent and Volterra noise with 1100 paths on
+the COMMON grid at workers 1 and 3 (five chunks, the last of 76 paths; at
+workers 3 one forked child runs chunks 1 and 4, the partial one, with the
+noise table it builds itself), the script runs
 `python -m mixedsde.cli converge` once in each tree, with that tree's src/
 on PYTHONPATH. It compares the exit code, stdout (the output directory
 masked), report.json, report.csv, report_loglog.csv and manifest.json byte
@@ -111,9 +112,9 @@ def matrix() -> dict[str, list[str]]:
         runs[f"linear-independent-cholesky-workers{workers}"] = [
             "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers, *COMMON
         ]
-    for workers in ("1", "3"):
-        runs[f"linear-independent-paths1100-workers{workers}"] = [
-            "--preset", "linear", "--dependence", "independent", "--workers", workers, *PATHS1100
+    for dep, workers in itertools.product(("independent", "volterra"), ("1", "3")):
+        runs[f"linear-{dep}-paths1100-workers{workers}"] = [
+            "--preset", "linear", "--dependence", dep, "--workers", workers, *PATHS1100
         ]
     return runs
 
