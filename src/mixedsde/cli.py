@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -130,7 +131,11 @@ def cmd_fbm(args) -> int:
 
 
 def _load_sampled(path: str) -> SampledFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on a file without rows; it is refused below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] < 2:  # also a file without rows, read as shape (0, 1)
+        raise ValueError(f"{path} must hold a header line and rows of two columns t,value, got shape {data.shape}")
     return SampledFunction(data[:, 0], data[:, 1])
 
 
@@ -227,6 +232,9 @@ def _resolve_converge_settings(args) -> dict:
     if args.manifest:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            kind = {list: "array", str: "string", bool: "boolean", int: "number", float: "number"}.get(type(manifest))
+            raise ValueError(f"manifest must be a JSON object, got {kind or 'null'}")
         unknown = set(manifest) - set(_CONVERGE_DEFAULTS) - {"version"}
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")

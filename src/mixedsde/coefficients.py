@@ -301,7 +301,7 @@ def check_hypotheses(
 
     # log-uniform separations, both signs, clipped back into the ranges
     def perturb(base, lo, hi, count):
-        sep = 10.0 ** rng.uniform(-6, math.log10(max(hi - lo, 1e-5)), count)
+        sep = np.float_power(10.0, rng.uniform(-6, math.log10(max(hi - lo, 1e-5)), count))
         sign = rng.choice([-1.0, 1.0], count)
         return np.clip(base + sign * sep, lo, hi)
 
@@ -331,7 +331,7 @@ def check_hypotheses(
             "C": (
                 "|a(s,x)-a(t,x)| + ... + |dc(s,x)-dc(t,x)| <= K |s-t|^beta",
                 lambda: sum(np.abs(fn(s, xx) - fn(tt, xx)) for fn in (a, b, c, dc)) * one,
-                dt**coeffs.beta,
+                np.float_power(dt, coeffs.beta),
                 (s, tt, xx),
             ),
             "D": ("|dc(t,x)-dc(t,y)| <= K |x-y|", lambda: np.abs(dc(tt, xx) - dc(tt, y)) * one, dx, (tt, xx, y)),

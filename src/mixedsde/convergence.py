@@ -319,9 +319,10 @@ def pathwise_error(
 ) -> tuple[float, float]:
     """(sup over fine nodes, ||.||_{2,alpha}) of X^{delta,N} - X^{mu,N}.
 
-    Both solutions must be driven by the same noise pair, share tau, and
-    the fine grid must refine the coarse one. The coarse solution's values
-    are evaluated at fine nodes through their continuous interpolation.
+    Both solutions must be driven by the same noise pair, share tau (a fine
+    node), and the fine grid must refine the coarse one. The coarse solution's
+    values are evaluated at fine nodes through their continuous interpolation;
+    both errors freeze at the fine node where stop froze the fine solution.
     """
     alpha = _validate_norm2_order(alpha)
     csol, fsol = coarse.base, fine.base
@@ -339,14 +340,15 @@ def pathwise_error(
         raise ValueError(f"norm_grid_n must be a positive divisor of the fine grid size, got {norm_n}")
     noise_stride = fine_grid.refinement_stride(csol.noise.grid)
     w, bh = (p.values[::noise_stride, None] for p in (csol.noise.w, csol.noise.bh))
-    tau_idx = np.array([fine_grid.node_index(coarse.tau)])
+    fine_grid.node_index(coarse.tau)  # raises unless tau is a fine node
+    tau_idx = np.array([fine_grid.floor_index(coarse.tau)])  # where stop froze fine
     # every fine node is an eval node here: tau need not lie on the norm grid
     sup2, interp = _level_pass(
-        csol.coeffs, csol.grid.nodes, csol.values[:, None], fine_grid.nodes, w, bh, fsol.values[:, None], tau_idx, 1
+        csol.coeffs, csol.grid.nodes, csol.values[:, None], fine_grid.nodes, w, bh, fine.values[:, None], tau_idx, 1
     )
     norm_stride = fine_grid.n // norm_n
     coarse_eval = _stop_batch(interp, tau_idx)[::norm_stride]
-    fine_eval = _stop_batch(fsol.values[:, None], tau_idx)[::norm_stride]
+    fine_eval = fine.values[::norm_stride, None]
     delta_n = fine_grid.horizon / norm_n
     cells = _norm2_weight_cells(norm_n, delta_n, alpha)
     norm2sq, _ = _error_norms(coarse_eval, fine_eval, delta_n, alpha, cells)

@@ -46,11 +46,10 @@ _CHOLESKY_N_MAX = 4096
 _METHODS = ("cholesky", "circulant-embedding", "circulant")  # independent B^H only; others ignore it
 # holder_functional refuses fewer grid steps (nodes - 1) in [0, t]
 _HOLDER_MIN_STEPS = 8
-# rows per group of every harness sampler (the circulant inverse FFT, the
-# Volterra convolution, the node-major W fill): their temporaries exist for
-# one group at a time. One 256-path Volterra chunk's noise at fine n 8192
-# peaked at 56, 61, 71 and 92 MB with groups of 8, 16, 32 and 64 rows
-# (201 MB before the grouping), and took 244, 249, 269 and 288 ms
+# rows per group of every harness sampler (the circulant inverse FFT; _chunk_noise's node-major
+# W fill and Volterra convolution of each W group): their temporaries exist for one group at a
+# time. One 256-path Volterra chunk's noise at fine n 8192 peaked at 56, 61, 71 and 92 MB with
+# groups of 8, 16, 32 and 64 rows (201 MB before the grouping), and took 244, 249, 269 and 288 ms
 _ROW_GROUP = 16
 
 
@@ -318,8 +317,8 @@ def _volterra_weights(n: int, horizon: float, h: float) -> _VolterraWeights | No
     if h == 0.5:
         return None
     p = h - 0.5
-    delta = horizon / n
-    nodes = np.arange(n + 1, dtype=float) * horizon / n
+    grid = TimeGrid(horizon, n)
+    nodes, delta = grid.nodes, grid.delta
     g = np.float_power(nodes, p)  # u^{H-1/2} at the nodes
     c_h = math.sqrt(
         h * (2.0 * h - 1.0) * math.gamma(1.5 - h) / (math.gamma(2.0 - 2.0 * h) * math.gamma(p))
@@ -342,27 +341,23 @@ def _volterra_fbm(weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndar
 
     One real FFT of u_i = c_H nu_i^{-p} dW_i and two inverse ones give the
     moment convolutions; B at node r+1 is K0_r dW_0 + sum_{k<=r} (g_k
-    (u*m0)_k + dg_k (u*m1)_k). O(n log n) per path. The rows go through in
-    groups of _ROW_GROUP along the first axis, so the spectra and
-    padded rows exist for one group at a time; a row's values do not depend
-    on the rows that share its group.
-    """
+    (u*m0)_k + dg_k (u*m1)_k). O(n log n) per path; a row's values do not
+    depend on the other rows. All rows go through at once: the call peaks at
+    36 B per row and nfft point (9.4 MB for _chunk_noise's _ROW_GROUP rows
+    at n 8192, 75.5 MB for np.eye(1024)), so callers group large inputs."""
     if out is None:
         out = np.empty(dw.shape)
     if weights is None:
         return np.cumsum(dw, axis=-1, out=out)
     n = dw.shape[-1]
-    rows_in, rows_out = np.atleast_2d(dw), np.atleast_2d(out)
-    for lo in range(0, len(rows_in), _ROW_GROUP):
-        d = rows_in[lo : lo + _ROW_GROUP]
-        u_hat = np.fft.rfft(d * weights.scale, weights.nfft)
-        conv0 = np.fft.irfft(u_hat * weights.m0_hat, weights.nfft)[..., :n]
-        conv1 = np.fft.irfft(u_hat * weights.m1_hat, weights.nfft)[..., :n]
-        conv0 *= weights.g
-        conv1 *= weights.dg
-        conv0 += conv1  # the cell sums
-        o = np.cumsum(conv0, axis=-1, out=rows_out[lo : lo + _ROW_GROUP])
-        o += weights.k0 * d[..., :1]
+    u_hat = np.fft.rfft(dw * weights.scale, weights.nfft)
+    conv0 = np.fft.irfft(u_hat * weights.m0_hat, weights.nfft)[..., :n]
+    conv1 = np.fft.irfft(u_hat * weights.m1_hat, weights.nfft)[..., :n]
+    conv0 *= weights.g
+    conv1 *= weights.dg
+    conv0 += conv1  # the cell sums
+    np.cumsum(conv0, axis=-1, out=out)
+    out += weights.k0 * dw[..., :1]
     return out
 
 

@@ -175,6 +175,18 @@ def test_integrate_refuses_a_bad_sample_csv(outdir, capsys, rows, message):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, shape", [("t\n0\n0.5\n1\n", "(3, 1)"), ("t,value\n", "(0, 1)")])
+@pytest.mark.parametrize("role", ["--g", "--f"])
+def test_integrate_refuses_a_csv_without_two_columns_of_rows(outdir, capsys, text, shape, role):
+    (outdir / "bad.csv").write_text(text)
+    (outdir / "g.csv").write_text("t,value\n0,0\n0.5,1\n1,2\n")
+    files = {"--g": outdir / "g.csv", "--f": outdir / "g.csv", role: outdir / "bad.csv"}
+    assert main(["integrate", "--f", str(files["--f"]), "--g", str(files["--g"]), "--alpha", "0.3"]) == 1
+    err = capsys.readouterr().err
+    message = f"must hold a header line and rows of two columns t,value, got shape {shape}"
+    assert err == f"error: {outdir / 'bad.csv'} {message}\n"
+
+
 @pytest.mark.parametrize(
     "expression, message",
     [("x +", "cannot parse expression 'x +'"), ("exp(x=1)", "keyword arguments not allowed in expressions")],
@@ -278,6 +290,15 @@ def test_converge_flag_overrides_manifest(outdir):
 def test_converge_rejects_unknown_manifest_keys(outdir):
     (outdir / "bad.json").write_text(json.dumps({"paths": 5, "bogus": 1}))
     assert main(["converge", "--manifest", str(outdir / "bad.json")]) == 1
+
+
+@pytest.mark.parametrize("text, kind", [("5", "number"), ("null", "null"), ('["h"]', "array"), ('"abc"', "string")])
+def test_converge_refuses_a_manifest_that_is_not_an_object(outdir, capsys, text, kind):
+    (outdir / "m.json").write_text(text)
+    assert main(["converge", "--manifest", str(outdir / "m.json"), "--outdir", str(outdir / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: manifest must be a JSON object, got {kind}\n"
+    assert not (outdir / "r").exists()
 
 
 @pytest.mark.parametrize(

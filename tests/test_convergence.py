@@ -98,6 +98,20 @@ def test_pathwise_error_requires_shared_tau():
         pathwise_error(stop(coarse, 0.5), stop(fine, 1.0), 0.35)
 
 
+def test_pathwise_error_freezes_where_stop_froze():
+    # a tau just below node 40 passes the node check, but stop freezes both solutions at node 39
+    grid = TimeGrid(1.0, 64)
+    pair = generate_noise_pair(grid, 0.7, 3)
+    coarse = euler_solve(preset("linear"), pair, 1.0, TimeGrid(1.0, 16))
+    fine = euler_solve(preset("linear"), pair, 1.0)
+
+    def error(tau):
+        return pathwise_error(stop(coarse, tau), stop(fine, tau), 0.35)
+
+    below = error(grid.nodes[40] - 1e-12)
+    assert below == error(grid.nodes[39]) != error(grid.nodes[40])
+
+
 @pytest.mark.parametrize("norm_grid_n", [0, -4, -256])
 def test_pathwise_error_refuses_norm_grid_below_one(norm_grid_n):
     pair = generate_noise_pair(TimeGrid(1.0, 256), 0.7, 5)
