@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fraccalc import _offset_sum, _pair_n, _power_moments
+from .fraccalc import _offset_sum, _offset_total, _pair_n, _power_moments
 from .grid import TimeGrid, _integer, _node_values, _real, _write_csv
 from .rng import stream
 
@@ -451,9 +451,18 @@ def _holder_cumulative_batch(values: np.ndarray, delta: float, eta: float, q: fl
     The sums over earlier nodes, |x_i - x_{i-m}|^(2/eta) (m delta)^(-q), are
     one _offset_sum; then a cumulative sum over nodes. n above _PAIR_N_MAX is refused before any table.
     """
-    inv_sep = np.float_power(np.arange(1.0, _pair_n(values.shape[0] - 1) + 1) * delta, -q)
-    total = 2.0 * np.cumsum(_offset_sum(values, inv_sep, inv_sep, 2.0 / eta), axis=0)
-    return np.float_power(total * delta * delta, eta / 2.0)
+    inv_sep = _grr_weights(values.shape[0] - 1, delta, q)
+    return _grr_k(np.cumsum(_offset_sum(values, inv_sep, inv_sep, 2.0 / eta), axis=0), delta, eta)
+
+
+def _grr_weights(n: int, delta: float, q: float) -> np.ndarray:
+    """(m delta)^(-q), m = 1..n: the GRR weight of a node pair m steps apart. n above _PAIR_N_MAX is refused first."""
+    return np.float_power(np.arange(1.0, _pair_n(n) + 1) * delta, -q)
+
+
+def _grr_k(pair_sum, delta: float, eta: float):
+    """K = (2 delta^2 pair_sum)^(eta/2): each unordered pair counts twice in the double integral."""
+    return np.float_power(2.0 * pair_sum * delta * delta, eta / 2.0)
 
 
 def _holder_bound(values: np.ndarray, delta: float, eta: float, q: float) -> np.ndarray:
@@ -477,7 +486,7 @@ def _holder_bound(values: np.ndarray, delta: float, eta: float, q: float) -> np.
         osc = np.max(hi - lo, axis=0)
         total += np.sum(weights[width - 1 : width + step - 1]) * np.float_power(osc, 2.0 / eta)
         width += step
-    return np.float_power(2.0 * total * delta * delta, eta / 2.0)
+    return _grr_k(total, delta, eta)
 
 
 def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> HolderFunctional:
@@ -485,7 +494,8 @@ def holder_functional(path: NoisePath, eta: float, t: float | None = None) -> Ho
     t = path.grid.horizon if t is None else _real("t", t)
     k = _integer("holder_functional's grid steps in [0, t]", path.grid.node_index(t), low=_HOLDER_MIN_STEPS)
     q = _holder_exponents(path.kind, eta, path.hurst)
-    value = holder_cumulative(path.values[: k + 1], path.grid.delta, eta, q)[-1]
+    delta = path.grid.delta
+    value = _grr_k(_offset_total(path.values[: k + 1], _grr_weights(k, delta, q), 2.0 / eta), delta, eta)
     return HolderFunctional(eta=float(eta), horizon=t, kind=path.kind, value=float(value))
 
 

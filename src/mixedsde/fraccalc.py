@@ -34,8 +34,8 @@ _PAIR_N_MAX = 1 << 14
 
 
 def _pair_n(n, name: str = "n") -> int:
-    return _integer(name, n, high=_PAIR_N_MAX, why="the pair kernels cost O(n^2) time, increment_bracket 0.09 / 0.24 / "
-                    "0.94 s and holder_functional 0.14 / 0.55 / 1.75 s at n = 2^13 / 2^14 / 2^15 on 2 vCPUs")
+    return _integer(name, n, high=_PAIR_N_MAX, why="the pair kernels cost O(n^2) time, increment_bracket 0.06 / 0.16 / "
+                    "0.72 s and holder_functional 0.08 / 0.34 / 1.70 s at n = 2^13 / 2^14 / 2^15 on 2 vCPUs")
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,36 @@ def _cell_weights(n: int, delta: float, sigma: float) -> tuple[np.ndarray, np.nd
     return w, first
 
 
-def _marchaud(fx, span, sigma: float, integral):
-    """D^sigma_{a+} f(x) = (f(x) (x-a)^(-sigma) + sigma integral) / Gamma(1-sigma), integral the pair sum."""
-    return (fx * np.float_power(span, -sigma) + sigma * integral) / math.gamma(1.0 - sigma)
+@lru_cache(maxsize=2)
+def _span_power(n: int, delta: float, sigma: float) -> np.ndarray:
+    """(k delta)^(-sigma), k = 1..n: the Marchaud power (x-a)^(-sigma) at the
+    nodes, read-only. An entry holds 8n B and young_integral reads sigma =
+    alpha and 1 - alpha, so the 2 entries keep at most 268 MB at MAX_STEPS."""
+    power = np.float_power(np.arange(1, n + 1, dtype=float) * delta, -sigma)
+    power.setflags(write=False)
+    return power
+
+
+@lru_cache(maxsize=2)
+def _singular_moments(n: int, delta: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """_power_moments of (u - a)^(-alpha) over the n cells, read-only. An entry
+    holds 16n B and n reaches MAX_STEPS on young_integral's refined mesh, so
+    the 2 entries (that mesh and integral_bound's) keep at most 537 MB."""
+    m0, m1 = _power_moments(np.arange(n, dtype=float), delta, 1.0 - alpha)
+    m0.setflags(write=False)
+    m1.setflags(write=False)
+    return m0, m1
+
+
+def _marchaud(fx, span_power, sigma: float, integral):
+    """D^sigma_{a+} f(x) = (f(x) (x-a)^(-sigma) + sigma integral) / Gamma(1-sigma), integral the pair sum
+    and span_power (x-a)^(-sigma)."""
+    return (fx * span_power + sigma * integral) / math.gamma(1.0 - sigma)
 
 
 def _singular_integral(v: np.ndarray, delta: float, alpha: float) -> float:
     """int_a^b PL(v)(u - a)^(-alpha) du, PL(v) the linear interpolant of node values v spaced delta."""
-    m0, m1 = _power_moments(np.arange(v.size - 1, dtype=float), delta, 1.0 - alpha)
+    m0, m1 = _singular_moments(v.size - 1, float(delta), float(alpha))
     return float(np.sum(v[:-1] * m0 + np.diff(v) / delta * m1))
 
 
@@ -171,7 +193,7 @@ def _left_deriv_nodes(values: np.ndarray, delta: float, sigma: float) -> np.ndar
     integral[1:] += f[2:] * np.cumsum(w[:-1]) - conv[: n - 1]
     out = np.empty(n + 1)
     out[0] = np.nan
-    out[1:] = _marchaud(f[1:], np.arange(1, n + 1, dtype=float) * delta, sigma, integral)
+    out[1:] = _marchaud(f[1:], _span_power(n, float(delta), float(sigma)), sigma, integral)
     return out
 
 
@@ -191,7 +213,7 @@ def _derivative_at(t: np.ndarray, y: np.ndarray, sigma: float, x: float) -> floa
     w, first = _tip_weights(j + 1, delta, sigma, x - t[j])
     fx = np.interp(x, t, y)
     g = fx - y[j::-1]
-    return _marchaud(fx, x - t[0], sigma, w[:j] @ g[:j] + first[j] * g[j])
+    return _marchaud(fx, np.float_power(x - t[0], -sigma), sigma, w[:j] @ g[:j] + first[j] * g[j])
 
 
 def left_derivative(f: SampledFunction, alpha: float, x: float) -> float:
@@ -270,23 +292,31 @@ def young_integral(
 
 
 def _abs_power_inplace(sq: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    """out = |sq|**p, using square-and-multiply when p is a small integer;
-    sq is overwritten (it holds the squares)."""
-    np.abs(sq, out=sq)
-    if p == int(p) and 1 <= p <= 64:
-        k = int(p)
-        while not k & 1:
-            sq *= sq
-            k >>= 1
-        out[...] = sq
-        k >>= 1
-        while k:
-            sq *= sq
-            if k & 1:
-                out *= sq
-            k >>= 1
+    """out = |sq|**p, by square-and-multiply when p is an integer in [1, 64];
+    sq is overwritten. The chain squares up to p's lowest set bit, whose
+    square starts the product in sq (or, when no bit lies above it, is
+    written to out); the running square then moves to out, and each
+    higher set bit multiplies it into the product, the last one into out.
+    An even p starts from sq * sq, whose bits are those of |sq| * |sq|."""
+    if not (p == int(p) and 1 <= p <= 64):
+        return np.power(np.abs(sq, out=sq), p, out=out)
+    k = int(p)
+    low = (k & -k).bit_length() - 1  # p = 2^low x odd
+    k >>= low + 1  # the set bits above the lowest
+    if low == 0:
+        np.abs(sq, out=sq if k else out)
+    for i in range(low):
+        np.multiply(sq, sq, out=sq if k or i < low - 1 else out)
+    if not k:
         return out
-    return np.power(sq, p, out=out)
+    np.multiply(sq, sq, out=out)
+    while True:
+        if k & 1:
+            np.multiply(sq, out, out=sq if k > 1 else out)
+        k >>= 1
+        if not k:
+            return out
+        out *= out
 
 
 def _offset_sum(values: np.ndarray, weights: np.ndarray, first: np.ndarray, power: float = 1.0) -> np.ndarray:
@@ -311,6 +341,43 @@ def _offset_sum(values: np.ndarray, weights: np.ndarray, first: np.ndarray, powe
     term *= first[:n].reshape((n,) + (1,) * (values.ndim - 1))
     out[1:] += term
     return out
+
+
+# offsets per block of _offset_total. One holder_functional call (n 8192, eta 0.1, so power 20) took
+# 187, 126, 113, 91, 90, 109 and 132 ms with B = 1, 2, 4, 8, 16, 32 and 64 (best of 7 on 2 vCPUs with
+# 2 MiB of L2 per core; 131 ms with the cumulative _offset_sum), and at n 16384 B = 4, 8 and 16 took
+# 0.32, 0.34 and 0.39 s. Its two (B, n) buffers take 16 x B x n bytes, 2 MiB at _PAIR_N_MAX with B = 8
+_OFFSET_BLOCK = 8
+
+
+def _offset_total(values: np.ndarray, weights: np.ndarray, power: float) -> float:
+    """sum over m = 1..n of weights[m-1] sum_i |f_i - f_{i-m}|^power for one
+    path of n+1 values: the total of _offset_sum(values, weights, weights,
+    power) over its nodes, without the per-node sums. Each block of
+    _OFFSET_BLOCK offsets is one (B, L) array of f_{j+m} - f_j, a Hankel
+    view of the right-padded values minus their first L entries; the pairs
+    past the end of a row, in its last B-1 columns, are set to exactly 0
+    (a mask product would turn an inf difference into nan). Each row sums
+    pairwise along its contiguous axis, and the weights multiply the n
+    per-offset sums once, so no BLAS call sets the order of the sums."""
+    f = np.asarray(values, dtype=float)
+    n, b = f.size - 1, _OFFSET_BLOCK
+    padded = np.zeros(n + b)
+    padded[: n + 1] = f
+    step = padded.strides[0]
+    # past_end[r, c]: column c of the last b-1 lies past the end of row r in a block of L >= b-1 columns
+    past_end = np.arange(b - 1) >= np.arange(b - 1, -1, -1)[:, None]
+    diff_buf, term_buf = np.empty(b * n), np.empty(b * n)
+    sums = np.empty(n + b)
+    for m in range(1, n + 1, b):
+        cols = n + 1 - m
+        ahead = np.lib.stride_tricks.as_strided(padded[m:], (b, cols), (step, step), writeable=False)
+        d = np.subtract(ahead, f[:cols], out=diff_buf[: b * cols].reshape(b, cols))
+        tail = min(b - 1, cols)
+        np.copyto(d[:, cols - tail :], 0.0, where=past_end[:, b - 1 - tail :])
+        term = _abs_power_inplace(d, power, term_buf[: b * cols].reshape(b, cols))
+        np.sum(term, axis=1, out=sums[m - 1 : m - 1 + b])
+    return float(np.sum(weights[:n] * sums[:n]))
 
 
 def increment_bracket(values: np.ndarray, delta: float, alpha: float) -> np.ndarray:

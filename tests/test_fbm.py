@@ -31,7 +31,7 @@ from mixedsde.fbm import (
     write_pair_csv,
     write_path_csv,
 )
-from mixedsde.fraccalc import _power_moments
+from mixedsde.fraccalc import _OFFSET_BLOCK, _power_moments
 from mixedsde.rng import stream
 
 
@@ -486,6 +486,17 @@ def test_holder_linear_path_against_quadrature_oracle():
     path = NoisePath(grid, grid.nodes.copy(), "wiener")
     got = holder_functional(path, eta).value
     assert got == pytest.approx(oracle_value, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind", ["wiener", "fbm"])
+def test_holder_functional_is_the_last_node_of_holder_cumulative(kind):
+    # the total sums per offset block, the cumulative K per node: the two agree to roundoff
+    grid = TimeGrid(1.0, 300)
+    path = generate_wiener(grid, 4) if kind == "wiener" else generate_fbm(grid, 0.7, 4)
+    q = 1.0 / 0.1 if kind == "wiener" else 2 * 0.7 / 0.1
+    for k in (grid.n, 4 * _OFFSET_BLOCK + 3):  # the second ends inside an offset block
+        want = holder_cumulative(path.values[: k + 1], grid.delta, 0.1, q)[-1]
+        assert holder_functional(path, 0.1, grid.nodes[k]).value == pytest.approx(want, rel=1e-13)
 
 
 def test_holder_monotone_in_horizon():

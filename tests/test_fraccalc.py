@@ -19,10 +19,12 @@ from mixedsde import (
     young_integral,
 )
 from mixedsde.fraccalc import (
+    _OFFSET_BLOCK,
     _abs_power_inplace,
     _increment_bracket_batch,
     _left_deriv_nodes,
     _offset_sum,
+    _offset_total,
     _power_moments,
     _right_deriv_nodes,
     increment_bracket,
@@ -425,6 +427,57 @@ def test_offset_sum_matches_the_per_offset_loop_bit_for_bit(n, power, paths):
         assert np.array_equal(got, _offset_sum_per_offset(v, weights, first, power), equal_nan=True)
 
 
+def _abs_power_by_copy(sq, p, out):
+    # the square-and-multiply chain that takes |sq| first and copies the lowest set bit's square into out
+    np.abs(sq, out=sq)
+    k = int(p)
+    while not k & 1:
+        sq *= sq
+        k >>= 1
+    out[...] = sq
+    k >>= 1
+    while k:
+        sq *= sq
+        if k & 1:
+            out *= sq
+        k >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p", range(1, 65))
+def test_abs_power_chain_matches_the_copying_chain_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.0]
+    values = np.concatenate([special, rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200)])
+    with np.errstate(over="ignore", under="ignore"):
+        want = _abs_power_by_copy(values.copy(), p, np.empty_like(values))
+        got = _abs_power_inplace(values.copy(), p, np.empty_like(values))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, _OFFSET_BLOCK - 1, _OFFSET_BLOCK, _OFFSET_BLOCK + 1, 3 * _OFFSET_BLOCK + 2, 257])
+@pytest.mark.parametrize("power", [20.0, 2.0, 1.0, 7.0, 2.5])
+def test_offset_total_matches_the_pair_by_pair_sum(n, power):
+    rng = np.random.default_rng(n)
+    values, weights = np.cumsum(rng.normal(size=n + 1)), rng.random(n)
+    want = math.fsum(
+        weights[m - 1] * math.fsum(abs(values[i] - values[i - m]) ** power for i in range(m, n + 1))
+        for m in range(1, n + 1)
+    )
+    assert _offset_total(values, weights, power) == pytest.approx(want, rel=1e-12)
+
+
+def test_offset_total_keeps_inf_and_nan_in_the_pairs_they_touch():
+    values = np.cumsum(np.random.default_rng(2).normal(size=3 * _OFFSET_BLOCK + 2))
+    weights = np.ones(values.size - 1)
+    values[-1] = np.inf  # its differences against the padding past the row ends must not give nan
+    assert _offset_total(values, weights, 20.0) == np.inf
+    values[5] = np.nan
+    assert np.isnan(_offset_total(values, weights, 20.0))
+
+
 # ---------------------------------------------------------------------------
 # integral bound
 
@@ -519,6 +572,19 @@ def test_restriction_to_fewer_than_two_nodes_refused(a, b):
     f = _sf(np.sin, n=16)
     with pytest.raises(ValueError, match="restriction interval contains fewer than two nodes"):
         f.restrict(a, b)
+
+
+def test_a_second_young_integral_on_the_same_mesh_builds_no_table(monkeypatch):
+    t = np.linspace(0.0, 1.0, 65)
+    f, g = SampledFunction(t, np.sin(3 * t)), SampledFunction(t, np.cos(2 * t))
+    first = young_integral(f, g, 0.35)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a power table rebuilt on a cached mesh")
+
+    monkeypatch.setattr(fraccalc, "_power_moments", no_table)
+    monkeypatch.setattr(np, "float_power", no_table)
+    assert young_integral(f, g, 0.35) == first
 
 
 def test_cell_weight_cache_keeps_at_most_four_tables():

@@ -36,8 +36,11 @@ three taus on fine nodes and at tau = T with a norm_grid_n of the coarse
 n, and `interpolate` at every 7th fine node, at refinement strides 1, 2,
 3, 45, 257 and 384, for the linear, bounded-smooth and additive presets
 under independent and Volterra noise; then
-`increment_bracket`, `holder_cumulative`, `holder_functional` (on [0, T]
-and on [0, t] for one node t), `norm_inf_alpha`, `norm_2_alpha`,
+`increment_bracket`, `holder_cumulative`, `holder_functional` (on [0, T],
+on [0, t] for one node t, and on W and B^H at the nodes 9, 15 and 17
+steps in: one past one block of the 8 offsets its pair total takes at a
+time, and one short of and one past two; one short of one block, 7
+steps, is below its 8-step minimum), `norm_inf_alpha`, `norm_2_alpha`,
 `integral_bound`, `norm_2_alpha` of the constant 1 on 50 nodes of [0, 1],
 `young_integral` (on the whole grid and on a sub-interval (a, b)), the
 nodes of `SampledFunction.from_callable(np.sin, 0.3, 1.9, 376)` (the node
@@ -161,6 +164,7 @@ def print_api_values() -> None:
     print(repr(increment_bracket(f.y, f.delta, 0.35).tolist()))
     print(repr(holder_cumulative(pair.w.values, f.delta, 0.1, 10.0).tolist()))
     print(repr([holder_functional(path, 0.1, t).value for path in (pair.w, pair.bh) for t in (None, f.t[300])]))
+    print(repr([holder_functional(path, 0.1, f.t[k]).value for path in (pair.w, pair.bh) for k in (9, 15, 17)]))
     print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35), integral_bound(f, 0.35, 1.0))))
     print(repr(norm_2_alpha(SampledFunction(np.linspace(0.0, 1.0, 50), np.ones(50)), 0.35)))
     w = SampledFunction(f.t, pair.w.values)
