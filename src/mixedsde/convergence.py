@@ -46,7 +46,7 @@ from .euler import _BLOCK_NODES, EulerSolution, _euler_solve_batch, _interpolate
 from .fbm import (
     _ROW_GROUP, Independent, JointGaussian, NoisePair, VolterraFromWiener, _check_method, _cholesky_factor,
     _fbm_values_batch, _holder_bound, _holder_cumulative_batch, _holder_exponents, _resolve_dependence, _volterra_fbm,
-    _volterra_weights, _wiener_values_batch, validate_hurst,
+    _volterra_weights, _volterra_work, _wiener_values_batch, validate_hurst,
 )
 from .fraccalc import (
     _increment_bracket_batch, _norm_2_sq, _norm2_weight_cells, _pair_n, _validate_norm2_order, norms_comparison_constant
@@ -70,7 +70,10 @@ _EVAL_N_MAX = 4096
 # per node): at most 0.42 GB in each worker process at 2^16
 _FINE_N_MAX = 1 << 16
 # more paths are refused: the result rows take 26 B per path and level, 1.6 GB
-# at 2^22 paths and the most levels (15), and 2^22 paths take over an hour
+# at 2^22 paths and the most levels (15). On 2 vCPUs perfbench reads about 1260
+# paths/s at the mc-accept shape (fine n 4096, five levels, independent noise,
+# two workers), where 2^22 paths take about 55 min, and about 585 paths/s at
+# mc-volterra-fine's (fine n 8192, three levels, Volterra noise, one worker), about 2 h
 _PATHS_MAX = 1 << 22
 # more workers are refused: each one is a process that holds a chunk, 0.42 GB
 # at fine n 2^16, besides the pages it shares with the caller
@@ -431,11 +434,13 @@ def _chunk_noise(
     transposed, so its spectrum is gone before W exists. W is drawn
     _ROW_GROUP path-major rows at a time from the chunk's one stream (the
     rows of one full draw) and written node-major; Volterra B^H convolves
-    each group's increments into its node-major columns."""
+    each group's increments into its node-major columns, every group
+    through one workspace."""
     volterra = isinstance(dep, VolterraFromWiener)
     if volterra:
         b = np.zeros((grid.n + 1, size))
         weights = _volterra_weights(grid.n, grid.horizon, h)
+        work = _volterra_work(weights, min(size, _ROW_GROUP))
     else:
         b = np.ascontiguousarray(_fbm_values_batch(grid, h, stream(seed, 1, chunk_idx), size, method).T)
     w = np.empty((grid.n + 1, size))
@@ -445,7 +450,7 @@ def _chunk_noise(
         group = _wiener_values_batch(grid, rng, rows.stop - rows.start)
         w[:, rows] = group.T
         if volterra:
-            _volterra_fbm(weights, np.diff(group, axis=1), out=b[1:, rows].T)
+            _volterra_fbm(weights, np.diff(group, axis=1), out=b[1:, rows].T, work=work)
     return w, b
 
 

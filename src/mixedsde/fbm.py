@@ -48,8 +48,9 @@ _METHODS = ("cholesky", "circulant-embedding", "circulant")  # independent B^H o
 _HOLDER_MIN_STEPS = 8
 # rows per group of every harness sampler (the circulant inverse FFT; _chunk_noise's node-major
 # W fill and Volterra convolution of each W group): their temporaries exist for one group at a
-# time. One 256-path Volterra chunk's noise at fine n 8192 peaked at 56, 61, 71 and 92 MB with
-# groups of 8, 16, 32 and 64 rows (201 MB before the grouping), and took 244, 249, 269 and 288 ms
+# time. One 256-path Volterra chunk's noise at fine n 8192 peaked at 38.8, 44.0, 54.5 and 75.5 MB
+# (tracemalloc) with groups of 8, 16, 32 and 64 rows, and took 164, 163, 164 and 171 ms (medians
+# in one process, 2-vCPU VM)
 _ROW_GROUP = 16
 
 
@@ -334,7 +335,27 @@ def _volterra_weights(n: int, horizon: float, h: float) -> _VolterraWeights | No
     )
 
 
-def _volterra_fbm(weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+class _VolterraWork(NamedTuple):
+    """The buffers _volterra_fbm runs through, for up to len(pad) rows."""
+
+    pad: np.ndarray  # (rows, nfft): the scaled increments zero-padded, then each inverse FFT
+    spec: np.ndarray  # (rows, nfft/2+1) complex: their half spectrum
+    prod: np.ndarray  # (rows, nfft/2+1) complex: the spectrum times one moment spectrum
+    acc: np.ndarray  # (rows, n): the cell sums, then their cumsum
+
+
+def _volterra_work(weights: _VolterraWeights, rows: int) -> _VolterraWork:
+    """A workspace for rows rows of weights' n, 28 B per row and nfft point."""
+    half = weights.nfft // 2 + 1
+    return _VolterraWork(
+        np.empty((rows, weights.nfft)), np.empty((rows, half), complex), np.empty((rows, half), complex),
+        np.empty((rows, len(weights.k0))),
+    )
+
+
+def _volterra_fbm(
+    weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndarray | None = None, work: _VolterraWork | None = None
+) -> np.ndarray:
     """fBm values at nodes 1..n from Wiener increments dw of shape (..., n),
     written into out (any (..., n) view, e.g. a node-major array's .T) or a
     new array, which is returned.
@@ -342,22 +363,35 @@ def _volterra_fbm(weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndar
     One real FFT of u_i = c_H nu_i^{-p} dW_i and two inverse ones give the
     moment convolutions; B at node r+1 is K0_r dW_0 + sum_{k<=r} (g_k
     (u*m0)_k + dg_k (u*m1)_k). O(n log n) per path; a row's values do not
-    depend on the other rows. All rows go through at once: the call peaks at
-    36 B per row and nfft point (9.4 MB for _chunk_noise's _ROW_GROUP rows
-    at n 8192, 75.5 MB for np.eye(1024)), so callers group large inputs."""
+    depend on the other rows. Every step runs in work, a _volterra_work of
+    at least as many rows as dw holds (built here when None; its first rows
+    are used and nothing carries over between calls), and the sum reaches
+    out in one write. Without work and out the call peaks at 32 B per row
+    and nfft point, the workspace's 28 B and out's 4 B (8.4 MB for 16 rows
+    at n 8192, 67.3 MB for np.eye(1024)); given both it allocates less than
+    1 B. So callers group large inputs: _chunk_noise convolves _ROW_GROUP
+    rows at a time through one workspace (7.3 MB at n 8192)."""
     if out is None:
         out = np.empty(dw.shape)
     if weights is None:
         return np.cumsum(dw, axis=-1, out=out)
-    n = dw.shape[-1]
-    u_hat = np.fft.rfft(dw * weights.scale, weights.nfft)
-    conv0 = np.fft.irfft(u_hat * weights.m0_hat, weights.nfft)[..., :n]
-    conv1 = np.fft.irfft(u_hat * weights.m1_hat, weights.nfft)[..., :n]
-    conv0 *= weights.g
-    conv1 *= weights.dg
-    conv0 += conv1  # the cell sums
-    np.cumsum(conv0, axis=-1, out=out)
-    out += weights.k0 * dw[..., :1]
+    lead, n = dw.shape[:-1], dw.shape[-1]
+    rows = math.prod(lead)
+    if work is None:
+        work = _volterra_work(weights, rows)
+    pad, spec, prod, acc = (buf[:rows].reshape(*lead, buf.shape[-1]) for buf in work)
+    u = pad[..., :n]
+    np.multiply(dw, weights.scale, out=u)
+    pad[..., n:] = 0.0  # an earlier call's inverse FFT may fill it
+    np.fft.rfft(pad, out=spec)
+    np.fft.irfft(np.multiply(spec, weights.m0_hat, out=prod), weights.nfft, out=pad)
+    np.multiply(u, weights.g, out=acc)
+    np.fft.irfft(np.multiply(spec, weights.m1_hat, out=prod), weights.nfft, out=pad)
+    u *= weights.dg
+    acc += u  # the cell sums
+    np.cumsum(acc, axis=-1, out=acc)
+    acc += np.multiply(weights.k0, dw[..., :1], out=u)
+    np.copyto(out, acc)
     return out
 
 

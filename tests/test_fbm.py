@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,42 @@ def test_volterra_fbm_groups_equal_row_calls_and_write_into_any_view():
     into = np.zeros((37, 200))
     assert _volterra_fbm(None, dw, out=into) is into
     assert np.array_equal(into, np.cumsum(dw, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+def test_volterra_fbm_reused_workspace_carries_nothing_over(n):
+    # one workspace of 16 rows, each call after one on the same rows times
+    # 1e6: 16 rows, 12 of them, a 1-D row and a node-major .T out; at n 1
+    # the FFT is not padded
+    weights = _volterra_weights(n, 1.0, 0.7)
+    work = fbm._volterra_work(weights, 16)
+    dw = np.random.default_rng(5).normal(size=(16, n)) / math.sqrt(n)
+    b = np.full((n + 1, 16), np.nan)
+    for rows, out in ((dw, None), (dw[:12], None), (dw[3], None), (dw, b[1:].T)):
+        _volterra_fbm(weights, rows * 1e6, work=work)
+        got = _volterra_fbm(weights, rows, out=out, work=work)
+        assert (out is None or got is out) and np.array_equal(got, _volterra_fbm(weights, rows))
+    assert np.all(np.isnan(b[0]))
+
+
+@pytest.mark.parametrize("rows, n", [(1024, 1024), (16, 8192)])
+def test_volterra_fbm_peak_memory_per_row_and_fft_point(rows, n):
+    # the figures _volterra_fbm states: the workspace it builds takes 28 B
+    # per row and FFT point, a new out 4 B more, and a call given both
+    # allocates less than 1 B (np.eye(1024) is the covariance tests'
+    # input, 16 rows at n 8192 one group of _chunk_noise)
+    weights = _volterra_weights(n, 1.0, 0.7)
+    dw = np.eye(n) if rows == n else np.random.default_rng(6).normal(size=(rows, n))
+    out, work = np.empty((rows, n)), fbm._volterra_work(weights, rows)
+    peaks = []
+    for kwargs in ({}, {"out": out}, {"out": out, "work": work}):
+        tracemalloc.start()
+        try:
+            _volterra_fbm(weights, dw, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (rows * weights.nfft))
+        finally:
+            tracemalloc.stop()
+    assert 31.9 < peaks[0] <= 32.2 and 27.9 < peaks[1] <= 28.2 and peaks[2] < 1.0
 
 
 def test_volterra_pair_at_large_n_has_a_linear_size_cache():

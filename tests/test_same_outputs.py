@@ -26,7 +26,7 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
     off_grid = {name: args for name, args in off_grid.items() if name not in paths1100}
     special = {**off_grid, **cholesky, **threshold5, **paths1100}
     runs = {name: args for name, args in everything.items() if name not in special}
-    assert len(runs) == 24 and len(everything) == 37
+    assert len(runs) == 24 and len(everything) == 38
     assert paths1100 == {
         f"linear-{dep}-paths1100-workers{workers}": [
             "--preset", "linear", "--dependence", dep, "--workers", workers, "--paths", "1100",
@@ -55,8 +55,8 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
         "eval49": ["--paths", "300", "--levels", "49,98,196", "--m-fine", "2", "--eval-n", "49"],
     }
     assert sorted(off_grid) == sorted(
-        [f"linear-{dep}-{label}-workers1" for dep in ("independent", "volterra") for label in ("levels2-8-mfine9", "t0.3")]
-        + ["linear-independent-eval49-workers1"]
+        [f"linear-{dep}-{label}-workers1" for dep in ("independent", "volterra")
+         for label in ("levels2-8-mfine9", "t0.3", "eval49")]
     )
     for name, args in off_grid.items():
         assert args[:6] == ["--preset", "linear", "--dependence", name.split("-")[1], "--workers", "1"]

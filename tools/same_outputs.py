@@ -5,18 +5,19 @@
 Each DIR is a checkout of the program. For every run of a fixed matrix
 (presets linear, bounded-smooth and unbounded-b with --force; independent
 and Volterra noise; threshold 50 and 2; workers 1 and 2; each with 300
-paths, levels 16,32,64, m_fine 3 and eval_n 64), for four runs of the
+paths, levels 16,32,64, m_fine 3 and eval_n 64), for six runs of the
 linear preset at workers 1 under independent and Volterra noise, two at
-the non-dyadic horizon --t 0.3 and two at levels 2,4,8 with m_fine 9
+the non-dyadic horizon --t 0.3, two at levels 2,4,8 with m_fine 9
 (coarse strides of 2048, 1024 and 512 fine nodes, so the 256-node blocks
-of the per-level pass cut the coarse cells), and for two runs of the
-linear preset with --method cholesky under independent noise on the same
-grid at workers 1 and 2, and for one run of the linear preset at workers 1 under
-independent noise whose eval grid is not a power of two (levels 49,98,196,
-m_fine 2, eval_n 49, where n delta rounds below the horizon), and for two
-runs of the linear preset at workers 1 under independent and Volterra noise
-at threshold 5 (on the COMMON grid; there the tau_N screen clears some paths
-of each chunk and leaves others open, crossing or not), and for four runs of
+of the per-level pass cut the coarse cells) and two on an eval grid that
+is not a power of two (levels 49,98,196, m_fine 2, eval_n 49, where n
+delta rounds below the horizon; the Volterra FFT length, 2048, is wider
+than twice the fine n of 784), and for two runs of the linear preset
+with --method cholesky under independent noise on the same grid at
+workers 1 and 2, and for two runs of the linear preset at workers 1 under
+independent and Volterra noise at threshold 5 (on the COMMON grid; there
+the tau_N screen clears some paths of each chunk and leaves others open,
+crossing or not), and for four runs of
 the linear preset under independent and Volterra noise with 1100 paths on
 the COMMON grid at workers 1 and 3 (five chunks, the last of 76 paths; at
 workers 3 one forked child runs chunks 1 and 4, the partial one, with the
@@ -79,13 +80,13 @@ FILES = ("report.json", "report.csv", "report_loglog.csv", "manifest.json")
 COMMON = ["--paths", "300", "--levels", "16,32,64", "--m-fine", "3", "--eval-n", "64"]
 PRESETS = {"linear": [], "bounded-smooth": [], "unbounded-b": ["--force"]}
 # linear-preset runs off the main grid, by label: a horizon that is not
-# dyadic, and coarse cells longer than the per-level pass's 256-node block
+# dyadic, coarse cells longer than the per-level pass's 256-node block, and
+# an eval grid that is not a power of two
 OFF_GRID = {
     "t0.3": ["--t", "0.3", *COMMON],
     "levels2-8-mfine9": ["--paths", "300", "--levels", "2,4,8", "--m-fine", "9", "--eval-n", "64"],
+    "eval49": ["--paths", "300", "--levels", "49,98,196", "--m-fine", "2", "--eval-n", "49"],
 }
-# an independent-noise linear-preset run on an eval grid that is not a power of two
-EVAL49 = ["--paths", "300", "--levels", "49,98,196", "--m-fine", "2", "--eval-n", "49"]
 # a linear-preset threshold at which each chunk holds paths the tau_N bound
 # clears, paths it leaves open that do not cross, and paths that cross
 THRESHOLD5 = ["--threshold", "5", *COMMON]
@@ -104,9 +105,6 @@ def matrix() -> dict[str, list[str]]:
                       "--workers", workers, *COMMON]
     for (label, args), dep in itertools.product(OFF_GRID.items(), ("independent", "volterra")):
         runs[f"linear-{dep}-{label}-workers1"] = ["--preset", "linear", "--dependence", dep, "--workers", "1", *args]
-    runs["linear-independent-eval49-workers1"] = [
-        "--preset", "linear", "--dependence", "independent", "--workers", "1", *EVAL49
-    ]
     for dep in ("independent", "volterra"):
         runs[f"linear-{dep}-threshold5-workers1"] = [
             "--preset", "linear", "--dependence", dep, "--workers", "1", *THRESHOLD5
