@@ -311,9 +311,9 @@ def _volterra_weights(n: int, horizon: float, h: float) -> _VolterraWeights | No
     offset k-i, so _volterra_fbm applies K as a convolution. The first cell
     uses the cell average of the singular s^{1/2-H} factor and the exact
     s = 0 inner integral. H = 1/2 gives None: the map is the running sum.
-    Each entry holds 64n B (4.19 MB at n 2^16, 67.1 MB at 2^20, built in
-    0.02 s and 0.4 s), so the two entries (a run's grid and one other) keep
-    at most 128n B, 2.1 GB at MAX_STEPS.
+    The arrays are read-only. Each entry holds 64n B (4.19 MB at n 2^16,
+    67.1 MB at 2^20, built in 0.02 s and 0.4 s), so the two entries (a run's
+    grid and one other) keep at most 128n B, 2.1 GB at MAX_STEPS.
     """
     if h == 0.5:
         return None
@@ -330,31 +330,25 @@ def _volterra_weights(n: int, horizon: float, h: float) -> _VolterraWeights | No
     nfft = 1 << (2 * n - 2).bit_length()  # >= 2n-1: no wrap-around at indices < n
     j = np.arange(1, n + 1, dtype=float)
     k0 = c_h * (delta ** (-p) / (1.0 - p)) * np.float_power(j * delta, 2.0 * p) / (2.0 * p)
-    return _VolterraWeights(
+    weights = _VolterraWeights(
         scale, g[:n], np.diff(g) / delta, k0, np.fft.rfft(m0, nfft), np.fft.rfft(m1, nfft), nfft
     )
+    for table in weights[:-1]:
+        table.setflags(write=False)
+    return weights
 
 
-class _VolterraWork(NamedTuple):
-    """The buffers _volterra_fbm runs through, for up to len(pad) rows."""
-
-    pad: np.ndarray  # (rows, nfft): the scaled increments zero-padded, then each inverse FFT
-    spec: np.ndarray  # (rows, nfft/2+1) complex: their half spectrum
-    prod: np.ndarray  # (rows, nfft/2+1) complex: the spectrum times one moment spectrum
-    acc: np.ndarray  # (rows, n): the cell sums, then their cumsum
-
-
-def _volterra_work(weights: _VolterraWeights, rows: int) -> _VolterraWork:
-    """A workspace for rows rows of weights' n, 28 B per row and nfft point."""
+def _volterra_work(weights: _VolterraWeights, rows: int) -> tuple[np.ndarray, ...]:
+    """The buffers _volterra_fbm runs through for up to rows rows of weights' n, 28 B per row and nfft point:
+    (rows, nfft), the scaled increments zero-padded, then each inverse FFT; (rows, nfft/2+1) complex, their half
+    spectrum; the same, the spectrum times one moment spectrum; (rows, n), the cell sums, then their cumsum."""
     half = weights.nfft // 2 + 1
-    return _VolterraWork(
-        np.empty((rows, weights.nfft)), np.empty((rows, half), complex), np.empty((rows, half), complex),
-        np.empty((rows, len(weights.k0))),
-    )
+    return (np.empty((rows, weights.nfft)), np.empty((rows, half), complex), np.empty((rows, half), complex),
+            np.empty((rows, len(weights.k0))))
 
 
 def _volterra_fbm(
-    weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndarray | None = None, work: _VolterraWork | None = None
+    weights: _VolterraWeights | None, dw: np.ndarray, out: np.ndarray | None = None, work: tuple | None = None
 ) -> np.ndarray:
     """fBm values at nodes 1..n from Wiener increments dw of shape (..., n),
     written into out (any (..., n) view, e.g. a node-major array's .T) or a
@@ -509,8 +503,7 @@ def _holder_bound(values: np.ndarray, delta: float, eta: float, q: float) -> np.
     computed differences; a nan path gives nan.
     """
     n = values.shape[0] - 1
-    lags = np.arange(1.0, n + 1)
-    weights = np.float_power(lags * delta, -q) * (n + 1 - lags)
+    weights = _grr_weights(n, delta, q) * np.arange(n, 0, -1.0)  # n + 1 - m pairs at lag m
     hi = lo = values
     total = np.zeros(values.shape[1:])
     width = 1  # nodes per window of hi and lo

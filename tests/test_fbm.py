@@ -1,6 +1,8 @@
+import importlib
 import io
 import math
 import os
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -21,7 +23,8 @@ from mixedsde import (
     mc_strong_error,
     preset,
 )
-from mixedsde import fbm
+import mixedsde
+from mixedsde import fbm, fraccalc
 from mixedsde.fbm import (
     _fbm_node_covariance,
     _fbm_values_batch,
@@ -242,6 +245,51 @@ def test_cached_circulant_roots_are_read_only():
     assert fbm._circulant_sqrt_eigs(64, 0.7) is roots
     with pytest.raises(ValueError):
         roots[0] = 1.0
+
+
+@pytest.mark.parametrize("h", [0.55, 0.7, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 64, 1024, 4096])
+def test_circulant_embedding_is_exact_at_every_h(n, h):
+    # the half spectrum rebuilt from the cached roots inverts to the unit-step
+    # fGn autocovariance gamma_0..gamma_n: the sampler's law is exact, not
+    # only within Monte Carlo error
+    eigs = fbm._circulant_sqrt_eigs(n, h) ** 2
+    eigs[1:n] *= 2.0
+    row = np.fft.irfft(eigs, 2 * n)[: n + 1]
+    k = np.arange(n + 1, dtype=float)
+    # float_power, as the sampler takes it: k^2H of k ~ 4096 is ~ 1e7, so a last-bit
+    # difference of numpy's power would move gamma by ~ 1e-9
+    kp = [np.float_power(np.abs(k + shift), 2 * h) for shift in (1, 0, -1)]
+    gamma = 0.5 * (kp[0] - 2.0 * kp[1] + kp[2])
+    assert np.max(np.abs(row - gamma)) <= 1e-13
+
+
+# every lru_cache table of the package, with arguments to build one entry
+_CACHED_TABLES = {
+    "_circulant_sqrt_eigs": (fbm._circulant_sqrt_eigs, (64, 0.7)),
+    "_cholesky_factor": (fbm._cholesky_factor, (TimeGrid(1.0, 64), 0.7)),
+    "_volterra_weights": (fbm._volterra_weights, (64, 1.0, 0.7)),
+    "_cell_weights": (fraccalc._cell_weights, (64, 1 / 64, 0.35)),
+    "_span_power": (fraccalc._span_power, (64, 1 / 64, 0.35)),
+    "_singular_moments": (fraccalc._singular_moments, (64, 1 / 64, 0.35)),
+    "_norm2_weight_cells": (fraccalc._norm2_weight_cells, (64, 1 / 64, 0.35)),
+}
+
+
+def test_every_cached_table_is_listed():
+    modules = [importlib.import_module(f"mixedsde.{m.name}") for m in pkgutil.iter_modules(mixedsde.__path__)]
+    cached = {obj for module in modules for obj in vars(module).values() if hasattr(obj, "cache_info")}
+    assert cached == {build for build, _ in _CACHED_TABLES.values()}
+
+
+@pytest.mark.parametrize("name", sorted(_CACHED_TABLES))
+def test_cached_tables_are_read_only(name):
+    # a cached array is shared by every later call (and every forked child),
+    # so no caller may write into it
+    build, args = _CACHED_TABLES[name]
+    table = build(*args)
+    arrays = [table] if isinstance(table, np.ndarray) else [a for a in table if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_circulant_eigenvalue_check_still_raises(monkeypatch):

@@ -23,10 +23,17 @@ def test_matrix_covers_presets_noise_thresholds_and_workers():
     off_grid = {name: args for name, args in everything.items() if "--threshold" not in args and name not in cholesky}
     threshold5 = {name: args for name, args in everything.items() if "-threshold5-" in name}
     paths1100 = {name: args for name, args in everything.items() if "-paths1100-" in name}
-    off_grid = {name: args for name, args in off_grid.items() if name not in paths1100}
-    special = {**off_grid, **cholesky, **threshold5, **paths1100}
+    high_h = {name: args for name, args in everything.items() if "--h" in args}
+    off_grid = {name: args for name, args in off_grid.items() if name not in paths1100 and name not in high_h}
+    special = {**off_grid, **cholesky, **threshold5, **paths1100, **high_h}
     runs = {name: args for name, args in everything.items() if name not in special}
-    assert len(runs) == 24 and len(everything) == 38
+    assert len(runs) == 24 and len(everything) == 40
+    assert high_h == {
+        f"linear-{dep}-h0.9-workers1": [
+            "--preset", "linear", "--dependence", dep, "--workers", "1", "--h", "0.9", *same_outputs.COMMON
+        ]
+        for dep in ("independent", "volterra")
+    }
     assert paths1100 == {
         f"linear-{dep}-paths1100-workers{workers}": [
             "--preset", "linear", "--dependence", dep, "--workers", workers, "--paths", "1100",

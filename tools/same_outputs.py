@@ -2,65 +2,26 @@
 
     python3 tools/same_outputs.py --parent DIR --change DIR
 
-Each DIR is a checkout of the program. For every run of a fixed matrix
-(presets linear, bounded-smooth and unbounded-b with --force; independent
-and Volterra noise; threshold 50 and 2; workers 1 and 2; each with 300
-paths, levels 16,32,64, m_fine 3 and eval_n 64), for six runs of the
-linear preset at workers 1 under independent and Volterra noise, two at
-the non-dyadic horizon --t 0.3, two at levels 2,4,8 with m_fine 9
-(coarse strides of 2048, 1024 and 512 fine nodes, so the 256-node blocks
-of the per-level pass cut the coarse cells) and two on an eval grid that
-is not a power of two (levels 49,98,196, m_fine 2, eval_n 49, where n
-delta rounds below the horizon; the Volterra FFT length, 2048, is wider
-than twice the fine n of 784), and for two runs of the linear preset
-with --method cholesky under independent noise on the same grid at
-workers 1 and 2, and for two runs of the linear preset at workers 1 under
-independent and Volterra noise at threshold 5 (on the COMMON grid; there
-the tau_N screen clears some paths of each chunk and leaves others open,
-crossing or not), and for four runs of
-the linear preset under independent and Volterra noise with 1100 paths on
-the COMMON grid at workers 1 and 3 (five chunks, the last of 76 paths; at
-workers 3 one forked child runs chunks 1 and 4, the partial one, with the
-noise table it builds itself), the script runs
-`python -m mixedsde.cli converge` once in each tree, with that tree's src/
-on PYTHONPATH. It compares the exit code, stdout (the output directory
-masked), report.json, report.csv, report_loglog.csv and manifest.json byte
-for byte, prints each run that differs with what differs, and exits 1 if
-any run does. For a run that differs it also prints the largest float
-difference of report.json, relative to the largest magnitude among the
-run's floats, and whether every other field (counts, strings, structure)
-and the exit code match.
+Each DIR is a checkout of the program. For every run of `matrix()` the
+script runs `python -m mixedsde.cli converge` once in each tree, with
+that tree's src/ on PYTHONPATH, and compares the exit code, stdout (the
+output directory masked), report.json, report.csv, report_loglog.csv and
+manifest.json byte for byte. The runs are: the three presets under both
+noises at thresholds 50 and 2 and workers 1 and 2 on the COMMON grid;
+the linear preset at workers 1 under both noises off that grid
+(OFF_GRID), at threshold 5 and at H 0.9; Cholesky runs at workers 1 and
+2; and 1100-path runs at workers 1 and 3. One more run,
+"single-path-api", prints the single-path API's values in each tree
+(`print_api_values`) and compares the text; it must exit 0 in both.
 
-One more run, "single-path-api", prints the repr of the single-path API in
-each tree (print_api_values) and compares the text: `pathwise_error` at
-three taus on fine nodes and at tau = T with a norm_grid_n of the coarse
-n, and `interpolate` at every 7th fine node, at refinement strides 1, 2,
-3, 45, 257 and 384, for the linear, bounded-smooth and additive presets
-under independent and Volterra noise; then
-`increment_bracket`, `holder_cumulative`, `holder_functional` (on [0, T],
-on [0, t] for one node t, and on W and B^H at the nodes 9, 15 and 17
-steps in: one past one block of the 8 offsets its pair total takes at a
-time, and one short of and one past two; one short of one block, 7
-steps, is below its 8-step minimum), `norm_inf_alpha`, `norm_2_alpha`,
-`integral_bound`, `norm_2_alpha` of the constant 1 on 50 nodes of [0, 1],
-`young_integral` (on the whole grid and on a sub-interval (a, b)), the
-nodes of `SampledFunction.from_callable(np.sin, 0.3, 1.9, 376)` (the node
-rule it takes from `TimeGrid`) and the default-refined `young_integral` of
-sin against cos sampled so on that non-dyadic span,
-`left_derivative` and `right_derivative` at four nodes each and at two
-points between nodes (where the tip cell of the weights is shorter than a
-cell), and `stopping_time` on one pair; then `fbm_covariance` at a
-point and on a node mesh, `kappa` at three betas and the text of the
-`check_hypotheses` report of the quadratic-c preset at seed 3; then the
-text that `write_path_csv`, `write_pair_csv` (independent, Volterra and
-joint-Gaussian noise) and `write_solution_csv` write on a 64-step grid,
-the files `converge` does not write, and the values of `generate_wiener`
-on that grid. It must exit 0 in both trees. When its
-text differs, the float literals in it are compared in the same way, and
-the rest of the text and the exit code for equality. Measured against the
-run's largest magnitude, a last-bit change of a value at roundoff level
-(such as the additive preset's pathwise errors, about 1e-15) stays at
-roundoff instead of reading as a large relative change.
+The script prints each run that differs with what differs, and exits 1
+if any run does. For such a run it also prints the largest float
+difference (of report.json, or of the float literals of the API text)
+relative to the largest magnitude among the run's floats, and whether
+every other field (counts, strings, structure) and the exit code match.
+Measured so, a last-bit change of a value at roundoff level (such as the
+additive preset's pathwise errors, about 1e-15) stays at roundoff
+instead of reading as a large relative change.
 """
 
 from __future__ import annotations
@@ -81,7 +42,8 @@ COMMON = ["--paths", "300", "--levels", "16,32,64", "--m-fine", "3", "--eval-n",
 PRESETS = {"linear": [], "bounded-smooth": [], "unbounded-b": ["--force"]}
 # linear-preset runs off the main grid, by label: a horizon that is not
 # dyadic, coarse cells longer than the per-level pass's 256-node block, and
-# an eval grid that is not a power of two
+# an eval grid that is not a power of two (where n delta rounds below the
+# horizon, and the Volterra FFT length, 2048, is wider than twice the fine n)
 OFF_GRID = {
     "t0.3": ["--t", "0.3", *COMMON],
     "levels2-8-mfine9": ["--paths", "300", "--levels", "2,4,8", "--m-fine", "9", "--eval-n", "64"],
@@ -90,6 +52,9 @@ OFF_GRID = {
 # a linear-preset threshold at which each chunk holds paths the tau_N bound
 # clears, paths it leaves open that do not cross, and paths that cross
 THRESHOLD5 = ["--threshold", "5", *COMMON]
+# every other run takes converge's default H 0.7; at H 0.9 the Volterra map's
+# discretization error is large (README "Numerical notes")
+H09 = ["--h", "0.9", *COMMON]
 # five chunks, the last partial: at workers 3 a forked child runs two chunks
 PATHS1100 = ["--paths", "1100", *COMMON[2:]]
 
@@ -103,12 +68,9 @@ def matrix() -> dict[str, list[str]]:
         name = f"{preset}-{dep}-threshold{threshold}-workers{workers}"
         runs[name] = ["--preset", preset, *extra, "--dependence", dep, "--threshold", threshold,
                       "--workers", workers, *COMMON]
-    for (label, args), dep in itertools.product(OFF_GRID.items(), ("independent", "volterra")):
+    linear = {**OFF_GRID, "threshold5": THRESHOLD5, "h0.9": H09}
+    for (label, args), dep in itertools.product(linear.items(), ("independent", "volterra")):
         runs[f"linear-{dep}-{label}-workers1"] = ["--preset", "linear", "--dependence", dep, "--workers", "1", *args]
-    for dep in ("independent", "volterra"):
-        runs[f"linear-{dep}-threshold5-workers1"] = [
-            "--preset", "linear", "--dependence", dep, "--workers", "1", *THRESHOLD5
-        ]
     for workers in ("1", "2"):
         runs[f"linear-independent-cholesky-workers{workers}"] = [
             "--preset", "linear", "--dependence", "independent", "--method", "cholesky", "--workers", workers, *COMMON
@@ -162,6 +124,8 @@ def print_api_values() -> None:
     print(repr(increment_bracket(f.y, f.delta, 0.35).tolist()))
     print(repr(holder_cumulative(pair.w.values, f.delta, 0.1, 10.0).tolist()))
     print(repr([holder_functional(path, 0.1, t).value for path in (pair.w, pair.bh) for t in (None, f.t[300])]))
+    # one past one block of the 8 offsets the pair total takes at a time, one short of two and one past
+    # (one short of one block, 7 steps, is below holder_functional's minimum)
     print(repr([holder_functional(path, 0.1, f.t[k]).value for path in (pair.w, pair.bh) for k in (9, 15, 17)]))
     print(repr((norm_inf_alpha(f, 0.35), norm_2_alpha(f, 0.35), integral_bound(f, 0.35, 1.0))))
     print(repr(norm_2_alpha(SampledFunction(np.linspace(0.0, 1.0, 50), np.ones(50)), 0.35)))
